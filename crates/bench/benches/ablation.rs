@@ -73,7 +73,7 @@ fn bench_lowering(c: &mut Criterion) {
     let lib = bst.library().clone();
     let rel = bst.relation();
     let mut group = c.benchmark_group("ablation/lowering");
-    group.bench_function("lowered_closures", |b| {
+    group.bench_function("compiled_vm", |b| {
         b.iter(|| {
             for a in &args {
                 std::hint::black_box(lib.check(rel, 64, 64, a));

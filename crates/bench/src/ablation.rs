@@ -9,11 +9,9 @@
 //!    into a checker (`bind_ec`) stops at the first witness. We measure
 //!    time-to-first-witness vs time-to-all-witnesses on a constrained
 //!    query with many solutions (`le ?n 10`).
-//! 3. **Closure lowering vs plan interpretation**: derived checkers
-//!    execute as closure trees by default, with the step interpreter
-//!    kept as baseline. Measured finding: the two are within noise of
-//!    each other — the executor's cost is term traversal and
-//!    allocation, not step dispatch.
+//! 3. **Bytecode compilation vs plan interpretation**: derived checkers
+//!    execute on the bytecode VM, with the step interpreter kept as
+//!    the oracle and baseline (BENCH_vm.json records the gap).
 //! 4. **Produce-and-match vs check for known recursive premises**
 //!    (`DeriveOptions::check_known_recursive`): exercised as a unit
 //!    test — switching the strategy must not change checker verdicts.
@@ -63,13 +61,13 @@ pub fn backtracking_locality(budget: Duration) -> Locality {
 /// Result of the lowering ablation.
 #[derive(Clone, Copy, Debug)]
 pub struct Lowering {
-    /// Checks per second through the lowered closures (default).
-    pub lowered_cps: f64,
+    /// Checks per second through the bytecode VM (default).
+    pub compiled_cps: f64,
     /// Checks per second through the step interpreter (baseline).
     pub interpreted_cps: f64,
 }
 
-/// Measures closure lowering against plan interpretation on the
+/// Measures the bytecode VM against plan interpretation on the
 /// derived BST checker.
 pub fn lowering(budget: Duration) -> Lowering {
     let bst = Bst::new();
@@ -100,7 +98,7 @@ pub fn lowering(budget: Duration) -> Lowering {
         n as f64 / start.elapsed().as_secs_f64()
     };
     Lowering {
-        lowered_cps: measure(false),
+        compiled_cps: measure(false),
         interpreted_cps: measure(true),
     }
 }
@@ -175,11 +173,11 @@ mod tests {
     fn lowering_agrees_and_is_competitive() {
         let l = lowering(Duration::from_millis(40));
         // Same verdicts are asserted in indrel-core's tests; here we
-        // pin the performance claim: lowering is at least not a big
+        // pin the performance claim: compiling is at least not a big
         // regression over interpretation.
         assert!(
-            l.lowered_cps > l.interpreted_cps * 0.5,
-            "lowered execution regressed badly: {l:?}"
+            l.compiled_cps > l.interpreted_cps * 0.5,
+            "compiled execution regressed badly: {l:?}"
         );
     }
 

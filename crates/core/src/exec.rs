@@ -81,16 +81,20 @@ impl Library {
                 let _depth = self.probe_enter(rel, ExecKind::Checker);
                 f(size, top_size, args)
             }
-            // The lowered executor emits its own Enter (it knows its
-            // relation), so no event here.
-            CheckerImpl::Plan(_, lowered) => self.run_lowered_check(lowered, size, top_size, args),
+            // The derived executors emit their own Enter, so no event
+            // here.
+            CheckerImpl::Plan(plan, compiled) => {
+                self.run_checker_entry(plan, compiled, size, top_size, args)
+            }
         }
     }
 
     /// Runs the checker for `rel` through the *interpreted* plan
-    /// executor instead of the default lowered closures — the ablation
-    /// baseline for the lowering decision (DESIGN.md). Verdicts are
-    /// identical; only the execution strategy differs.
+    /// executor instead of the bytecode VM — the oracle every compiled
+    /// checker is held to, and the executor for plans that did not
+    /// compile. Unindexed and unmemoized at every level; verdicts are
+    /// identical to [`Library::check`], only the execution strategy
+    /// differs.
     ///
     /// # Panics
     ///
@@ -112,28 +116,6 @@ impl Library {
             }
             CheckerImpl::Plan(plan, _) => self.run_plan_check(plan, size, top_size, args),
         }
-    }
-
-    /// Runs the checker for `rel` through *both* execution strategies
-    /// and returns `(lowered, interpreted)` — the differential hook
-    /// behind the fuzzer's executor-equivalence oracle. The two
-    /// verdicts must agree for every well-formed relation; a mismatch
-    /// is a bug in the lowering (or the interpreter).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no checker instance exists for `rel`.
-    pub fn check_both(
-        &self,
-        rel: RelId,
-        size: u64,
-        top_size: u64,
-        args: &[Value],
-    ) -> (Option<bool>, Option<bool>) {
-        (
-            self.check(rel, size, top_size, args),
-            self.check_interpreted(rel, size, top_size, args),
-        )
     }
 
     /// Iterative-deepening driver over the checker: doubles the fuel
@@ -659,6 +641,24 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
+        self.plan_check_search(plan, size, top, args)
+    }
+
+    /// The search body of [`Library::run_plan_check`], without its
+    /// budget step: the entry boundary ([`crate::entry`]) runs plans
+    /// that did not compile to bytecode through here after charging
+    /// that step itself. Bumps `search_calls` once per search, like the
+    /// VM, so the memo cost gates see interpreted work too.
+    pub(crate) fn plan_check_search(
+        &self,
+        plan: &Arc<Plan>,
+        size: u64,
+        top: u64,
+        args: &[Value],
+    ) -> Option<bool> {
+        self.inner
+            .search_calls
+            .set(self.inner.search_calls.get() + 1);
         let _depth = self.probe_enter(plan.rel, ExecKind::Checker);
         if size == 0 {
             let base = plan
@@ -685,8 +685,8 @@ impl Library {
     }
 
     /// [`Library::handler_check`] bracketed with rule attempt /
-    /// success / backtrack events (mirroring the lowered executor's
-    /// emission points, so both strategies report the same search).
+    /// success / backtrack events (the emission points the VM's parity
+    /// loop uses too).
     fn probed_handler_check(
         &self,
         plan: &Arc<Plan>,
@@ -1369,7 +1369,7 @@ impl Iterator for BudgetedStream {
 // uninstantiated expression here is a derivation bug, and demoting it
 // to a structured runtime error would let a miscompiled plan disagree
 // silently instead of failing loudly. The same reasoning covers the
-// mirrored expects in `lower.rs` and the `RecCheck` unreachables
+// plan-invariant panics in `vm.rs` and the `RecCheck` unreachables
 // (recursive-check steps are only emitted into checker plans).
 fn eval(e: &TermExpr, env: &Env, lib: &Library) -> Value {
     e.eval(env, &lib.inner.universe)

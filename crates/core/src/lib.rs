@@ -68,11 +68,11 @@
 pub mod compat;
 pub mod compile;
 pub mod cost;
+pub(crate) mod entry;
 pub mod error;
 pub mod exec;
 pub(crate) mod index;
 pub mod library;
-pub(crate) mod lower;
 pub mod memo;
 pub mod mode;
 pub mod plan;

@@ -41,10 +41,10 @@ pub type HandGenFn =
 #[derive(Clone)]
 pub(crate) enum CheckerImpl {
     Hand(HandCheckFn),
-    /// A derived checker: the plan (for inspection and the interpreted
-    /// ablation baseline) plus its closure-lowered form (the default
-    /// execution strategy).
-    Plan(Arc<Plan>, Arc<crate::lower::LoweredChecker>),
+    /// A derived checker: the plan (for inspection, the interpreter
+    /// oracle, and the fallback when bytecode compilation fails) plus
+    /// its compiled form (dispatch index and bytecode program).
+    Plan(Arc<Plan>, Arc<crate::entry::CompiledChecker>),
 }
 
 #[derive(Clone, Default)]
@@ -108,23 +108,18 @@ pub(crate) struct Inner {
     /// The session's verdict table (tabling, [`crate::memo`]). Present
     /// but inert until [`Library::with_memo`] flips `memo_enabled`.
     pub(crate) memo: std::cell::RefCell<crate::memo::MemoTable>,
-    /// Mirror flag, like `probe_armed`: the lowered checker consults it
-    /// on every entry, so the disabled cost is one `Cell` load.
+    /// Mirror flag, like `probe_armed`: the checker entry boundary
+    /// consults it on every entry, so the disabled cost is one `Cell`
+    /// load.
     pub(crate) memo_enabled: std::cell::Cell<bool>,
-    /// Bytecode routing flag ([`Library::with_vm`]): when set, derived
-    /// checkers whose plan compiled to a [`crate::vm::VmProgram`] run
-    /// through the register VM instead of the closure tree. Same
-    /// session-state discipline as `memo_enabled`: clones share it,
-    /// [`Library::fork`] resets it.
-    pub(crate) vm_enabled: std::cell::Cell<bool>,
-    /// Monotone count of lowered checker searches this session; the
+    /// Monotone count of derived checker searches this session; the
     /// delta across one search is the memo layer's cost gate (a verdict
     /// that cost fewer than [`crate::memo::MIN_SEARCH_COST`] recursions
     /// is not worth caching).
     pub(crate) search_calls: std::cell::Cell<u64>,
     /// The process-wide concurrent verdict table ([`crate::serve`]),
-    /// when this session serves requests through one. Consulted by the
-    /// lowered checker at the same entry boundaries as the local table;
+    /// when this session serves requests through one. Consulted at the
+    /// same checker entry boundaries as the local table;
     /// `None` (one `RefCell` borrow + `Option` check per entry) for
     /// ordinary sessions.
     pub(crate) shared_memo: std::cell::RefCell<Option<Arc<crate::serve::SharedMemo>>>,
@@ -135,6 +130,10 @@ pub(crate) struct Inner {
     pub(crate) shared_hits: std::cell::Cell<u64>,
     /// Session-local count of shared-table misses; see `shared_hits`.
     pub(crate) shared_misses: std::cell::Cell<u64>,
+    /// Session-local count of checker entries that ran on the plan
+    /// interpreter because their plan did not compile to bytecode
+    /// ([`Library::vm_fallback_count`]).
+    pub(crate) vm_fallbacks: std::cell::Cell<u64>,
     /// Scratch frames for the bytecode VM ([`crate::vm`]), kept on the
     /// session so frame and argument vectors amortize across checks.
     /// Taken wholesale at each VM entry (never borrowed across the
@@ -154,11 +153,11 @@ impl Inner {
             depth: std::cell::Cell::new(0),
             memo: std::cell::RefCell::new(crate::memo::MemoTable::default()),
             memo_enabled: std::cell::Cell::new(false),
-            vm_enabled: std::cell::Cell::new(false),
             search_calls: std::cell::Cell::new(0),
             shared_memo: std::cell::RefCell::new(None),
             shared_hits: std::cell::Cell::new(0),
             shared_misses: std::cell::Cell::new(0),
+            vm_fallbacks: std::cell::Cell::new(0),
             vm_frames: std::cell::RefCell::new(crate::vm::VmFrames::default()),
         }
     }
@@ -340,9 +339,9 @@ impl LibraryBuilder {
                     self,
                 )
                 .map(|plan| {
-                    let lowered = Arc::new(crate::lower::lower_checker(&plan));
+                    let compiled = Arc::new(crate::entry::compile_checker(&plan));
                     self.checkers
-                        .insert(*rel, CheckerImpl::Plan(Arc::new(plan), lowered));
+                        .insert(*rel, CheckerImpl::Plan(Arc::new(plan), compiled));
                 })
             }
             Key::Producer(rel, mode) => compile_plan(
@@ -412,8 +411,8 @@ pub struct ReplanReport {
     /// whose profile-guided schedule reproduced the existing plan (the
     /// static order was already optimal).
     pub unchanged: Vec<RelId>,
-    /// Derived relations with no observed divergence; their compiled
-    /// plans (and lowered/bytecode forms) were reused as-is.
+    /// Derived relations with no observed divergence; their plans (and
+    /// compiled forms) were reused as-is.
     pub kept: Vec<RelId>,
     /// Relations whose profile-guided recompile failed; the old plan
     /// was kept so the library keeps serving, and the error recorded.
@@ -462,7 +461,7 @@ impl std::fmt::Debug for Library {
 }
 
 /// A `Send + Sync` handle on a library's frozen core, for parallel
-/// test runs: derived plans, lowered checkers, and handwritten
+/// test runs: derived plans, compiled checkers, and handwritten
 /// instances are shared (never re-derived), while each worker gets its
 /// own single-threaded session state — scratch pools, armed meter,
 /// armed probe — by calling [`SharedLibrary::fork`].
@@ -510,7 +509,7 @@ impl std::fmt::Debug for SharedLibrary {
 impl SharedLibrary {
     /// A fresh [`Library`] session over the shared core, with its own
     /// scratch pools and (unarmed) meter and probe. O(1) — nothing is
-    /// re-derived or re-lowered.
+    /// re-derived or re-compiled.
     pub fn fork(&self) -> Library {
         Library {
             inner: Rc::new(Inner::fresh(Arc::clone(&self.shared))),
@@ -641,47 +640,32 @@ impl Library {
         self
     }
 
-    /// Enables the compiled bytecode backend (`vm.rs`) on this
-    /// session and returns it, for chaining: derived checkers whose
-    /// plan compiled run through the register VM's dispatch loop
-    /// instead of the closure tree, with identical verdicts, budget
-    /// charges, and probe events (the `interp_vs_compiled` fuzz oracle
-    /// and `tests/vm_parity.rs` hold the backend to that contract).
-    /// Relations whose plan did not compile — see the compilability
-    /// rules in DESIGN.md § "Bytecode VM" — keep using the closure
-    /// tree, per relation, with no API difference.
-    ///
-    /// The flag is session state, like [`Library::with_memo`]: clones
-    /// of this `Library` share it, [`Library::fork`] starts with it off
-    /// again. It composes with tabling and the shared serving table —
-    /// the memo layers sit above the backend switch.
-    ///
-    /// # Example
-    ///
-    /// ```ignore
-    /// let lib = builder.build().with_vm();
-    /// lib.check(rel, fuel, fuel, &args); // compiled dispatch loop
-    /// ```
+    /// Returns the session unchanged: every derived checker runs on the
+    /// bytecode VM (or, when its plan did not compile, on the plan
+    /// interpreter), so there is nothing to enable.
+    #[deprecated(note = "derived checkers always run on the bytecode VM; this is a no-op")]
     pub fn with_vm(self) -> Library {
-        self.inner.vm_enabled.set(true);
         self
     }
 
-    /// `true` when the compiled bytecode backend is enabled on this
-    /// session.
-    pub fn vm_enabled(&self) -> bool {
-        self.inner.vm_enabled.get()
-    }
-
     /// `true` when `rel` has a derived checker whose plan compiled to
-    /// bytecode — i.e. a [`Library::with_vm`] session actually runs it
-    /// on the VM rather than falling back to the closure tree.
-    /// Handwritten checkers and uncompilable plans report `false`.
+    /// bytecode, i.e. [`Library::check`] runs it on the VM rather than
+    /// falling back to the plan interpreter. Handwritten checkers and
+    /// uncompilable plans report `false`.
     pub fn vm_compiled(&self, rel: RelId) -> bool {
         matches!(
             self.inner.checkers.get(rel.index()).and_then(Option::as_ref),
-            Some(CheckerImpl::Plan(_, lowered)) if lowered.vm.is_some()
+            Some(CheckerImpl::Plan(_, compiled)) if compiled.vm.is_some()
         )
+    }
+
+    /// This session's cumulative count of checker entries that ran on
+    /// the plan interpreter because the relation's plan did not compile
+    /// to bytecode. Memo hits are not counted: they run nothing. The
+    /// serving layer exports the per-request delta as the `vm.fallback`
+    /// counter.
+    pub fn vm_fallback_count(&self) -> u64 {
+        self.inner.vm_fallbacks.get()
     }
 
     /// Like [`Library::with_memo`], with an explicit bound on the
@@ -697,9 +681,9 @@ impl Library {
 
     /// Attaches a process-wide concurrent verdict table
     /// ([`serve::SharedMemo`](crate::serve::SharedMemo)) to this
-    /// session and returns it, for chaining. The lowered checker
-    /// consults the shared table at the same entry boundaries as the
-    /// local one (and under the same write guards); fuel monotonicity
+    /// session and returns it, for chaining. Derived checkers consult
+    /// the shared table at the same entry boundaries as the local one
+    /// (and under the same write guards); fuel monotonicity
     /// makes verdicts cached by *any* session valid for every session
     /// over the same frozen core. The caller must only attach tables
     /// created for this library's [`SharedLibrary`] core — fingerprints
@@ -827,15 +811,15 @@ impl Library {
     /// instead of the seeds. Returns a fresh library session over the
     /// replanned core; handwritten instances, producers, and
     /// non-diverged plans are reused as-is (same `Arc`s, nothing
-    /// re-lowered).
+    /// re-compiled).
     ///
     /// The replan is a **deterministic function of the stats
     /// snapshot**: byte-identical snapshots produce byte-identical
     /// plans. [`Event::Replanned`] is emitted through this session's
     /// armed probe for each relation whose plan actually changed.
     ///
-    /// The returned session starts fresh (no memo, VM off) — re-enable
-    /// per session, or use
+    /// The returned session starts fresh (no memo) — re-enable per
+    /// session, or use
     /// [`Session::replan_hot`](crate::serve::Session::replan_hot) to
     /// keep serving-layer attachments. Use
     /// [`Library::replan_from_report`] to learn what changed.
@@ -937,8 +921,9 @@ impl Library {
                 Err(e) => {
                     // Keep serving the old plan rather than losing the
                     // relation mid-flight.
-                    let lowered = Arc::new(crate::lower::lower_checker(&old_plan));
-                    b.checkers.insert(rel, CheckerImpl::Plan(old_plan, lowered));
+                    let compiled = Arc::new(crate::entry::compile_checker(&old_plan));
+                    b.checkers
+                        .insert(rel, CheckerImpl::Plan(old_plan, compiled));
                     report.errors.push((rel, e.to_string()));
                 }
             }
@@ -960,20 +945,20 @@ impl Library {
             .get(rel.index())
             .and_then(Option::as_ref)
         {
-            Some(CheckerImpl::Plan(plan, lowered)) => {
+            Some(CheckerImpl::Plan(plan, compiled)) => {
                 let guided = if self.inner.shared.profile.is_some() {
                     ", profile-guided"
                 } else {
                     ""
                 };
-                let _ = writeln!(out, "checker (derived, lowered{guided}):");
+                let _ = writeln!(out, "checker (derived{guided}):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                match &lowered.vm {
+                match &compiled.vm {
                     Some(prog) => {
                         let _ = writeln!(
                             out,
-                            "  bytecode: {} instrs across {} handlers (runs under with_vm)",
+                            "  bytecode: {} instrs across {} handlers",
                             prog.code_len(),
                             prog.handlers.len()
                         );
@@ -983,7 +968,7 @@ impl Library {
                         }
                     }
                     None => {
-                        let _ = writeln!(out, "  bytecode: not compiled (closure-tree fallback)");
+                        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
                     }
                 }
                 if let Some(stats) = stats {

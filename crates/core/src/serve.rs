@@ -133,7 +133,7 @@ impl Default for Shard {
 /// The process-wide concurrent verdict table. See the module docs for
 /// the sharing and degradation model; see [`crate::memo`] for the
 /// monotonicity argument and the write guards (both tables enforce the
-/// same ones — the caller in `run_lowered_check` gates on search cost
+/// same ones — the caller in `run_checker_entry` gates on search cost
 /// and meter intactness before calling [`SharedMemo::insert`]).
 pub struct SharedMemo {
     shards: Box<[Shard]>,
@@ -511,14 +511,6 @@ pub struct ServeConfig {
     /// Completed [`RequestSpan`]s each worker's [`FlightRecorder`] ring
     /// retains (0 disables retention; spans are still counted).
     pub flight_recorder_capacity: usize,
-    /// Route sessions through the compiled bytecode backend
-    /// ([`Library::with_vm`]) — on by default: the VM is verdict-,
-    /// budget-, and probe-identical to the closure tree (enforced by
-    /// the `interp_vs_compiled` oracle and `tests/vm_parity.rs`), and
-    /// relations whose plan did not compile fall back per relation
-    /// automatically. Set `false` to pin the closure tree, e.g. for
-    /// A/B measurements.
-    pub use_vm: bool,
 }
 
 impl Default for ServeConfig {
@@ -532,7 +524,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             retry_seed: 0,
             flight_recorder_capacity: 64,
-            use_vm: true,
         }
     }
 }
@@ -557,6 +548,9 @@ struct Telemetry {
     shed: Arc<Counter>,
     retries: Arc<Counter>,
     steps: Arc<Counter>,
+    /// Checker entries that ran on the plan interpreter because their
+    /// plan did not compile to bytecode.
+    vm_fallback: Arc<Counter>,
     latency_us: Arc<Log2Histogram>,
     /// Profile-guided replan passes run through [`Session::replan_hot`].
     replans: Arc<Counter>,
@@ -579,6 +573,7 @@ impl Telemetry {
             shed: registry.counter("serve.shed", det),
             retries: registry.counter("serve.retries", det),
             steps: registry.counter("serve.steps", det),
+            vm_fallback: registry.counter("vm.fallback", det),
             latency_us: registry.histogram("serve.latency_us", Determinism::WallClock),
             replans: registry.counter("plan.replans", det),
             relations_replanned: registry.counter("plan.relations_replanned", det),
@@ -788,13 +783,10 @@ impl Server {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(Arc::clone(&recorder));
-        let mut lib = self
+        let lib = self
             .shared
             .fork()
             .with_shared_memo(Arc::clone(&self.state.memo));
-        if self.state.config.use_vm {
-            lib = lib.with_vm();
-        }
         Session {
             lib,
             state: Arc::clone(&self.state),
@@ -946,10 +938,9 @@ impl Session {
     /// ([`Library::replan_from`]) without dropping any serving-layer
     /// attachment: the new session keeps the server's shared memo table
     /// (verdicts are fuel-monotone facts about the *relation*, so they
-    /// stay valid across plan changes) and re-applies the configured
-    /// bytecode routing — relations whose replanned plan no longer
-    /// compiles to bytecode fall back to the closure tree per relation,
-    /// exactly as a fresh [`Server::session`] would.
+    /// stay valid across plan changes). Relations whose replanned plan
+    /// no longer compiles to bytecode fall back to the plan interpreter
+    /// per relation, exactly as in a fresh [`Server::session`].
     ///
     /// Only this session is swapped; other sessions keep their plans
     /// until they replan. Bumps the server's `plan.*` metrics
@@ -957,11 +948,7 @@ impl Session {
     /// `plan.relations_kept`) and returns the [`ReplanReport`].
     pub fn replan_hot(&mut self, stats: &SearchStats) -> ReplanReport {
         let (lib, report) = self.lib.replan_from_report(stats);
-        let mut lib = lib.with_shared_memo(Arc::clone(&self.state.memo));
-        if self.state.config.use_vm {
-            lib = lib.with_vm();
-        }
-        self.lib = lib;
+        self.lib = lib.with_shared_memo(Arc::clone(&self.state.memo));
         let tel = &self.state.tel;
         tel.replans.inc();
         tel.relations_replanned.add(report.replanned.len() as u64);
@@ -1072,8 +1059,13 @@ impl Session {
             }
         };
         let (hits_before, misses_before) = self.lib.shared_memo_counts();
+        let fallbacks_before = self.lib.vm_fallback_count();
         let (result, attempts, steps) = self.run_attempts(rel, size, args, seed, index);
         let (hits_after, misses_after) = self.lib.shared_memo_counts();
+        self.state
+            .tel
+            .vm_fallback
+            .add(self.lib.vm_fallback_count() - fallbacks_before);
         let outcome = match &result {
             Ok(Some(true)) => RequestOutcome::True,
             Ok(Some(false)) => RequestOutcome::False,

@@ -1,26 +1,23 @@
 //! Register-based bytecode backend for derived checkers.
 //!
-//! The third execution strategy for a checker plan, after the
-//! interpreter ([`crate::exec`]) and the closure tree ([`crate::lower`]):
-//! at [`LibraryBuilder::build`] time each lowered checker is *also*
-//! compiled — when every construct is supported — into a flat array of
-//! register-machine instructions ([`VmProgram`]), and sessions that
-//! opted in via [`Library::with_vm`] execute that array in a single
-//! threaded dispatch loop instead of walking the closure tree.
+//! The executor of every derived checker whose plan compiles: when a
+//! checker is derived, its plan is compiled — when every construct is
+//! supported — into a flat array of register-machine instructions
+//! ([`VmProgram`]), and every search below the entry boundary
+//! ([`crate::entry`]) executes that array in a single threaded dispatch
+//! loop. The plan interpreter ([`crate::exec`]) stays the oracle.
 //!
 //! The instruction set, register model, compilability rules, and the
-//! parity contract with the closure backend are documented in
+//! budget charges and probe events of every opcode are documented in
 //! DESIGN.md § "Bytecode VM" — that chapter is the reference; this
-//! module is its implementation. The contract in one sentence: for
-//! every reachable input, the VM produces the same verdict, charges the
-//! same [`Budget`] sites, and emits the same probe [`Event`] sequence
-//! as the closure backend, so every differential oracle and telemetry
-//! consumer works unchanged on compiled sessions.
+//! module is its implementation. Those charges and events are what
+//! the budget, telemetry, and replanning layers consume, so the
+//! parity loop (below) must keep them exactly.
 //!
 //! Compilation is total over the checker plans the deriver emits today;
 //! [`compile_vm`] still returns `None` (per-relation fallback to the
-//! closure tree) on any construct outside its register discipline, so
-//! new plan features degrade to the slow path instead of breaking.
+//! plan interpreter) on any construct outside its register discipline,
+//! so new plan features degrade to the slow path instead of breaking.
 //!
 //! # Register discipline
 //!
@@ -39,26 +36,23 @@
 //! candidate without cloning the frame — every register the suffix
 //! reads is either rewritten by the suffix on each re-run or was
 //! written before the fan-out point and never changes — where the
-//! closure backend clones its `Env` per candidate.
+//! interpreter clones its `Env` per candidate.
 //!
 //! # Two monomorphized loops
 //!
 //! The executor is compiled twice from one body (a `const PAR: bool`
-//! parameter): a *parity* loop that replays the closure backend's
-//! budget charges, probe events, and memo-gate bookkeeping exactly, and
+//! parameter): a *parity* loop that makes the budget charges, probe
+//! events, and memo-gate bookkeeping of the DESIGN.md opcode table, and
 //! a *fast* loop with every such site compiled out, entered only when
 //! no meter, probe, memo table, or shared serving table is armed — a
 //! state in which the bookkeeping is unobservable, so the two loops
 //! are indistinguishable except in speed. See
 //! [`Library::run_vm_search`] for the entry gate.
 //!
-//! [`LibraryBuilder::build`]: crate::LibraryBuilder::build
-//! [`Library::with_vm`]: crate::Library::with_vm
-//! [`Budget`]: crate::Budget
 //! [`Env`]: indrel_term::Env
 
+use crate::entry::CompiledChecker;
 use crate::library::{CheckerImpl, Library};
-use crate::lower::LoweredChecker;
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
@@ -66,7 +60,7 @@ use indrel_producers::{bind_ec, cnot, Meter};
 use indrel_term::{CtorId, FunId, Pattern, RelId, TermExpr, TypeExpr, Value, VarId};
 
 /// Hard ceiling on registers per compiled handler; plans wider than
-/// this fall back to the closure tree (`u16` operands stay valid and a
+/// this fall back to the interpreter (`u16` operands stay valid and a
 /// pathological fuzz plan cannot make frames unbounded).
 const MAX_REGS: usize = 4096;
 
@@ -96,7 +90,7 @@ pub(crate) enum Src {
 
 /// Premise-arity ceiling for the stack-allocated argument-reference
 /// buffers the executor uses ([`Library::vm_exec`]); plans with wider
-/// relations fall back to the closure tree. Kept small on purpose: the
+/// relations fall back to the interpreter. Kept small on purpose: the
 /// buffers are zero-initialized per premise, and every realistic
 /// relation is far below this.
 const MAX_PREMISE_ARITY: usize = 8;
@@ -136,7 +130,7 @@ pub(crate) enum Instr {
     },
     /// `dst ← Nat(src + 1)` (saturating, like `TermExpr::eval`).
     /// Panics on a non-nat operand — the same "plan invariant"
-    /// condition the closure backend's `expect` enforces.
+    /// condition the interpreter's `expect` enforces.
     MkSucc {
         /// Source location (must hold a `Nat`).
         src: Src,
@@ -306,7 +300,7 @@ impl Instr {
 /// instruction array (input matching first, then the scheduled steps).
 pub(crate) struct VmHandler {
     /// Mirrors [`Handler::recursive`]; at fuel 0 the dispatch loop
-    /// skips recursive handlers, exactly like the closure backend.
+    /// skips recursive handlers, exactly like the interpreter.
     pub(crate) recursive: bool,
     /// Frame width: plan slots plus compiler temporaries.
     pub(crate) nregs: usize,
@@ -316,8 +310,7 @@ pub(crate) struct VmHandler {
 
 /// A checker plan compiled to bytecode: one [`VmHandler`] per rule.
 /// Rule dispatch (constructor indexing, fuel discipline, backtrack
-/// charges) lives in the executor, not the program — it is shared with
-/// the closure backend byte for byte.
+/// charges) lives in the executor, not the program.
 pub(crate) struct VmProgram {
     /// One compiled handler per plan handler, same order.
     pub(crate) handlers: Vec<VmHandler>,
@@ -339,7 +332,7 @@ impl VmProgram {
 // ---------------------------------------------------------------------
 
 /// Compiles a checker plan to bytecode. Returns `None` — the signal for
-/// the per-relation closure fallback — when any handler uses a
+/// the per-relation interpreter fallback — when any handler uses a
 /// construct outside the register discipline (see the DESIGN.md
 /// compilability rules): a `ProduceRec` step (never emitted in checker
 /// plans, kept as a defensive gate), a register written twice, a read
@@ -370,7 +363,7 @@ pub(crate) fn compile_vm(
 /// writes it, or an *alias* (an argument position or an
 /// already-written register) when binding it required no work, in
 /// which case every read compiles to the aliased location and the
-/// `Copy` the closure backend's `Env` bind corresponds to is never
+/// `Copy` the interpreter's `Env` bind corresponds to is never
 /// emitted.
 struct Compiler {
     code: Vec<Instr>,
@@ -675,8 +668,8 @@ impl Compiler {
         let site = FailSite::Step(idx);
         match step {
             Step::EqCheck { lhs, rhs, negated } => {
-                // Same evaluation order as the closure: lhs, then rhs,
-                // then the comparison.
+                // Same evaluation order as the interpreter: lhs, then
+                // rhs, then the comparison.
                 let a = self.expr(lhs)?;
                 let b = self.expr(rhs)?;
                 self.code.push(Instr::GuardEq {
@@ -749,7 +742,7 @@ impl Compiler {
             }
             // Checker plans never contain ProduceRec; treat it as
             // uncompilable rather than unreachable so a future plan
-            // change degrades to the closure path.
+            // change degrades to the interpreter.
             Step::ProduceRec { .. } => return None,
             Step::Unconstrained { var, ty } => {
                 let dst = self.bind_var(*var)?;
@@ -912,22 +905,19 @@ impl Library {
         }
     }
 
-    /// The bytecode twin of `run_lowered_search`: same dispatch, fuel
-    /// discipline, budget charges, and probe events, with handler
-    /// bodies executed by [`Library::vm_exec`] instead of the closure
-    /// tree. Entered from `run_lowered_search` when the session has
-    /// [`Library::with_vm`] set and the relation compiled.
+    /// The search below a checker entry boundary for a relation whose
+    /// plan compiled: rule dispatch and the fuel discipline, with
+    /// handler bodies executed by [`Library::vm_exec`].
     ///
     /// This boundary decides, once per entry, which of the two
     /// monomorphized dispatch loops runs (the `PAR` const parameter of
     /// [`Library::vm_search`]):
     ///
     /// * the **parity** loop — whenever a meter, probe, memo table, or
-    ///   shared serving table is armed — keeps every budget charge,
-    ///   probe event, and `search_calls` bump byte-identical to the
-    ///   closure backend (the contract the `interp_vs_compiled` oracle
-    ///   and the `vm_parity` suite pin), with the armed meter resolved
-    ///   once here instead of one `RefCell` borrow per charge site;
+    ///   shared serving table is armed — makes every budget charge,
+    ///   probe event, and `search_calls` bump the DESIGN.md opcode table
+    ///   specifies, with the armed meter resolved once here instead of
+    ///   one `RefCell` borrow per charge site;
     /// * the **fast** loop — when none of the four is armed — compiles
     ///   all of that bookkeeping out. Unobservable by construction:
     ///   with no meter every charge answers `true`, with no probe every
@@ -937,7 +927,7 @@ impl Library {
     ///   arm only between top-level calls.
     pub(crate) fn run_vm_search(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         size: u64,
         top: u64,
@@ -962,9 +952,9 @@ impl Library {
             && !self.inner.memo_enabled.get()
             && self.inner.shared_memo.borrow().is_none();
         let r = if fast {
-            self.vm_search::<false>(low, prog, &None, &mut frames, size, top, refs)
+            self.vm_search::<false>(chk, prog, &None, &mut frames, size, top, refs)
         } else {
-            self.vm_search::<true>(low, prog, &meter, &mut frames, size, top, refs)
+            self.vm_search::<true>(chk, prog, &meter, &mut frames, size, top, refs)
         };
         self.put_vm_frames(frames);
         r
@@ -974,7 +964,7 @@ impl Library {
     #[allow(clippy::too_many_arguments)]
     fn vm_search<const PAR: bool>(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         meter: &Option<Meter>,
         frames: &mut VmFrames,
@@ -982,29 +972,29 @@ impl Library {
         top: u64,
         args: &[&Value],
     ) -> Option<bool> {
-        // Identical bookkeeping to run_lowered_search: the memo cost
-        // gate's counter, the probe's Enter/depth pair, and the
-        // constructor-indexed dispatch with its IndexSkip event.
+        // Parity bookkeeping: the memo cost gate's counter, the probe's
+        // Enter/depth pair, and the constructor-indexed dispatch with its
+        // IndexSkip event.
         if PAR {
             self.inner
                 .search_calls
                 .set(self.inner.search_calls.get() + 1);
         }
         let _depth = if PAR {
-            self.probe_enter(low.rel, ExecKind::Checker)
+            self.probe_enter(chk.rel, ExecKind::Checker)
         } else {
             None
         };
         let mut needs_fuel = false;
         let size_rem = size.saturating_sub(1);
-        let candidates: &[u32] = match &low.index {
+        let candidates: &[u32] = match &chk.index {
             Some(index) => {
-                let bucket = index.candidates_ref(args);
+                let bucket = index.candidates(args);
                 if PAR {
                     let skipped = index.total() - bucket.len() as u32;
                     if skipped > 0 {
                         self.probe(|| Event::IndexSkip {
-                            rel: low.rel,
+                            rel: chk.rel,
                             skipped,
                         });
                     }
@@ -1020,7 +1010,7 @@ impl Library {
             }
             if PAR {
                 self.probe(|| Event::RuleAttempt {
-                    rel: low.rel,
+                    rel: chk.rel,
                     rule: i,
                 });
             }
@@ -1030,13 +1020,13 @@ impl Library {
             let r = if h.code.is_empty() {
                 Some(true)
             } else {
-                self.vm_handler::<PAR>(low, prog, h, i, meter, frames, size_rem, top, args)
+                self.vm_handler::<PAR>(chk, prog, h, i, meter, frames, size_rem, top, args)
             };
             match r {
                 Some(true) => {
                     if PAR {
                         self.probe(|| Event::RuleSuccess {
-                            rel: low.rel,
+                            rel: chk.rel,
                             rule: i,
                         });
                     }
@@ -1047,7 +1037,7 @@ impl Library {
             }
             if PAR {
                 self.probe(|| Event::Backtrack {
-                    rel: low.rel,
+                    rel: chk.rel,
                     rule: i,
                 });
                 if !charge_backtrack_cached(meter) {
@@ -1055,7 +1045,7 @@ impl Library {
                 }
             }
         }
-        if needs_fuel || (size == 0 && low.has_recursive) {
+        if needs_fuel || (size == 0 && chk.has_recursive) {
             None
         } else {
             Some(false)
@@ -1066,7 +1056,7 @@ impl Library {
     #[allow(clippy::too_many_arguments)]
     fn vm_handler<const PAR: bool>(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1081,12 +1071,12 @@ impl Library {
         if h.nregs == 0 {
             let mut frame = Vec::new();
             return self.vm_exec::<PAR>(
-                low, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+                chk, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
             );
         }
         let mut frame = frames.take(h.nregs);
         let r = self.vm_exec::<PAR>(
-            low, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+            chk, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
         );
         frames.put(frame);
         r
@@ -1102,7 +1092,7 @@ impl Library {
     #[allow(clippy::too_many_arguments)]
     fn vm_exec<const PAR: bool>(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1142,22 +1132,22 @@ impl Library {
                 }
                 Instr::GuardNat { src, lit, site } => {
                     if read(frame, args, *src).as_nat() != Some(*lit) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardNatGe { src, min, site } => {
                     if read(frame, args, *src).as_nat().is_none_or(|n| n < *min) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardBool { src, lit, site } => {
                     if read(frame, args, *src).as_bool() != Some(*lit) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardSucc { src, k, dst, site } => match read(frame, args, *src).as_nat() {
                     Some(n) if n >= *k => frame[*dst as usize] = Value::Nat(n - *k),
-                    _ => return self.vm_fail::<PAR>(low.rel, h_idx, *site),
+                    _ => return self.vm_fail::<PAR>(chk.rel, h_idx, *site),
                 },
                 Instr::GuardEq {
                     a,
@@ -1168,7 +1158,7 @@ impl Library {
                     let l = read(frame, args, *a);
                     let r = read(frame, args, *b);
                     if (l == r) == *negated {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
                     }
                 }
                 Instr::Destruct {
@@ -1189,7 +1179,7 @@ impl Library {
                                 Some(fields.clone())
                             }
                         }
-                        _ => return self.vm_fail::<PAR>(low.rel, h_idx, *site),
+                        _ => return self.vm_fail::<PAR>(chk.rel, h_idx, *site),
                     };
                     if let Some(fields) = fields {
                         for (slot, v) in dsts.iter().zip(fields.iter()) {
@@ -1207,14 +1197,15 @@ impl Library {
                 } => {
                     // Arguments travel as a stack buffer of references;
                     // owned values materialize only at a boundary that
-                    // demands them (a handwritten checker, the closure
-                    // fallback, the parity loop's `check` entry).
+                    // demands them (a handwritten checker, the
+                    // interpreter fallback, the parity loop's `check`
+                    // entry).
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
                     let r = if PAR {
-                        // Premise cost attribution, same arming gate and
-                        // call-only scope as the closure backend.
+                        // Premise cost attribution: gated on arming, and
+                        // scoped to the call alone.
                         let mut vals = frames.take_argv();
                         vals.extend(refs.iter().map(|&v| v.clone()));
                         let calls_before =
@@ -1226,7 +1217,7 @@ impl Library {
                         if let Some(before) = calls_before {
                             let cost = self.inner.search_calls.get() - before;
                             self.probe(|| Event::Premise {
-                                rel: low.rel,
+                                rel: chk.rel,
                                 rule: h_idx,
                                 step: *step,
                                 cost,
@@ -1260,13 +1251,13 @@ impl Library {
                                     r
                                 }
                             },
-                            CheckerImpl::Plan(_, lowered) => match &lowered.vm {
+                            CheckerImpl::Plan(plan, compiled) => match &compiled.vm {
                                 Some(p) => self
-                                    .vm_search::<false>(lowered, p, &None, frames, top, top, refs),
+                                    .vm_search::<false>(compiled, p, &None, frames, top, top, refs),
                                 None => {
                                     let mut vals = frames.take_argv();
                                     vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = self.run_lowered_check(lowered, top, top, &vals);
+                                    let r = self.run_checker_entry(plan, compiled, top, top, &vals);
                                     frames.put_argv(vals);
                                     r
                                 }
@@ -1292,18 +1283,18 @@ impl Library {
                     let r = if PAR {
                         let calls_before =
                             self.probe_armed().then(|| self.inner.search_calls.get());
-                        // run_lowered_rec's discipline: one budget step,
-                        // then the search at the decremented fuel — but
-                        // staying inside the VM, reusing this scratch.
+                        // One budget step, then the search at the
+                        // decremented fuel — staying inside the VM,
+                        // reusing this scratch.
                         let r = if charge_step_cached(meter) {
-                            self.vm_search::<true>(low, prog, meter, frames, size_rem, top, refs)
+                            self.vm_search::<true>(chk, prog, meter, frames, size_rem, top, refs)
                         } else {
                             None
                         };
                         if let Some(before) = calls_before {
                             let cost = self.inner.search_calls.get() - before;
                             self.probe(|| Event::Premise {
-                                rel: low.rel,
+                                rel: chk.rel,
                                 rule: h_idx,
                                 step: *step,
                                 cost,
@@ -1312,7 +1303,7 @@ impl Library {
                         }
                         r
                     } else {
-                        self.vm_search::<false>(low, prog, &None, frames, size_rem, top, refs)
+                        self.vm_search::<false>(chk, prog, &None, frames, size_rem, top, refs)
                     };
                     match r {
                         Some(true) => {}
@@ -1326,12 +1317,12 @@ impl Library {
                 // prologue/epilogue runs once per search step.
                 Instr::ProduceExt { .. } => {
                     return self.vm_produce_ext::<PAR>(
-                        low, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                        chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 }
                 Instr::Unconstrained { .. } => {
                     return self.vm_unconstrained::<PAR>(
-                        low, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                        chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 }
             }
@@ -1343,13 +1334,14 @@ impl Library {
     /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: lazy-stream
     /// premise, binding each yielded tuple into the frame and
     /// re-entering the instruction suffix, folded with `bindEC`. The
-    /// cost delta covers the premise and its continuation under the
-    /// binder, like the closure backend.
+    /// streams are lazy, so the cost delta necessarily covers the
+    /// premise *and* its continuation under the binder — the
+    /// scheduling-relevant tail cost of placing the premise here.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     fn vm_produce_ext<const PAR: bool>(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1381,7 +1373,7 @@ impl Library {
                 frame[o as usize] = v;
             }
             self.vm_exec::<PAR>(
-                low,
+                chk,
                 prog,
                 h,
                 h_idx,
@@ -1397,7 +1389,7 @@ impl Library {
         if let Some(before) = calls_before {
             let cost = self.inner.search_calls.get() - before;
             self.probe(|| Event::Premise {
-                rel: low.rel,
+                rel: chk.rel,
                 rule: h_idx,
                 step: *step,
                 cost,
@@ -1414,7 +1406,7 @@ impl Library {
     #[allow(clippy::too_many_arguments)]
     fn vm_unconstrained<const PAR: bool>(
         &self,
-        low: &LoweredChecker,
+        chk: &CompiledChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1437,7 +1429,7 @@ impl Library {
         for i in 0..candidates.len() {
             frame[*dst as usize] = candidates[i].clone();
             match self.vm_exec::<PAR>(
-                low,
+                chk,
                 prog,
                 h,
                 h_idx,
@@ -1467,7 +1459,7 @@ impl Library {
         if let Some(before) = calls_before {
             let cost = self.inner.search_calls.get() - before;
             self.probe(|| Event::Premise {
-                rel: low.rel,
+                rel: chk.rel,
                 rule: h_idx,
                 step: *step,
                 cost,
@@ -1535,17 +1527,15 @@ mod tests {
     }
 
     #[test]
-    fn vm_and_closure_checkers_agree() {
+    fn vm_and_interpreted_checkers_agree() {
         let (u, env, lib, rels) = demo_lib();
-        let vm = lib.fork().with_vm();
-        assert!(vm.vm_enabled());
         for &r in &rels {
             let tys = env.relation(r).arg_types().to_vec();
             for args in indrel_term::enumerate::tuples_up_to(&u, &tys, 5) {
                 for fuel in 0..10u64 {
                     assert_eq!(
-                        vm.check(r, fuel, fuel, &args),
                         lib.check(r, fuel, fuel, &args),
+                        lib.check_interpreted(r, fuel, fuel, &args),
                         "{} {:?} fuel {}",
                         env.relation(r).name(),
                         args,
@@ -1554,14 +1544,7 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fork_resets_vm_flag() {
-        let (_, _, lib, _) = demo_lib();
-        let vm = lib.fork().with_vm();
-        assert!(vm.vm_enabled());
-        assert!(!vm.fork().vm_enabled());
+        assert_eq!(lib.vm_fallback_count(), 0, "every demo relation compiles");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! seeded generator ([`gen::gen_spec`]) produces random well-formed
 //! relation specs — non-linear conclusions, function calls, negation,
 //! existentials, mutual recursion — renders them as surface syntax
-//! ([`spec::Spec::emit`]), and runs every one through a bank of nine
+//! ([`spec::Spec::emit`]), and runs every one through a bank of ten
 //! differential oracles ([`oracles`]) that pit independent layers of
-//! the pipeline against each other (interpreter vs lowered executor,
+//! the pipeline against each other (interpreter vs bytecode VM,
 //! derived checker vs reference proof search, sequential vs parallel
 //! runner, memoized vs plain sessions, concurrently served vs plain
 //! sessions, …). Failing specs are minimized by a greedy shrinker

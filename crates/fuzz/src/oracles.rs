@@ -2,7 +2,7 @@
 //!
 //! Every generated spec is pushed through the *entire* derivation
 //! pipeline — parse, preprocess, compile, execute — and checked against
-//! eleven independent oracles, each comparing two implementations that
+//! ten independent oracles, each comparing two implementations that
 //! should agree but share as little code as possible (this table is
 //! mirrored by the enumerated list in DESIGN.md § "Self-fuzzing", the
 //! prose source of truth README and ROADMAP point at):
@@ -10,8 +10,7 @@
 //! | oracle                     | left side              | right side                  |
 //! |----------------------------|------------------------|-----------------------------|
 //! | `parse_roundtrip`          | parsed program         | reparse of pretty-printout  |
-//! | `interp_vs_lowered`        | plan interpreter       | lowered executor            |
-//! | `interp_vs_compiled`       | bytecode-VM fork       | closure tree + interpreter  |
+//! | `interp_vs_compiled`       | compiled checker (budgeted) | budgeted re-run + plan interpreter |
 //! | `checker_vs_reference`     | derived checker        | `indrel-semantics` search   |
 //! | `enumerator_vs_checker`    | enumerator outcome set | checker-filtered domain     |
 //! | `probe_parity`             | probe-armed checker    | unarmed checker             |
@@ -40,19 +39,16 @@ use indrel_validate::{ValidationParams, Validator};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// The eleven oracles, in reporting order.
+/// The ten oracles, in reporting order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Oracle {
     /// `parse(pretty(p))` is structurally equal to `parse(p)`.
     Roundtrip,
-    /// [`Library::check`] (lowered) agrees with the plan interpreter
-    /// verdict-for-verdict across the domain and a fuel ladder.
-    ExecutorEquivalence,
-    /// A [`Library::with_vm`] fork (register-bytecode backend) agrees
-    /// with the closure tree *as a budgeted `Result`* (same verdicts,
-    /// same budget cut-offs) and with the plan interpreter on every
-    /// decided tuple, and aggregates byte-identical [`SearchStats`] —
-    /// the probe/budget-parity contract of the compiled backend.
+    /// [`Library::check`] (the bytecode VM, or the interpreter fallback
+    /// for plans that did not compile) returns the same budgeted
+    /// `Result` on a repeated run, and every decided verdict equals
+    /// [`Library::check_interpreted`], across the domain and a fuel
+    /// ladder.
     InterpVsCompiled,
     /// The derived checker agrees with the bounded reference proof
     /// search of `indrel-semantics` (via [`Validator::checker_case`]).
@@ -86,9 +82,8 @@ pub enum Oracle {
 
 impl Oracle {
     /// All oracles, in reporting order.
-    pub const ALL: [Oracle; 11] = [
+    pub const ALL: [Oracle; 10] = [
         Oracle::Roundtrip,
-        Oracle::ExecutorEquivalence,
         Oracle::InterpVsCompiled,
         Oracle::CheckerVsReference,
         Oracle::EnumeratorVsChecker,
@@ -105,7 +100,6 @@ impl Oracle {
     pub fn name(self) -> &'static str {
         match self {
             Oracle::Roundtrip => "parse_roundtrip",
-            Oracle::ExecutorEquivalence => "interp_vs_lowered",
             Oracle::InterpVsCompiled => "interp_vs_compiled",
             Oracle::CheckerVsReference => "checker_vs_reference",
             Oracle::EnumeratorVsChecker => "enumerator_vs_checker",
@@ -273,10 +267,6 @@ pub fn run_dsl_with(source: &str, params: &OracleParams) -> SpecReport {
     match derive_all(&u, &env, &rels) {
         Ok(lib) => {
             outcomes.push((
-                Oracle::ExecutorEquivalence,
-                executor_equivalence(&lib, &u, &env, &rels, params),
-            ));
-            outcomes.push((
                 Oracle::InterpVsCompiled,
                 interp_vs_compiled(&lib, &u, &env, &rels, params),
             ));
@@ -412,7 +402,7 @@ fn is_cutoff(e: &ExecError) -> bool {
     matches!(e, ExecError::BudgetExhausted { .. } | ExecError::Deadline)
 }
 
-/// Budgeted verdict probe: completes the lowered checker call within
+/// Budgeted verdict probe: completes the checker call within
 /// `params.call_steps` or reports why it could not.
 fn budgeted_check(
     lib: &Library,
@@ -425,40 +415,6 @@ fn budgeted_check(
     lib.try_check(rel, fuel, fuel, args, budget)
 }
 
-fn executor_equivalence(
-    lib: &Library,
-    u: &Universe,
-    env: &RelEnv,
-    rels: &[RelId],
-    params: &OracleParams,
-) -> OracleOutcome {
-    for &rel in rels {
-        let (_, dom) = domain(u, env, rel, params.arg_size);
-        for args in &dom {
-            for fuel in [0, params.max_fuel / 2, params.max_fuel] {
-                // The budgeted probe bounds the work; the lowered and
-                // interpreted executors walk the same plan, so a
-                // verdict that fits the budget fits it for both.
-                let probe = match budgeted_check(lib, rel, fuel, args, params) {
-                    Ok(v) => v,
-                    Err(e) if is_cutoff(&e) => continue,
-                    Err(e) => return OracleOutcome::Violation(format!("lowered checker: {e}")),
-                };
-                let (lowered, interpreted) = lib.check_both(rel, fuel, fuel, args);
-                if lowered != interpreted || lowered != probe {
-                    return OracleOutcome::Violation(format!(
-                        "{} at fuel {fuel} on {}: lowered {lowered:?} vs interpreted \
-                         {interpreted:?} (budgeted re-run {probe:?})",
-                        env.relation(rel).name(),
-                        render_args(u, args),
-                    ));
-                }
-            }
-        }
-    }
-    OracleOutcome::Pass
-}
-
 fn interp_vs_compiled(
     lib: &Library,
     u: &Universe,
@@ -466,38 +422,30 @@ fn interp_vs_compiled(
     rels: &[RelId],
     params: &OracleParams,
 ) -> OracleOutcome {
-    // One compiled session for the whole spec. Relations whose plan did
-    // not compile to bytecode run the closure tree inside this fork too
-    // — the per-relation fallback is part of the contract under test.
-    let vm = lib.fork().with_vm();
-    // Probe-free side for the interpreter baseline: the interpreter
-    // emits its own probe events, which must not leak into either
-    // backend's stats aggregation below.
+    // A fresh session per side, so neither run sees scratch state the
+    // other left behind.
+    let again = lib.fork();
     let interp = lib.fork();
-    // Both sweeps run with a stats probe armed: the compiled backend
-    // promises byte-identical event aggregation, and `probe_parity`
-    // already guarantees arming changes nothing on the closure side.
-    let closure_stats = SearchStats::new();
-    let vm_stats = SearchStats::new();
-    let _closure_probe = lib.arm_probe(ExecProbe::stats(&closure_stats));
-    let _vm_probe = vm.arm_probe(ExecProbe::stats(&vm_stats));
     for &rel in rels {
         let (_, dom) = domain(u, env, rel, params.arg_size);
         for args in &dom {
             for fuel in [0, params.max_fuel / 2, params.max_fuel] {
-                // Compared *as `Result`s*: the bytecode backend must
-                // charge the same budget sites, so cut-offs have to
-                // agree tuple-for-tuple, not just decided verdicts.
-                let closure = budgeted_check(lib, rel, fuel, args, params);
-                let compiled = budgeted_check(&vm, rel, fuel, args, params);
-                if closure != compiled {
+                // Compared *as `Result`s*: a repeated run charges the
+                // same budget sites, so cut-offs have to agree
+                // tuple-for-tuple, not just decided verdicts.
+                let compiled = budgeted_check(lib, rel, fuel, args, params);
+                let rerun = budgeted_check(&again, rel, fuel, args, params);
+                if compiled != rerun {
                     return OracleOutcome::Violation(format!(
-                        "{} at fuel {fuel} on {}: closure {closure:?} vs compiled {compiled:?}",
+                        "{} at fuel {fuel} on {}: compiled {compiled:?} vs re-run {rerun:?}",
                         env.relation(rel).name(),
                         render_args(u, args),
                     ));
                 }
-                match closure {
+                match compiled {
+                    // The budgeted run bounds the work; the interpreter
+                    // walks the same plan unindexed, so a verdict that
+                    // fits the budget is cheap enough to re-derive.
                     Ok(verdict) => {
                         let interpreted = interp.check_interpreted(rel, fuel, fuel, args);
                         if interpreted != verdict {
@@ -510,16 +458,10 @@ fn interp_vs_compiled(
                         }
                     }
                     Err(e) if is_cutoff(&e) => {}
-                    Err(e) => return OracleOutcome::Violation(format!("closure checker: {e}")),
+                    Err(e) => return OracleOutcome::Violation(format!("compiled checker: {e}")),
                 }
             }
         }
-    }
-    let (closure_json, vm_json) = (closure_stats.to_json(), vm_stats.to_json());
-    if closure_json != vm_json {
-        return OracleOutcome::Violation(format!(
-            "search stats diverge: closure {closure_json} vs compiled {vm_json}",
-        ));
     }
     OracleOutcome::Pass
 }

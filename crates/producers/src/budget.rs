@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 /// reported separately as a deadline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// Interpreter / lowered-closure steps.
+    /// Interpreter / VM steps.
     Steps,
     /// Abandoned alternatives in backtracking search.
     Backtracks,

@@ -91,7 +91,7 @@ rel odd : nat :=
 fn negated_premise_spec() {
     assert_no_violation(NEGATED_PREMISE);
     assert_ran(NEGATED_PREMISE, Oracle::CheckerVsReference);
-    assert_ran(NEGATED_PREMISE, Oracle::ExecutorEquivalence);
+    assert_ran(NEGATED_PREMISE, Oracle::InterpVsCompiled);
 }
 
 /// Function call in a conclusion: `plus` must be rewritten into an

@@ -236,40 +236,35 @@ fn assert_equiv_after_replan(lib: &Library, rel: RelId, fuel: u64, tuples: &[Vec
 }
 
 /// Replanned cores compose with tabling and the VM backend exactly
-/// like freshly built ones.
+/// like freshly built ones: the replanned plan compiles, and its VM
+/// verdicts match the plan interpreter's.
 #[test]
 fn replan_composes_with_memo_and_vm() {
     let (lib, good) = adversarial_lib();
     let stats = profile(&lib, good, &adversarial_tuples());
     let replanned = lib.replan_from(&stats);
-    let memoed = replanned.clone().with_memo();
-    let vm = replanned.clone().with_vm();
+    assert!(replanned.vm_compiled(good), "replanned plan should compile");
+    let memoed = replanned.fork().with_memo();
     for n in 0..5u64 {
         for m in 0..5u64 {
             let args = [Value::nat(n), Value::nat(m)];
             let plain = replanned.check(good, FUEL, FUEL, &args);
             assert_eq!(plain, memoed.check(good, FUEL, FUEL, &args), "memo {n} {m}");
-            assert_eq!(plain, vm.check(good, FUEL, FUEL, &args), "vm {n} {m}");
+            let interpreted = replanned.check_interpreted(good, FUEL, FUEL, &args);
+            assert_eq!(plain, interpreted, "interpreter {n} {m}");
         }
     }
 }
 
 /// `Session::replan_hot` swaps the schedule under a live serving
 /// session: the report names the reordered relation, verdicts stay
-/// consistent, the shared memo and VM attachments survive, and the
+/// consistent, the shared memo attachment survives, and the
 /// `plan.*` telemetry series record the pass.
 #[test]
 fn session_replan_hot_keeps_serving() {
     let (lib, good) = adversarial_lib();
     let shared = lib.shared();
-    let server = Server::new(
-        shared,
-        ServeConfig {
-            use_vm: true,
-            ..ServeConfig::default()
-        },
-        Budget::unlimited(),
-    );
+    let server = Server::new(shared, ServeConfig::default(), Budget::unlimited());
     let mut session = server.session();
 
     // Profile while the shared memo is still cold — once it is warm,

@@ -1,47 +1,40 @@
-//! Parity of the compiled bytecode VM against the closure tree.
+//! Parity of the bytecode VM against the plan interpreter.
 //!
-//! A [`Library::with_vm`] session runs every relation whose plan
-//! compiled to bytecode through the register VM instead of the lowered
-//! closure tree. The two backends promise *observational identity*:
-//! byte-identical verdicts, byte-identical [`SearchStats`] aggregation
-//! (same probe events in the same order), and byte-identical budget
-//! behaviour (`BudgetExhausted` at the same charge site, as `Result`
-//! equality under a step-budget ladder). These tests pin that contract
-//! on the three paper case studies — BST, STLC typing, and IFC
-//! indistinguishability — including a memoized shared-serving run where
-//! the two backends must populate and reuse the same table entries.
+//! Every derived checker runs on the register VM; a relation whose plan
+//! does not compile runs on the plan interpreter, which is also the
+//! oracle the VM is held to ([`Library::check_interpreted`]). These
+//! tests pin that contract on the three paper case studies — BST, STLC
+//! typing, and IFC indistinguishability:
+//!
+//! * VM and interpreter verdicts agree over a fuel ladder, and budgeted
+//!   runs cut off (or decide) identically when repeated;
+//! * memoized and served sessions agree with a plain session;
+//! * the fast dispatch loop (an unarmed session) agrees with the parity
+//!   loop (a stats-armed session).
+//!
+//! A relation wider than the VM's premise-arity ceiling pins the
+//! interpreter fallback itself.
 
 use indrel::bst::Bst;
+use indrel::core::ExecKind;
 use indrel::ifc::Ifc;
 use indrel::prelude::*;
 use indrel::stlc::Stlc;
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
 
-/// Budget ladder for `Result`-level parity: tight enough that early
-/// rungs exhaust mid-search, generous enough that the top rung decides.
+/// Budget ladder for `Result`-level determinism: tight enough that
+/// early rungs exhaust mid-search, generous enough that the top rung
+/// decides.
 const STEP_LADDER: [u64; 6] = [1, 8, 64, 512, 4096, 1 << 20];
 
-/// Runs `sweep` once per backend — plain closure-tree library vs
-/// `with_vm` fork — with a [`SearchStats`] probe armed on each, and
-/// asserts byte-identical aggregation.
-fn assert_stats_parity(lib: &Library, sweep: impl Fn(&Library)) {
-    let vm = lib.fork().with_vm();
-    let closure_stats = SearchStats::new();
-    {
-        let _p = lib.arm_probe(ExecProbe::stats(&closure_stats));
-        sweep(lib);
-    }
-    let vm_stats = SearchStats::new();
-    {
-        let _p = vm.arm_probe(ExecProbe::stats(&vm_stats));
-        sweep(&vm);
-    }
-    assert_eq!(
-        closure_stats.to_json(),
-        vm_stats.to_json(),
-        "probe event aggregation must be byte-identical across backends"
-    );
+/// One case-study sweep: a library, the relation under test, its
+/// argument tuples, and the fuel ladder to check them at.
+struct Corpus {
+    lib: Library,
+    rel: RelId,
+    tuples: Vec<Vec<Value>>,
+    fuels: Vec<u64>,
 }
 
 /// An arbitrary tree over small keys — not bounds-respecting, so the
@@ -57,17 +50,135 @@ fn arbitrary_tree(bst: &Bst, depth: u64, rng: &mut SmallRng) -> Value {
     )
 }
 
-fn bst_corpus(bst: &Bst, n: usize, seed: u64) -> Vec<Vec<Value>> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
+fn bst_corpus() -> Corpus {
+    let bst = Bst::new();
+    let mut rng = SmallRng::seed_from_u64(11);
+    let tuples = (0..80)
         .map(|_| {
             vec![
                 Value::nat(0),
                 Value::nat(16),
-                arbitrary_tree(bst, 4, &mut rng),
+                arbitrary_tree(&bst, 4, &mut rng),
             ]
         })
-        .collect()
+        .collect();
+    Corpus {
+        lib: bst.library().fork(),
+        rel: bst.relation(),
+        tuples,
+        fuels: vec![0, 2, 5, 9, 64],
+    }
+}
+
+fn stlc_corpus() -> Corpus {
+    let stlc = Stlc::new();
+    let mut rng = SmallRng::seed_from_u64(7);
+    let mut tuples: Vec<Vec<Value>> = Vec::new();
+    while tuples.len() < 60 {
+        let ty = stlc.random_ty(2, &mut rng);
+        if let Some(e) = stlc.handwritten_gen(&[], &ty, 4, &mut rng) {
+            // Half the corpus gets a mismatched type so ill-typed
+            // searches (deep backtracking) are covered too.
+            let ty = if tuples.len().is_multiple_of(2) {
+                ty
+            } else {
+                stlc.random_ty(2, &mut rng)
+            };
+            tuples.push(vec![stlc.ctx(&[]), e, ty]);
+        }
+    }
+    Corpus {
+        lib: stlc.library().fork(),
+        rel: stlc.typing_relation(),
+        tuples,
+        fuels: vec![0, 6, 40],
+    }
+}
+
+fn ifc_corpus() -> Corpus {
+    let ifc = Ifc::new();
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut tuples: Vec<Vec<Value>> = Vec::new();
+    for i in 0..60 {
+        let (_, m1, m2) = ifc.gen_indist_pair(6, &mut rng);
+        // Even entries stay indistinguishable; odd entries pair two
+        // independent machines so `Some(false)` occurs as well.
+        let v1 = ifc.machine_value(&m1);
+        let v2 = if i % 2 == 0 {
+            ifc.machine_value(&m2)
+        } else {
+            let (_, other, _) = ifc.gen_indist_pair(6, &mut rng);
+            ifc.machine_value(&other)
+        };
+        tuples.push(vec![v1, v2]);
+    }
+    Corpus {
+        lib: ifc.library().fork(),
+        rel: ifc.indist_relation(),
+        tuples,
+        fuels: vec![0, 8, 64],
+    }
+}
+
+fn all_corpora() -> [Corpus; 3] {
+    [bst_corpus(), stlc_corpus(), ifc_corpus()]
+}
+
+/// Checks every tuple at every fuel on `lib`, in a fixed order.
+fn sweep(c: &Corpus, lib: &Library) -> Vec<Option<bool>> {
+    let mut out = Vec::new();
+    for fuel in &c.fuels {
+        for args in &c.tuples {
+            out.push(lib.check(c.rel, *fuel, *fuel, args));
+        }
+    }
+    out
+}
+
+/// VM verdicts equal the interpreter's at every fuel, and the relation
+/// never left the VM. Returns the verdict histogram
+/// `[Some(true), Some(false), None]`.
+fn assert_vm_matches_interpreter(c: &Corpus) -> [usize; 3] {
+    assert!(c.lib.vm_compiled(c.rel), "the plan should compile");
+    let mut verdicts = [0usize; 3];
+    for args in &c.tuples {
+        for &fuel in &c.fuels {
+            let want = c.lib.check_interpreted(c.rel, fuel, fuel, args);
+            let got = c.lib.check(c.rel, fuel, fuel, args);
+            assert_eq!(got, want, "fuel {fuel} on {args:?}");
+            verdicts[match want {
+                Some(true) => 0,
+                Some(false) => 1,
+                None => 2,
+            }] += 1;
+        }
+    }
+    assert_eq!(c.lib.vm_fallback_count(), 0, "no entry may fall back");
+    verdicts
+}
+
+/// Budgeted runs as `Result`s: a fresh session charges the same sites
+/// in the same order, so each rung of the ladder exhausts (or decides)
+/// identically, and a decided rung agrees with the unbudgeted verdict.
+fn assert_budget_ladder_is_deterministic(c: &Corpus) {
+    let again = c.lib.fork();
+    for args in &c.tuples {
+        for &fuel in &c.fuels {
+            let want = c.lib.check(c.rel, fuel, fuel, args);
+            for steps in STEP_LADDER {
+                let budget = || Budget::unlimited().with_steps(steps);
+                let got = c.lib.try_check(c.rel, fuel, fuel, args, budget());
+                assert_eq!(
+                    got,
+                    again.try_check(c.rel, fuel, fuel, args, budget()),
+                    "steps {steps} fuel {fuel} on {args:?}"
+                );
+                if let Ok(verdict) = got {
+                    assert_eq!(verdict, want, "steps {steps} fuel {fuel} on {args:?}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -93,193 +204,196 @@ fn bst_compiles_and_explain_reports_bytecode() {
 }
 
 #[test]
-fn bst_vm_matches_closure_verdicts_stats_and_cutoffs() {
-    let bst = Bst::new();
-    let lib = bst.library();
-    let vm = lib.fork().with_vm();
-    let rel = bst.relation();
-    let corpus = bst_corpus(&bst, 80, 11);
-    let fuels = [0u64, 2, 5, 9, 64];
-    let mut verdicts = [0usize; 3];
-    for args in &corpus {
-        for fuel in fuels {
-            let want = lib.check(rel, fuel, fuel, args);
-            let got = vm.check(rel, fuel, fuel, args);
-            assert_eq!(got, want, "fuel {fuel} on {args:?}");
-            verdicts[match want {
-                Some(true) => 0,
-                Some(false) => 1,
-                None => 2,
-            }] += 1;
-            // Budget parity as a `Result`: the VM charges the same
-            // sites in the same order, so each rung of the ladder
-            // exhausts (or decides) identically.
-            for steps in STEP_LADDER {
-                let budget = || Budget::unlimited().with_steps(steps);
-                assert_eq!(
-                    vm.try_check(rel, fuel, fuel, args, budget()),
-                    lib.try_check(rel, fuel, fuel, args, budget()),
-                    "steps {steps} fuel {fuel} on {args:?}"
-                );
-            }
-        }
-    }
+fn bst_vm_matches_interpreter_verdicts_and_cutoffs() {
+    let c = bst_corpus();
+    let verdicts = assert_vm_matches_interpreter(&c);
     // The corpus must exercise all three verdicts or the sweep proves
     // little.
     assert!(
         verdicts.iter().all(|&n| n > 0),
         "corpus should hit Some(true)/Some(false)/None: {verdicts:?}"
     );
-    assert_stats_parity(lib, |session| {
-        for args in &corpus {
-            for fuel in fuels {
-                session.check(rel, fuel, fuel, args);
-            }
-        }
-    });
+    assert_budget_ladder_is_deterministic(&c);
 }
 
 #[test]
-fn stlc_vm_matches_closure_on_typing() {
-    let stlc = Stlc::new();
-    let lib = stlc.library();
-    let rel = stlc.typing_relation();
-    assert!(lib.vm_compiled(rel), "stlc typing plan should compile");
-    let vm = lib.fork().with_vm();
-    let mut rng = SmallRng::seed_from_u64(7);
-    let mut corpus: Vec<Vec<Value>> = Vec::new();
-    while corpus.len() < 60 {
-        let ty = stlc.random_ty(2, &mut rng);
-        if let Some(e) = stlc.handwritten_gen(&[], &ty, 4, &mut rng) {
-            // Half the corpus gets a mismatched type so ill-typed
-            // searches (deep backtracking) are covered too.
-            let ty = if corpus.len().is_multiple_of(2) {
-                ty
-            } else {
-                stlc.random_ty(2, &mut rng)
-            };
-            corpus.push(vec![stlc.ctx(&[]), e, ty]);
-        }
-    }
-    for args in &corpus {
-        for fuel in [0, 6, 40] {
-            assert_eq!(
-                vm.check(rel, fuel, fuel, args),
-                lib.check(rel, fuel, fuel, args),
-                "fuel {fuel} on {args:?}"
-            );
-        }
-    }
-    assert_stats_parity(lib, |session| {
-        for args in &corpus {
-            session.check(rel, 40, 40, args);
-        }
-    });
+fn stlc_vm_matches_interpreter_on_typing() {
+    assert_vm_matches_interpreter(&stlc_corpus());
 }
 
 #[test]
-fn ifc_vm_matches_closure_on_indist() {
-    let ifc = Ifc::new();
-    let lib = ifc.library();
-    let rel = ifc.indist_relation();
-    assert!(lib.vm_compiled(rel), "ifc indist plan should compile");
-    let vm = lib.fork().with_vm();
-    let mut rng = SmallRng::seed_from_u64(5);
-    let mut corpus: Vec<Vec<Value>> = Vec::new();
-    for i in 0..60 {
-        let (_, m1, m2) = ifc.gen_indist_pair(6, &mut rng);
-        // Even entries stay indistinguishable; odd entries pair two
-        // independent machines so `Some(false)` occurs as well.
-        let v1 = ifc.machine_value(&m1);
-        let v2 = if i % 2 == 0 {
-            ifc.machine_value(&m2)
-        } else {
-            let (_, other, _) = ifc.gen_indist_pair(6, &mut rng);
-            ifc.machine_value(&other)
-        };
-        corpus.push(vec![v1, v2]);
-    }
-    for args in &corpus {
-        for fuel in [0, 8, 64] {
-            assert_eq!(
-                vm.check(rel, fuel, fuel, args),
-                lib.check(rel, fuel, fuel, args),
-                "fuel {fuel}"
-            );
-            for steps in STEP_LADDER {
-                let budget = || Budget::unlimited().with_steps(steps);
-                assert_eq!(
-                    vm.try_check(rel, fuel, fuel, args, budget()),
-                    lib.try_check(rel, fuel, fuel, args, budget()),
-                    "steps {steps} fuel {fuel}"
-                );
-            }
-        }
-    }
-    assert_stats_parity(lib, |session| {
-        for args in &corpus {
-            session.check(rel, 64, 64, args);
-        }
-    });
+fn ifc_vm_matches_interpreter_on_indist() {
+    let c = ifc_corpus();
+    assert_vm_matches_interpreter(&c);
+    assert_budget_ladder_is_deterministic(&c);
 }
 
 #[test]
-fn memoized_vm_session_matches_memoized_closure_session() {
-    let bst = Bst::new();
-    let plain = bst.library();
-    let rel = bst.relation();
-    let closure_memo = plain.fork().with_memo();
-    let vm_memo = plain.fork().with_memo().with_vm();
-    let corpus = bst_corpus(&bst, 120, 41);
-    // Ascending fuels: later sweeps answer from entries the earlier
-    // sweeps cached (joint fuel monotonicity), on both backends.
-    for fuel in [16u64, 64] {
-        for args in &corpus {
-            assert_eq!(
-                vm_memo.check(rel, fuel, fuel, args),
-                closure_memo.check(rel, fuel, fuel, args),
-                "fuel {fuel}"
-            );
-        }
+fn memoized_sessions_match_plain_sessions() {
+    for c in all_corpora() {
+        let plain = sweep(&c, &c.lib);
+        let memo = c.lib.fork().with_memo();
+        // Ascending fuels: later rungs answer from entries the earlier
+        // ones cached (joint fuel monotonicity).
+        assert_eq!(sweep(&c, &memo), plain, "memoized session");
+        let m = memo.memo_stats();
+        assert!(
+            m.hits > 0,
+            "the memoized session should reuse entries: {m:?}"
+        );
+        assert!(
+            m.entries as u64 <= m.insertions && m.insertions <= m.misses,
+            "{m:?}"
+        );
+        assert_eq!(memo.vm_fallback_count(), 0);
     }
-    let (c, v) = (closure_memo.memo_stats(), vm_memo.memo_stats());
-    assert!(v.hits > 0, "the VM session should reuse entries: {v:?}");
-    assert_eq!(
-        (c.entries, c.hits, c.misses),
-        (v.entries, v.hits, v.misses),
-        "identical search trees must populate identical tables"
-    );
 }
 
 #[test]
 fn shared_serving_sessions_agree_across_backends() {
-    let bst = Bst::new();
-    let rel = bst.relation();
-    let corpus = bst_corpus(&bst, 60, 23);
-    let run = |use_vm: bool| {
-        let config = ServeConfig {
-            shards: 4,
-            shard_capacity: 1 << 10,
-            steps_per_request: 1 << 16,
-            max_retries: 2,
-            use_vm,
-            ..ServeConfig::default()
-        };
-        let server = Server::new(bst.library().fork().shared(), config, Budget::unlimited());
-        let session = server.session();
-        assert_eq!(session.library().vm_enabled(), use_vm);
-        // Two passes: the second answers mostly from the shared table.
-        let first = session.check_batch(rel, 64, &corpus);
-        let second = session.check_batch(rel, 64, &corpus);
-        (first, second, server.stats())
+    let config = ServeConfig {
+        shards: 4,
+        shard_capacity: 1 << 10,
+        steps_per_request: 1 << 16,
+        max_retries: 2,
+        ..ServeConfig::default()
     };
-    let (c1, c2, cstats) = run(false);
-    let (v1, v2, vstats) = run(true);
-    assert_eq!(v1, c1, "first serving pass must agree tuple-for-tuple");
-    assert_eq!(v2, c2, "memo-warm serving pass must agree");
-    assert_eq!(
-        (cstats.entries, cstats.hits),
-        (vstats.entries, vstats.hits),
-        "both backends must drive the shared table identically"
-    );
+    for c in all_corpora() {
+        let fuel = *c.fuels.last().unwrap();
+        let want: Vec<_> = c
+            .tuples
+            .iter()
+            .map(|args| Ok(c.lib.check(c.rel, fuel, fuel, args)))
+            .collect();
+        let interpreted: Vec<_> = c
+            .tuples
+            .iter()
+            .map(|args| Ok(c.lib.check_interpreted(c.rel, fuel, fuel, args)))
+            .collect();
+        assert_eq!(want, interpreted, "plain VM session vs interpreter");
+        let server = Server::new(c.lib.shared(), config, Budget::unlimited());
+        let session = server.session();
+        // Two passes: the second answers mostly from the shared table.
+        assert_eq!(session.check_batch(c.rel, fuel, &c.tuples), want);
+        let hits = server.stats().hits;
+        assert_eq!(session.check_batch(c.rel, fuel, &c.tuples), want);
+        assert!(server.stats().hits > hits, "the warm pass should hit");
+        assert_eq!(server.snapshot().counter("vm.fallback"), Some(0));
+    }
+}
+
+#[test]
+fn fast_loop_matches_parity_loop() {
+    for c in all_corpora() {
+        // No meter, probe, or memo table: the fast loop.
+        let fast = sweep(&c, &c.lib.fork());
+        // A stats probe forces the parity loop.
+        let armed = c.lib.fork();
+        let stats = SearchStats::new();
+        let parity = {
+            let _probe = armed.arm_probe(ExecProbe::stats(&stats));
+            sweep(&c, &armed)
+        };
+        assert_eq!(fast, parity, "arming a probe must not change a verdict");
+        assert!(
+            stats.to_json().contains("\"rules\":[{"),
+            "the parity loop should report its search"
+        );
+    }
+}
+
+/// Nine arguments: over the VM's premise-arity ceiling, so `wide`'s
+/// plan does not compile and every entry runs on the interpreter. Its
+/// base case calls the compiled `le`, so the fallback crosses back into
+/// the VM.
+const WIDE: &str = r"
+rel le : nat nat :=
+| le_n : forall n, le n n
+| le_S : forall n m, le n m -> le n (S m)
+.
+rel wide : nat nat nat nat nat nat nat nat nat :=
+| w_base : forall a b c d e f g h, le a b -> wide 0 a b c d e f g h
+| w_step : forall n a b c d e f g h, wide n a b c d e f g h -> wide (S n) a b c d e f g h
+.";
+
+#[test]
+fn uncompilable_relation_falls_back_to_the_interpreter() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(&mut u, &mut env, WIDE).unwrap();
+    let (le, wide) = (env.rel_id("le").unwrap(), env.rel_id("wide").unwrap());
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(wide).unwrap();
+    let lib = b.build();
+    assert!(!lib.vm_compiled(wide), "arity 9 must not compile");
+    assert!(lib.vm_compiled(le));
+    assert!(lib.explain(wide).contains("interpreter fallback"));
+    let tuples: Vec<Vec<Value>> = (0..4u64)
+        .flat_map(|n| (0..3u64).flat_map(move |a| (0..3u64).map(move |b| (n, a, b))))
+        .map(|(n, a, b)| {
+            let mut args = vec![Value::nat(n), Value::nat(a), Value::nat(b)];
+            args.extend((0..6u64).map(Value::nat));
+            args
+        })
+        .collect();
+
+    // Verdicts equal the interpreter's over a fuel ladder, and the
+    // fallback's probe events are exactly a `check_interpreted` call's.
+    for fuel in 0..8u64 {
+        for args in &tuples {
+            assert_eq!(
+                lib.check(wide, fuel, fuel, args),
+                lib.check_interpreted(wide, fuel, fuel, args),
+                "fuel {fuel} on {args:?}"
+            );
+        }
+    }
+    assert!(lib.vm_fallback_count() > 0);
+    let (checked, interpreted) = (SearchStats::new(), SearchStats::new());
+    for (session, stats, interp) in [
+        (lib.fork(), &checked, false),
+        (lib.fork(), &interpreted, true),
+    ] {
+        let _probe = session.arm_probe(ExecProbe::stats(stats));
+        for args in &tuples {
+            if interp {
+                session.check_interpreted(wide, 6, 6, args);
+            } else {
+                session.check(wide, 6, 6, args);
+            }
+        }
+    }
+    assert_eq!(checked.to_json(), interpreted.to_json());
+    // Budget charges match too: one step per checker search, so a
+    // budget of exactly as many steps as `check_interpreted` entered
+    // searches is just enough.
+    for args in &tuples {
+        let (session, stats) = (lib.fork(), SearchStats::new());
+        let want = {
+            let _probe = session.arm_probe(ExecProbe::stats(&stats));
+            session.check_interpreted(wide, 6, 6, args)
+        };
+        let steps = stats.enters(ExecKind::Checker);
+        let budget = |n| Budget::unlimited().with_steps(n);
+        assert_eq!(lib.try_check(wide, 6, 6, args, budget(steps)), Ok(want));
+        assert!(lib.try_check(wide, 6, 6, args, budget(steps - 1)).is_err());
+    }
+
+    // A memoized session caches the fallback's verdicts: the second
+    // sweep answers every entry from the table and runs nothing.
+    let memo = lib.fork().with_memo();
+    let first: Vec<_> = tuples.iter().map(|a| memo.check(wide, 6, 6, a)).collect();
+    let (hits, fallbacks) = (memo.memo_stats().hits, memo.vm_fallback_count());
+    let second: Vec<_> = tuples.iter().map(|a| memo.check(wide, 6, 6, a)).collect();
+    assert_eq!(first, second);
+    assert!(memo.memo_stats().entries > 0);
+    assert_eq!(memo.memo_stats().hits - hits, tuples.len() as u64);
+    assert_eq!(memo.vm_fallback_count(), fallbacks, "hits run nothing");
+
+    // A served request on the fallback relation bumps `vm.fallback`.
+    let server = Server::new(lib.shared(), ServeConfig::default(), Budget::unlimited());
+    let served = server.session().check_batch(wide, 6, &tuples);
+    let want: Vec<_> = first.into_iter().map(Ok).collect();
+    assert_eq!(served, want);
+    assert!(server.snapshot().counter("vm.fallback").unwrap() > 0);
 }
