@@ -6,7 +6,7 @@
 //! cargo run -p indrel-bench --release --bin serve -- --json [PATH]
 //! ```
 //!
-//! `--json` writes the whole run as one `indrel.bench.serve/1` document
+//! `--json` writes the whole run as one `indrel.bench.serve/2` document
 //! (default path `BENCH_serve.json`).
 //!
 //! Environment: `SERVE_REQUESTS` (requests per thread count, default

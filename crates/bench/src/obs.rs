@@ -108,7 +108,7 @@ pub fn schema_errors(snap: &MetricsSnapshot) -> Vec<String> {
         "\"deterministic\":",
         "\"wall_clock\":",
         "serve.requests",
-        "serve.latency_us",
+        "serve.latency_ns",
     ] {
         if !json.contains(key) {
             errs.push(format!("missing {key} in snapshot"));
@@ -135,6 +135,6 @@ mod tests {
                 || snap.counter("rule.bst.0.attempts").unwrap_or(0) > 0,
             "attribution series present:\n{snap}"
         );
-        assert!(snap.histogram("serve.latency_us").unwrap().count >= 64);
+        assert!(snap.histogram("serve.latency_ns").unwrap().count >= 64);
     }
 }

@@ -41,10 +41,10 @@ pub struct ServeCase {
     pub requests: usize,
     /// Wall milliseconds for the whole run (best pass).
     pub wall_ms: f64,
-    /// Median per-request latency, microseconds (best pass).
-    pub p50_us: f64,
-    /// 99th-percentile per-request latency, microseconds (best pass).
-    pub p99_us: f64,
+    /// Median per-request latency, nanoseconds (best pass).
+    pub p50_ns: f64,
+    /// 99th-percentile per-request latency, nanoseconds (best pass).
+    pub p99_ns: f64,
     /// Server counters after the best pass (memo + shed/retries).
     pub stats: MemoStats,
 }
@@ -60,12 +60,12 @@ impl std::fmt::Display for ServeCase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "threads {:>2}   {:>9.0} req/s   p50 {:>8.1} us   p99 {:>8.1} us   \
+            "threads {:>2}   {:>9.0} req/s   p50 {:>8.0} ns   p99 {:>8.0} ns   \
              ({} hits / {} misses)",
             self.threads,
             self.requests_per_second(),
-            self.p50_us,
-            self.p99_us,
+            self.p50_ns,
+            self.p99_ns,
             self.stats.hits,
             self.stats.misses,
         )
@@ -98,7 +98,7 @@ pub(crate) fn request_corpus(requests: usize) -> (SharedLibrary, RelId, Vec<Vec<
 /// per request. Returns the wall milliseconds and how many requests
 /// came back decided; per-request latency is not timed here — the
 /// serving layer itself records every request into the server's
-/// `serve.latency_us` [`Log2Histogram`](indrel_producers::Log2Histogram),
+/// `serve.latency_ns` [`Log2Histogram`](indrel_producers::Log2Histogram),
 /// which [`scaling`] reads the percentiles from.
 fn serve_pass(
     shared: &SharedLibrary,
@@ -162,15 +162,15 @@ pub fn scaling(requests: usize, threads: &[usize], passes: usize) -> Vec<ServeCa
                 if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
                     let lat = server
                         .snapshot()
-                        .histogram("serve.latency_us")
+                        .histogram("serve.latency_ns")
                         .expect("the serving layer records every request's latency")
                         .clone();
                     best = Some(ServeCase {
                         threads,
                         requests: corpus.len(),
                         wall_ms,
-                        p50_us: lat.quantile(0.5),
-                        p99_us: lat.quantile(0.99),
+                        p50_ns: lat.quantile(0.5),
+                        p99_ns: lat.quantile(0.99),
                         stats: server.stats(),
                     });
                 }
@@ -184,7 +184,7 @@ fn case_json(c: &ServeCase, base: f64) -> String {
     let rps = c.requests_per_second();
     format!(
         "{{\"threads\":{},\"requests\":{},\"wall_ms\":{:.3},\"req_per_sec\":{:.3},\
-         \"speedup_vs_1\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3},\
+         \"speedup_vs_1\":{:.3},\"p50_ns\":{:.1},\"p99_ns\":{:.1},\
          \"memo\":{{\"degraded_shards\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
          \"retries\":{},\"shed\":{}}}}}",
         c.threads,
@@ -192,8 +192,8 @@ fn case_json(c: &ServeCase, base: f64) -> String {
         c.wall_ms,
         rps,
         if base > 0.0 { rps / base } else { 0.0 },
-        c.p50_us,
-        c.p99_us,
+        c.p50_ns,
+        c.p99_ns,
         c.stats.degraded_shards,
         c.stats.entries,
         c.stats.hits,
@@ -203,13 +203,13 @@ fn case_json(c: &ServeCase, base: f64) -> String {
     )
 }
 
-/// The whole benchmark as one JSON document (`indrel.bench.serve/1`):
+/// The whole benchmark as one JSON document (`indrel.bench.serve/2`):
 /// per-thread-count throughput, latency percentiles, and serving
 /// counters, plus the host core count needed to interpret the speedups.
 pub fn serve_json(cases: &[ServeCase], passes: usize) -> String {
     let base = cases.first().map_or(0.0, ServeCase::requests_per_second);
     format!(
-        "{{\"schema\":\"indrel.bench.serve/1\",\"workload\":\"{}\",\"fuel\":{BST_FUEL},\
+        "{{\"schema\":\"indrel.bench.serve/2\",\"workload\":\"{}\",\"fuel\":{BST_FUEL},\
          \"distinct_trees\":{DISTINCT_TREES},\"passes\":{passes},\"host_cores\":{},\
          \"cases\":[{}]}}",
         json_escape("bst-derived-checker-serve"),
@@ -233,7 +233,8 @@ mod tests {
         for c in &cases {
             assert_eq!(c.requests, 96);
             assert!(c.requests_per_second() > 0.0, "{c}");
-            assert!(c.p99_us >= c.p50_us, "{c}");
+            assert!(c.p99_ns >= c.p50_ns, "{c}");
+            assert!(c.p50_ns > 0.0, "sub-microsecond latency resolves: {c}");
             assert_eq!(c.stats.degraded_shards, 0, "no chaos in the bench");
             assert_eq!(c.stats.shed, 0, "capacity covers the workers");
         }
@@ -249,12 +250,12 @@ mod tests {
     fn serve_json_has_schema_latencies_and_counters() {
         let cases = scaling(64, &[1, 2], 1);
         let j = serve_json(&cases, 1);
-        assert!(j.starts_with("{\"schema\":\"indrel.bench.serve/1\""), "{j}");
+        assert!(j.starts_with("{\"schema\":\"indrel.bench.serve/2\""), "{j}");
         for key in [
             "\"threads\":1",
             "\"threads\":2",
-            "\"p50_us\"",
-            "\"p99_us\"",
+            "\"p50_ns\"",
+            "\"p99_ns\"",
             "\"speedup_vs_1\"",
             "\"host_cores\"",
             "\"memo\":{\"degraded_shards\":",
@@ -270,7 +271,7 @@ mod tests {
         assert_eq!(decided, corpus.len());
         let snap = server.snapshot();
         let lat = snap
-            .histogram("serve.latency_us")
+            .histogram("serve.latency_ns")
             .expect("serving layer records latency");
         assert_eq!(lat.count, corpus.len() as u64, "one sample per request");
         assert!(lat.quantile(0.99) >= lat.quantile(0.5));

@@ -3,12 +3,12 @@
 //! Every derived-checker call that arrives from outside the relation's
 //! own recursion — a top-level [`Library::check`] or an external
 //! `CheckRel` premise — passes through [`Library::run_checker_entry`]:
-//! one budget step, then the serving layer's shared table and the
-//! session memo table ([`crate::memo`]), and only then the search. The
-//! search runs on the bytecode VM ([`crate::vm`]) when the plan
-//! compiled, and on the plan interpreter ([`crate::exec`]) when it did
-//! not, so tabling, shared serving and the `try_*` budget discipline
-//! behave the same whichever executor answers.
+//! one budget step, then the session's verdict table, if it has one
+//! ([`crate::memo`]), and only then the search. The search runs on the
+//! bytecode VM ([`crate::vm`]) when the plan compiled, and on the plan
+//! interpreter ([`crate::exec`]) when it did not, so tabling, shared
+//! serving and the `try_*` budget discipline behave the same whichever
+//! executor answers.
 //!
 //! Recursive self-calls never come back here: the VM re-enters its own
 //! dispatch loop (`RecSelf`) and the interpreter its own plan walk.
@@ -20,7 +20,6 @@
 
 use crate::index::DispatchIndex;
 use crate::library::Library;
-use crate::memo::Lookup;
 use crate::plan::Plan;
 use crate::vm::VmProgram;
 use indrel_producers::probe::Event;
@@ -64,8 +63,8 @@ pub(crate) fn compile_checker(plan: &Plan) -> CompiledChecker {
 
 impl Library {
     /// Runs a derived checker at an entry boundary, mirroring
-    /// `run_plan_check`'s fuel discipline exactly, with the memo tables
-    /// consulted on the way in.
+    /// `run_plan_check`'s fuel discipline exactly, with the session's
+    /// verdict table ([`crate::memo`]) consulted on the way in.
     pub(crate) fn run_checker_entry(
         &self,
         plan: &Arc<Plan>,
@@ -80,74 +79,24 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
-        // Serving sessions consult the process-wide concurrent table
-        // (crate::serve) first: monotone verdicts cached by any session
-        // over the same frozen core answer this one too. Ordinary
-        // sessions pay one `RefCell` borrow + `Option` check here.
-        let shared = self.inner.shared_memo.borrow().clone();
-        let Some(sm) = shared else {
-            return self.run_memo_or_search(plan, compiled, size, top, args);
+        // Sessions without a table pay one `OnceCell` load here.
+        let Some(memo) = self.inner.memo.get() else {
+            return self.run_checker_search(plan, compiled, size, top, args);
         };
+        // Decided verdicts are monotone in both fuels, so an entry
+        // decided at dominated fuels answers this call outright. The
+        // fingerprint is structural, so identical across the sessions
+        // that share the table, and doubles as the shard key. The
+        // interner borrow ends here, before the search re-enters.
         let rel = compiled.rel;
-        // The fingerprint comes from this session's interner —
-        // structural, so identical across sessions — and doubles as the
-        // shard key.
-        let fp = self.inner.memo.borrow_mut().query_fp(rel, args);
-        if let Some(verdict) = sm.lookup(rel, fp, args, size, top) {
-            self.inner.shared_hits.set(self.inner.shared_hits.get() + 1);
+        let fp = crate::memo::query_fp(&mut self.inner.interner.borrow_mut(), rel, args);
+        if let Some(verdict) = memo.lookup(rel, fp, args, size, top) {
+            self.inner.memo_hits.set(self.inner.memo_hits.get() + 1);
             self.probe(|| Event::MemoHit { rel });
             return Some(verdict);
         }
-        self.inner
-            .shared_misses
-            .set(self.inner.shared_misses.get() + 1);
+        self.inner.memo_misses.set(self.inner.memo_misses.get() + 1);
         self.probe(|| Event::MemoMiss { rel });
-        let calls_before = self.inner.search_calls.get();
-        let result = self.run_memo_or_search(plan, compiled, size, top, args);
-        match result {
-            // Same write guards as the local table below: no `None`, no
-            // poisoned-meter fabrications, no trivial verdicts.
-            Some(verdict) => {
-                let cost = self.inner.search_calls.get() - calls_before;
-                if cost >= crate::memo::MIN_SEARCH_COST && self.meter_intact() {
-                    sm.insert(rel, fp, args, size, top, verdict);
-                }
-            }
-            None => sm.note_none_skipped(),
-        }
-        result
-    }
-
-    /// The local-table half of an entry boundary: the session memo
-    /// lookup (when enabled) wrapped around the search. Split from
-    /// [`Library::run_checker_entry`] so serving sessions can layer the
-    /// concurrent table on top.
-    fn run_memo_or_search(
-        &self,
-        plan: &Arc<Plan>,
-        compiled: &CompiledChecker,
-        size: u64,
-        top: u64,
-        args: &[Value],
-    ) -> Option<bool> {
-        // Tabling (crate::memo): decided verdicts are monotone in both
-        // fuels, so an entry decided at dominated fuels answers this
-        // call outright. The borrow must end before the search below —
-        // recursive calls re-enter this table.
-        if !self.inner.memo_enabled.get() {
-            return self.run_checker_search(plan, compiled, size, top, args);
-        }
-        let rel = compiled.rel;
-        let fp = match self.inner.memo.borrow_mut().lookup(rel, args, size, top) {
-            Lookup::Hit(verdict) => {
-                self.probe(|| Event::MemoHit { rel });
-                return Some(verdict);
-            }
-            Lookup::Miss(fp) => {
-                self.probe(|| Event::MemoMiss { rel });
-                fp
-            }
-        };
         let calls_before = self.inner.search_calls.get();
         let result = self.run_checker_search(plan, compiled, size, top, args);
         match result {
@@ -160,15 +109,12 @@ impl Library {
             Some(verdict) => {
                 let cost = self.inner.search_calls.get() - calls_before;
                 if cost >= crate::memo::MIN_SEARCH_COST && self.meter_intact() {
-                    self.inner
-                        .memo
-                        .borrow_mut()
-                        .insert(rel, fp, args, size, top, verdict);
+                    memo.insert(rel, fp, args, size, top, verdict);
                 }
             }
             // The monotonicity boundary: `None` is not a verdict, a
             // larger fuel may still decide it. Never cached.
-            None => self.inner.memo.borrow_mut().note_none_skipped(),
+            None => memo.note_none_skipped(),
         }
         result
     }
@@ -201,10 +147,66 @@ impl Library {
 
 #[cfg(test)]
 mod tests {
-    use crate::library::LibraryBuilder;
+    use crate::library::{Library, LibraryBuilder};
+    use crate::MemoStats;
     use indrel_rel::parse::parse_program;
     use indrel_rel::RelEnv;
-    use indrel_term::{Universe, Value};
+    use indrel_term::{RelId, Universe, Value};
+
+    fn even_lib() -> (Library, RelId) {
+        let mut u = Universe::new();
+        let mut env = RelEnv::new();
+        parse_program(
+            &mut u,
+            &mut env,
+            r"rel even' : nat :=
+              | even_0 : even' 0
+              | even_SS : forall n, even' n -> even' (S (S n))
+              .",
+        )
+        .unwrap();
+        let even = env.rel_id("even'").unwrap();
+        let mut b = LibraryBuilder::new(u, env);
+        b.derive_checker(even).unwrap();
+        (b.build(), even)
+    }
+
+    #[test]
+    fn session_counts_each_lookup_once() {
+        let (lib, even) = even_lib();
+        let lib = lib.with_memo();
+        let six = [Value::nat(6)];
+        // Miss, then insert at (10, 10): the search recursed 4 times.
+        assert_eq!(lib.check(even, 10, 10, &six), Some(true));
+        // Same fuels, then dominating fuels: hits.
+        assert_eq!(lib.check(even, 10, 10, &six), Some(true));
+        assert_eq!(lib.check(even, 12, 11, &six), Some(true));
+        // Lower size misses; its search widens the entry in place.
+        assert_eq!(lib.check(even, 9, 10, &six), Some(true));
+        assert_eq!(lib.check(even, 9, 10, &six), Some(true));
+        let s = lib.memo_stats();
+        assert_eq!((s.hits, s.misses), (3, 2));
+        assert_eq!((s.insertions, s.entries), (2, 1));
+        assert_eq!(lib.shared_memo_counts(), (3, 2));
+    }
+
+    #[test]
+    fn with_memo_is_session_state_and_fork_starts_without_a_table() {
+        let (lib, even) = even_lib();
+        assert!(!lib.memo_enabled());
+        let lib = lib.with_memo();
+        let clone = lib.clone();
+        assert!(clone.memo_enabled(), "clones share the session's table");
+        clone.check(even, 10, 10, &[Value::nat(8)]);
+        assert_eq!(lib.memo_stats().entries, 1);
+        let fork = lib.fork();
+        assert!(!fork.memo_enabled(), "a fork starts with no table");
+        fork.check(even, 10, 10, &[Value::nat(8)]);
+        assert_eq!(fork.memo_stats(), MemoStats::default());
+        // A second `with_memo` keeps the table it already has.
+        let again = lib.with_memo();
+        assert_eq!(again.memo_stats().entries, 1);
+    }
 
     #[test]
     fn compiled_checker_supports_producer_calls() {

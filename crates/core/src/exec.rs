@@ -648,7 +648,7 @@ impl Library {
     /// budget step: the entry boundary ([`crate::entry`]) runs plans
     /// that did not compile to bytecode through here after charging
     /// that step itself. Bumps `search_calls` once per search, like the
-    /// VM, so the memo cost gates see interpreted work too.
+    /// VM, so the memo cost gate sees interpreted work too.
     pub(crate) fn plan_check_search(
         &self,
         plan: &Arc<Plan>,

@@ -83,10 +83,10 @@ pub use cost::{CostProfile, PremiseCost};
 pub use error::{DeriveError, ExecError, InstanceKind};
 pub use exec::BudgetedStream;
 pub use library::{Library, LibraryBuilder, ProbeGuard, ReplanReport, SharedLibrary};
-pub use memo::MemoStats;
+pub use memo::{MemoStats, SharedMemo};
 pub use mode::Mode;
 pub use plan::{Handler, Plan, Step};
-pub use serve::{FlightRecorder, Permit, RequestSpan, ServeConfig, Server, Session, SharedMemo};
+pub use serve::{FlightRecorder, Permit, RequestSpan, ServeConfig, Server, Session};
 // Budgets live with the producer combinators; re-exported here because
 // the `try_*` entry points take them. Probes likewise, for `arm_probe`.
 pub use indrel_producers::{

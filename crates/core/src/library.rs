@@ -11,12 +11,13 @@
 use crate::compile::{compile_plan, compile_plan_with_profile, DepResolver};
 use crate::cost::CostProfile;
 use crate::error::{DeriveError, ExecError, InstanceKind};
+use crate::memo::{MemoStats, SharedMemo};
 use crate::mode::Mode;
 use crate::plan::Plan;
 use crate::DeriveOptions;
 use indrel_producers::{EStream, Event, ExecProbe, Meter, NameTable, PremiseStats, SearchStats};
 use indrel_rel::RelEnv;
-use indrel_term::{RelId, Universe, Value};
+use indrel_term::{Interner, RelId, Universe, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -105,31 +106,27 @@ pub(crate) struct Inner {
     pub(crate) probe_armed: std::cell::Cell<bool>,
     /// Current executor nesting depth, for `Event::Enter`.
     pub(crate) depth: std::cell::Cell<u32>,
-    /// The session's verdict table (tabling, [`crate::memo`]). Present
-    /// but inert until [`Library::with_memo`] flips `memo_enabled`.
-    pub(crate) memo: std::cell::RefCell<crate::memo::MemoTable>,
-    /// Mirror flag, like `probe_armed`: the checker entry boundary
-    /// consults it on every entry, so the disabled cost is one `Cell`
-    /// load.
-    pub(crate) memo_enabled: std::cell::Cell<bool>,
+    /// The session's verdict table (tabling, [`crate::memo`]): a
+    /// private one-shard table from [`Library::with_memo`], or a
+    /// server's sharded one from [`Library::with_shared_memo`]. Set at
+    /// most once; the checker entry boundary reads it on every entry,
+    /// so an ordinary session pays one load and branch.
+    pub(crate) memo: std::cell::OnceCell<Arc<SharedMemo>>,
+    /// Fingerprints argument tuples for table lookups. Its hash-consing
+    /// caches are per session, so it lives here rather than on a table
+    /// that other threads share.
+    pub(crate) interner: std::cell::RefCell<Interner>,
     /// Monotone count of derived checker searches this session; the
     /// delta across one search is the memo layer's cost gate (a verdict
     /// that cost fewer than [`crate::memo::MIN_SEARCH_COST`] recursions
     /// is not worth caching).
     pub(crate) search_calls: std::cell::Cell<u64>,
-    /// The process-wide concurrent verdict table ([`crate::serve`]),
-    /// when this session serves requests through one. Consulted at the
-    /// same checker entry boundaries as the local table;
-    /// `None` (one `RefCell` borrow + `Option` check per entry) for
-    /// ordinary sessions.
-    pub(crate) shared_memo: std::cell::RefCell<Option<Arc<crate::serve::SharedMemo>>>,
-    /// Session-local count of shared-table hits, so the serving layer
-    /// can attribute memo reuse to individual requests (the table's own
-    /// counters are process-wide). Only advanced on the shared-memo
-    /// path.
-    pub(crate) shared_hits: std::cell::Cell<u64>,
-    /// Session-local count of shared-table misses; see `shared_hits`.
-    pub(crate) shared_misses: std::cell::Cell<u64>,
+    /// This session's table hits — the only place lookups are counted,
+    /// so the serving layer can attribute memo reuse to individual
+    /// requests.
+    pub(crate) memo_hits: std::cell::Cell<u64>,
+    /// This session's table misses; see `memo_hits`.
+    pub(crate) memo_misses: std::cell::Cell<u64>,
     /// Session-local count of checker entries that ran on the plan
     /// interpreter because their plan did not compile to bytecode
     /// ([`Library::vm_fallback_count`]).
@@ -151,12 +148,11 @@ impl Inner {
             probe: std::cell::RefCell::new(ExecProbe::NoProbe),
             probe_armed: std::cell::Cell::new(false),
             depth: std::cell::Cell::new(0),
-            memo: std::cell::RefCell::new(crate::memo::MemoTable::default()),
-            memo_enabled: std::cell::Cell::new(false),
+            memo: std::cell::OnceCell::new(),
+            interner: std::cell::RefCell::new(Interner::new(crate::memo::DEFAULT_CAPACITY)),
             search_calls: std::cell::Cell::new(0),
-            shared_memo: std::cell::RefCell::new(None),
-            shared_hits: std::cell::Cell::new(0),
-            shared_misses: std::cell::Cell::new(0),
+            memo_hits: std::cell::Cell::new(0),
+            memo_misses: std::cell::Cell::new(0),
             vm_fallbacks: std::cell::Cell::new(0),
             vm_frames: std::cell::RefCell::new(crate::vm::VmFrames::default()),
         }
@@ -625,8 +621,13 @@ impl Library {
     /// justified by the monotonicity theorems of §5 (see
     /// [`crate::memo`]). Out-of-fuel `None` verdicts are never cached.
     ///
-    /// The flag is session state: clones of this `Library` share it,
-    /// but [`Library::fork`] starts with tabling off again.
+    /// Attaches a private one-shard [`SharedMemo`] of
+    /// [`DEFAULT_CAPACITY`](crate::memo::DEFAULT_CAPACITY) entries. A
+    /// session has at most one table: if this one already has a table
+    /// (its own, or a server's), it keeps it, so a served session
+    /// cannot be detached from its server. The table is session state:
+    /// clones of this `Library` share it, but [`Library::fork`] starts
+    /// with no table.
     ///
     /// # Example
     ///
@@ -636,7 +637,9 @@ impl Library {
     /// lib.check(rel, fuel, fuel, &args); // answered from the table
     /// ```
     pub fn with_memo(self) -> Library {
-        self.inner.memo_enabled.set(true);
+        self.inner
+            .memo
+            .get_or_init(|| Arc::new(SharedMemo::new(1, crate::memo::DEFAULT_CAPACITY)));
         self
     }
 
@@ -668,48 +671,49 @@ impl Library {
         self.inner.vm_fallbacks.get()
     }
 
-    /// Like [`Library::with_memo`], with an explicit bound on the
-    /// number of cached verdicts (and interned term nodes). Once full,
-    /// the table stops admitting new entries — deterministic, no
-    /// eviction — and existing entries keep serving hits.
-    pub fn with_memo_capacity(self, max_entries: usize) -> Library {
-        self.inner
-            .memo
-            .replace(crate::memo::MemoTable::with_capacity(max_entries));
-        self.with_memo()
-    }
-
-    /// Attaches a process-wide concurrent verdict table
-    /// ([`serve::SharedMemo`](crate::serve::SharedMemo)) to this
-    /// session and returns it, for chaining. Derived checkers consult
-    /// the shared table at the same entry boundaries as the local one
-    /// (and under the same write guards); fuel monotonicity
-    /// makes verdicts cached by *any* session valid for every session
-    /// over the same frozen core. The caller must only attach tables
-    /// created for this library's [`SharedLibrary`] core — fingerprints
-    /// are structural, but relation ids are only meaningful per core.
-    pub fn with_shared_memo(self, memo: Arc<crate::serve::SharedMemo>) -> Library {
-        *self.inner.shared_memo.borrow_mut() = Some(memo);
+    /// Attaches a concurrent verdict table — typically a
+    /// [`Server`](crate::Server)'s, shared by all of its sessions — to
+    /// this session and returns it, for chaining. Derived checkers
+    /// consult it exactly as they consult a [`Library::with_memo`]
+    /// table; fuel monotonicity makes verdicts cached by *any* session
+    /// valid for every session over the same frozen core. The caller
+    /// must only attach tables created for this library's
+    /// [`SharedLibrary`] core — fingerprints are structural, but
+    /// relation ids are only meaningful per core.
+    ///
+    /// A session has at most one table: if this one already has a
+    /// table, it keeps it and `memo` is not attached. Attach to a fresh
+    /// [`Library::fork`].
+    pub fn with_shared_memo(self, memo: Arc<SharedMemo>) -> Library {
+        let _ = self.inner.memo.set(memo);
         self
     }
 
-    /// This session's cumulative shared-table `(hits, misses)` counts.
-    /// The serving layer reads the delta across one request to give each
+    /// This session's cumulative table `(hits, misses)` counts. The
+    /// serving layer reads the delta across one request to give each
     /// [`RequestSpan`](crate::serve::RequestSpan) its memo attribution;
-    /// both stay zero for sessions without a shared table.
+    /// both stay zero for sessions without a table.
     pub fn shared_memo_counts(&self) -> (u64, u64) {
-        (self.inner.shared_hits.get(), self.inner.shared_misses.get())
+        (self.inner.memo_hits.get(), self.inner.memo_misses.get())
     }
 
-    /// `true` when tabling is enabled on this session.
+    /// `true` when this session has a verdict table — its own from
+    /// [`Library::with_memo`], or a server's.
     pub fn memo_enabled(&self) -> bool {
-        self.inner.memo_enabled.get()
+        self.inner.memo.get().is_some()
     }
 
-    /// This session's tabling counters (all zero when tabling was never
-    /// enabled).
-    pub fn memo_stats(&self) -> crate::memo::MemoStats {
-        self.inner.memo.borrow().stats()
+    /// This session's lookups (`hits`, `misses`) together with its
+    /// table's counters: insertions, skips, entries, degraded shards.
+    /// On a served session the table counters are the server's, so
+    /// they include every session's insertions. All zero when the
+    /// session has no table.
+    pub fn memo_stats(&self) -> MemoStats {
+        MemoStats {
+            hits: self.inner.memo_hits.get(),
+            misses: self.inner.memo_misses.get(),
+            ..self.inner.memo.get().map(|m| m.stats()).unwrap_or_default()
+        }
     }
 
     /// Arms `probe` on this library until the returned guard drops,

@@ -10,12 +10,27 @@
 //! out-of-fuel markers) and every external sub-verdict, and `cnot` maps
 //! a decided verdict to a decided verdict. A verdict decided at
 //! `(size, top)` therefore holds at every `(size', top')` with
-//! `size' ≥ size` and `top' ≥ top`, which is exactly the hit rule the
-//! `MemoTable` applies. Because relations are frozen at
+//! `size' ≥ size` and `top' ≥ top`, which is exactly the hit rule
+//! [`SharedMemo::lookup`] applies. Because relations are frozen at
 //! [`build`](crate::LibraryBuilder::build) time, entries never need
-//! invalidating.
+//! invalidating — and because the verdict is a fact about the
+//! relation, not about the session that computed it, one table can be
+//! shared by every session over the same frozen core: a reader can
+//! never observe a stale answer, only a missing one.
 //!
-//! What is deliberately **not** cached:
+//! # One table
+//!
+//! [`SharedMemo`] is the only verdict table. It is fingerprint-sharded,
+//! with an `RwLock` per shard so concurrent readers never contend.
+//! [`Library::with_memo`](crate::Library::with_memo) attaches a private
+//! one-shard table of [`DEFAULT_CAPACITY`] entries; a
+//! [`Server`](crate::Server) attaches one sharded table to all of its
+//! sessions. A session has at most one table and consults it at one
+//! place, the derived-checker entry boundary (`entry.rs`): lookup,
+//! search, guarded insert.
+//!
+//! What is deliberately **not** cached (the write guards the entry
+//! boundary applies before [`SharedMemo::insert`]):
 //!
 //! * `None` (out of fuel) — not monotone: a larger fuel may decide it.
 //!   Caching it would freeze a transient state into an answer.
@@ -28,34 +43,60 @@
 //!   recursions — a leaf goal re-derives faster than the table answers,
 //!   so caching it only pays the lookup twice.
 //! * Handwritten checkers — the monotonicity argument only covers
-//!   derived plans, so only the derived-checker entry boundary
-//!   (`entry.rs`) consults the table.
+//!   derived plans, so only the derived-checker entry boundary consults
+//!   the table.
 //! * Recursive self-calls — the table is consulted at *entry
 //!   boundaries* only (top-level `check` and external `CheckRel`
 //!   premises). Recursion descends into strict subterms of a tuple that
 //!   already missed, so per-level lookups would charge every recursion
 //!   of a miss-heavy workload for reuse the entry-level hits already
-//!   capture across a corpus (see `run_checker_entry`).
+//!   capture across a corpus.
+//!
+//! # Who counts what
+//!
+//! Each lookup is counted once, by the session that made it: a session
+//! is single-threaded, so its hit and miss counters are plain `Cell`s.
+//! The table counts only what it alone sees — insertions, `None` and
+//! full skips, entries, degraded shards — so [`SharedMemo::stats`]
+//! leaves `hits` and `misses` at zero.
+//! [`Library::memo_stats`](crate::Library::memo_stats) adds the
+//! session's lookups to its table's counters, and
+//! [`Server::stats`](crate::Server::stats) adds the lookups its
+//! requests made.
+//!
+//! # Poison recovery
+//!
+//! A writer that panics inside a shard poisons only that shard's lock.
+//! The next access marks the shard *degraded*, and from then on the
+//! shard answers every lookup with a miss and swallows every insert:
+//! callers transparently fall back to the unmemoized search, which is
+//! sound for the same monotonicity reason (the table is an accelerator,
+//! never an authority). [`MemoStats::degraded_shards`] surfaces how
+//! much of the table has been retired.
+//!
+//! # Cost and bounds
 //!
 //! The hot path is allocation-free: a lookup reduces the argument tuple
-//! to a 64-bit structural fingerprint via [`Interner::fingerprint`]
-//! (O(1) per already-seen subtree, since fingerprints hash-cons by
-//! `Arc` identity), and a miss hands back only that `u64`. Argument
-//! tuples are copied (cheap `Arc` clones) into a boxed slot only when a
-//! verdict is actually admitted, which the cost gate makes rare. Fingerprint collisions are
-//! harmless: every candidate slot is confirmed structurally before it
-//! may answer.
+//! to a 64-bit structural fingerprint with the session's
+//! [`Interner::fingerprint`] (O(1) per already-seen subtree, since
+//! fingerprints hash-cons by `Arc` identity). Fingerprints are
+//! structural, so every session computes the same one for the same
+//! tuple, and they double as shard keys. Argument tuples are copied
+//! (cheap `Arc` clones) into a boxed slot only when a verdict is
+//! actually admitted, which the cost gate makes rare. Fingerprint
+//! collisions are harmless: every candidate slot is confirmed
+//! structurally before it may answer.
 //!
-//! The memory bound is a fixed entry cap (default [`DEFAULT_CAPACITY`],
-//! shared with the interner's node cap): when full the table stops
-//! admitting — deterministically, with no eviction — and keeps serving
-//! hits from what it has.
+//! The memory bound is a fixed entry cap per shard: when a shard is
+//! full it stops admitting — deterministically, with no eviction — and
+//! keeps serving hits from what it has.
 //!
 //! [`Meter`]: indrel_producers::Meter
 
-use indrel_term::{FastHashBuilder, Interner, RelId, Value};
+use indrel_term::{shard_of, FastHashBuilder, Interner, RelId, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Default bound on cached verdicts and interned nodes per session.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
@@ -67,13 +108,30 @@ pub const DEFAULT_CAPACITY: usize = 1 << 18;
 /// table probe.
 pub(crate) const MIN_SEARCH_COST: u64 = 2;
 
+// Every session of a server shares the table across worker threads, so
+// it must be thread-safe by construction, not by accident.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SharedMemo>();
+};
+
+/// Fingerprint of a `(rel, args)` query, folding each argument's
+/// structural fingerprint into the relation's. Fingerprints are
+/// *structural* — independent of which session's interner computed
+/// them — so every session over a core agrees on a query's shard.
+pub(crate) fn query_fp(interner: &mut Interner, rel: RelId, args: &[Value]) -> u64 {
+    let mut h = 0x243F_6A88_85A3_08D3u64 ^ (rel.index() as u64);
+    for a in args {
+        h = (h.rotate_left(5) ^ interner.fingerprint(a)).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+    h
+}
+
 /// `true` when the stored canonical tuple and a probe tuple denote the
 /// same arguments. Scalars compare by value; constructor terms take the
-/// `Arc`-identity fast path (canonical vs previously interned probes)
-/// and fall back to the iterative structural walk. Shared with the
-/// concurrent table ([`crate::serve`]), which confirms candidates the
-/// same way.
-pub(crate) fn args_match(stored: &[Value], probe: &[Value]) -> bool {
+/// `Arc`-identity fast path and fall back to the iterative structural
+/// walk.
+fn args_match(stored: &[Value], probe: &[Value]) -> bool {
     stored.len() == probe.len()
         && stored.iter().zip(probe).all(|(a, b)| match (a, b) {
             (Value::Nat(x), Value::Nat(y)) => x == y,
@@ -83,9 +141,9 @@ pub(crate) fn args_match(stored: &[Value], probe: &[Value]) -> bool {
         })
 }
 
-/// One cached verdict: the relation, the canonicalized argument tuple
-/// that confirms fingerprint matches, and the smallest fuels the
-/// verdict is known at.
+/// One cached verdict: the relation, the canonical argument tuple that
+/// confirms fingerprint matches, and the smallest fuels the verdict is
+/// known at.
 struct Slot {
     rel: RelId,
     args: Box<[Value]>,
@@ -94,24 +152,250 @@ struct Slot {
     verdict: bool,
 }
 
-/// The result of a table lookup: either a verdict valid at the queried
-/// fuels, or the tuple's fingerprint to insert under after the search.
-pub(crate) enum Lookup {
-    Hit(bool),
-    Miss(u64),
+/// One shard: a bucket map behind its own `RwLock`, plus the degraded
+/// flag poison recovery flips.
+struct Shard {
+    /// Fingerprint → slots sharing it (almost always exactly one).
+    buckets: RwLock<HashMap<u64, Vec<Slot>, FastHashBuilder>>,
+    /// Entries in this shard; written only under the shard's write
+    /// lock, read lock-free by [`SharedMemo::stats`].
+    entries: AtomicUsize,
+    /// Set once, on the first access that observes the lock poisoned.
+    /// A degraded shard answers misses and swallows inserts forever.
+    degraded: AtomicBool,
 }
 
-/// Counters exposed by [`Library::memo_stats`](crate::Library::memo_stats)
-/// and [`serve::SharedMemo::stats`](crate::serve::SharedMemo::stats).
-///
-/// The last three counters are serving-layer telemetry: they stay zero
-/// for the per-session table and are populated by the concurrent table
-/// and request layer of [`crate::serve`].
+impl Default for Shard {
+    fn default() -> Shard {
+        Shard {
+            buckets: RwLock::new(HashMap::default()),
+            entries: AtomicUsize::new(0),
+            degraded: AtomicBool::new(false),
+        }
+    }
+}
+
+/// The verdict table. See the module docs for the monotonicity
+/// argument, the write guards (the caller in `run_checker_entry`
+/// applies them before calling [`SharedMemo::insert`]), and the
+/// degradation model.
+pub struct SharedMemo {
+    shards: Box<[Shard]>,
+    shard_capacity: usize,
+    insertions: AtomicU64,
+    none_skipped: AtomicU64,
+    full_skipped: AtomicU64,
+    degraded_shards: AtomicU64,
+    /// Shard indices degraded since the last drain, for sessions to
+    /// report as [`Event::ShardDegraded`](indrel_producers::Event)
+    /// probe events (probes are session-local, so the table itself
+    /// cannot emit).
+    degraded_events: Mutex<Vec<u32>>,
+}
+
+impl std::fmt::Debug for SharedMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedMemo")
+            .field("shards", &self.shards.len())
+            .field("shard_capacity", &self.shard_capacity)
+            .field("degraded", &self.degraded_count())
+            .finish()
+    }
+}
+
+impl SharedMemo {
+    /// An empty table with `shards` shards (must be a power of two),
+    /// each admitting at most `shard_capacity` verdicts. Once a shard
+    /// is full it stops admitting — deterministically, no eviction —
+    /// and keeps serving hits from what it has.
+    pub fn new(shards: usize, shard_capacity: usize) -> SharedMemo {
+        assert!(
+            shards.is_power_of_two(),
+            "shard count must be a power of two, got {shards}"
+        );
+        SharedMemo {
+            shards: (0..shards).map(|_| Shard::default()).collect(),
+            shard_capacity,
+            insertions: AtomicU64::new(0),
+            none_skipped: AtomicU64::new(0),
+            full_skipped: AtomicU64::new(0),
+            degraded_shards: AtomicU64::new(0),
+            degraded_events: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard a fingerprint maps to — exposed so chaos harnesses can
+    /// poison the shard a particular query lives in.
+    pub fn shard_for(&self, fp: u64) -> usize {
+        shard_of(fp, self.shards.len())
+    }
+
+    /// Shards retired by poison recovery so far.
+    pub fn degraded_count(&self) -> u64 {
+        self.degraded_shards.load(Ordering::Relaxed)
+    }
+
+    /// Retires a shard: flips its degraded flag (once) and queues the
+    /// probe event. Every later lookup in the shard is a miss and every
+    /// insert a no-op, so the table degrades instead of propagating the
+    /// panic that poisoned the lock.
+    fn mark_degraded(&self, idx: usize) {
+        if !self.shards[idx].degraded.swap(true, Ordering::Relaxed) {
+            self.degraded_shards.fetch_add(1, Ordering::Relaxed);
+            self.degraded_events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(idx as u32);
+        }
+    }
+
+    /// Shard indices degraded since the last call — the session layer
+    /// drains this after each request and reports each as an
+    /// [`Event::ShardDegraded`](indrel_producers::Event).
+    pub fn drain_degraded_events(&self) -> Vec<u32> {
+        std::mem::take(
+            &mut *self
+                .degraded_events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
+    }
+
+    /// Looks up `(rel, args)` under its structural fingerprint for a
+    /// query at fuels `(size, top)`. An entry answers iff it stores the
+    /// same tuple (confirmed structurally) and was decided at fuels the
+    /// query dominates (`size ≥ slot.size && top ≥ slot.top`). `None`
+    /// is a miss — including every query routed to a degraded shard,
+    /// which is the transparent fallback to the unmemoized search.
+    ///
+    /// The table does not count lookups; the calling session does (see
+    /// the module docs).
+    pub fn lookup(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64) -> Option<bool> {
+        let idx = self.shard_for(fp);
+        let shard = &self.shards[idx];
+        if shard.degraded.load(Ordering::Relaxed) {
+            return None;
+        }
+        let Ok(guard) = shard.buckets.read() else {
+            // A writer panicked while holding this shard. Retire it and
+            // fall back; the other shards keep serving.
+            self.mark_degraded(idx);
+            return None;
+        };
+        let slot = guard
+            .get(&fp)?
+            .iter()
+            .find(|slot| slot.rel == rel && args_match(&slot.args, args))?;
+        (size >= slot.size && top >= slot.top).then_some(slot.verdict)
+    }
+
+    /// Records a decided verdict observed at fuels `(size, top)`,
+    /// widening an existing entry in place when the new fuels dominate
+    /// it. The caller must apply the write guards of the module docs:
+    /// never a `None`, never under an exhausted meter, never below the
+    /// search-cost gate.
+    pub fn insert(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64, verdict: bool) {
+        let idx = self.shard_for(fp);
+        let shard = &self.shards[idx];
+        if shard.degraded.load(Ordering::Relaxed) {
+            return;
+        }
+        let Ok(mut guard) = shard.buckets.write() else {
+            self.mark_degraded(idx);
+            return;
+        };
+        if let Some(bucket) = guard.get_mut(&fp) {
+            if let Some(slot) = bucket
+                .iter_mut()
+                .find(|slot| slot.rel == rel && args_match(&slot.args, args))
+            {
+                // Keep whichever fuels dominate (serve more queries).
+                // Incomparable fuels keep the existing slot; both
+                // verdicts are correct wherever they apply, per joint
+                // monotonicity.
+                if size <= slot.size && top <= slot.top {
+                    slot.size = size;
+                    slot.top = top;
+                    slot.verdict = verdict;
+                    self.insertions.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
+        }
+        if shard.entries.load(Ordering::Relaxed) < self.shard_capacity {
+            // The only allocating path: one box of `Arc` clones, when a
+            // verdict is actually admitted.
+            guard.entry(fp).or_default().push(Slot {
+                rel,
+                args: args.to_vec().into_boxed_slice(),
+                size,
+                top,
+                verdict,
+            });
+            shard.entries.fetch_add(1, Ordering::Relaxed);
+            self.insertions.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.full_skipped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts a `None` verdict refused at the write site — the
+    /// monotonicity boundary in action.
+    pub fn note_none_skipped(&self) {
+        self.none_skipped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Snapshot of the counters only the table sees. `hits` and
+    /// `misses` stay zero (sessions count lookups), as do `shed` and
+    /// `retries` (request telemetry); [`Library::memo_stats`] and
+    /// [`Server::stats`] fill them in.
+    ///
+    /// [`Library::memo_stats`]: crate::Library::memo_stats
+    /// [`Server::stats`]: crate::Server::stats
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            insertions: self.insertions.load(Ordering::Relaxed),
+            none_skipped: self.none_skipped.load(Ordering::Relaxed),
+            full_skipped: self.full_skipped.load(Ordering::Relaxed),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| s.entries.load(Ordering::Relaxed))
+                .sum(),
+            degraded_shards: self.degraded_count(),
+            ..MemoStats::default()
+        }
+    }
+
+    /// Chaos hook: poisons `shard`'s lock exactly the way a panicking
+    /// writer would — by panicking while holding the write guard
+    /// (caught here, so the caller keeps running). The shard is retired
+    /// lazily, on its next access. Tests and the chaos harness use this
+    /// to prove degraded shards never produce wrong verdicts.
+    pub fn poison_shard(&self, shard: usize) {
+        let lock = &self.shards[shard].buckets;
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = lock.write();
+            panic!("injected shard poison");
+        }));
+    }
+}
+
+/// Counters exposed by [`Library::memo_stats`](crate::Library::memo_stats),
+/// [`Server::stats`](crate::Server::stats) and [`SharedMemo::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Lookups answered from the table.
+    /// Lookups answered from the table. Counted by sessions: the
+    /// session's own lookups in `Library::memo_stats`, the lookups its
+    /// requests made in `Server::stats`, and zero in
+    /// `SharedMemo::stats`.
     pub hits: u64,
-    /// Lookups that fell through to the search.
+    /// Lookups that fell through to the search; counted like `hits`.
     pub misses: u64,
     /// Decided verdicts written (first writes and dominance updates).
     pub insertions: u64,
@@ -122,13 +406,15 @@ pub struct MemoStats {
     pub full_skipped: u64,
     /// Entries currently cached.
     pub entries: usize,
-    /// Shards of the concurrent table retired after a writer panic;
-    /// queries routed to them fall back to the unmemoized search.
+    /// Shards retired after a writer panic; queries routed to them fall
+    /// back to the unmemoized search.
     pub degraded_shards: u64,
     /// Requests rejected by admission control
-    /// ([`ExecError::Overloaded`](crate::ExecError::Overloaded)).
+    /// ([`ExecError::Overloaded`](crate::ExecError::Overloaded)); zero
+    /// outside [`Server::stats`](crate::Server::stats).
     pub shed: u64,
-    /// Budget-exhausted requests retried with an escalated budget.
+    /// Budget-exhausted requests retried with an escalated budget; zero
+    /// outside [`Server::stats`](crate::Server::stats).
     pub retries: u64,
 }
 
@@ -177,153 +463,30 @@ impl std::fmt::Display for MemoStats {
     }
 }
 
-/// The per-session verdict table. See the module docs for the
-/// soundness argument and the bounds.
-pub(crate) struct MemoTable {
-    interner: Interner,
-    /// Fingerprint → slots sharing it (almost always exactly one).
-    buckets: HashMap<u64, Vec<Slot>, FastHashBuilder>,
-    entries: usize,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    none_skipped: u64,
-    full_skipped: u64,
-}
-
-impl Default for MemoTable {
-    fn default() -> MemoTable {
-        MemoTable::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
-impl MemoTable {
-    /// An empty table admitting at most `max_entries` verdicts (and as
-    /// many interned nodes).
-    pub(crate) fn with_capacity(max_entries: usize) -> MemoTable {
-        MemoTable {
-            interner: Interner::new(max_entries),
-            buckets: HashMap::default(),
-            entries: 0,
-            capacity: max_entries,
-            hits: 0,
-            misses: 0,
-            insertions: 0,
-            none_skipped: 0,
-            full_skipped: 0,
-        }
-    }
-
-    /// Fingerprint of a `(rel, args)` query, folding each argument's
-    /// structural fingerprint into the relation's. Fingerprints are
-    /// *structural* — independent of which session's interner computed
-    /// them — so they double as the shard keys of the concurrent table
-    /// ([`crate::serve`]).
-    pub(crate) fn query_fp(&mut self, rel: RelId, args: &[Value]) -> u64 {
-        let mut h = 0x243F_6A88_85A3_08D3u64 ^ (rel.index() as u64);
-        for a in args {
-            h = (h.rotate_left(5) ^ self.interner.fingerprint(a))
-                .wrapping_mul(0x517C_C1B7_2722_0A95);
-        }
-        h
-    }
-
-    /// Looks up `(rel, args)` for a query at fuels `(size, top)`. An
-    /// entry answers the query iff it stores the same tuple (confirmed
-    /// structurally) and was decided at fuels the query dominates
-    /// (`size ≥ slot.size && top ≥ slot.top`).
-    pub(crate) fn lookup(&mut self, rel: RelId, args: &[Value], size: u64, top: u64) -> Lookup {
-        let fp = self.query_fp(rel, args);
-        if let Some(bucket) = self.buckets.get(&fp) {
-            for slot in bucket {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    if size >= slot.size && top >= slot.top {
-                        self.hits += 1;
-                        return Lookup::Hit(slot.verdict);
-                    }
-                    break;
-                }
-            }
-        }
-        self.misses += 1;
-        Lookup::Miss(fp)
-    }
-
-    /// Records a decided verdict observed at fuels `(size, top)`, under
-    /// the fingerprint the lookup returned. `verdict` must be the
-    /// checker's true verdict at those fuels — the caller guards
-    /// against poisoned-meter fabrications and gates on search cost.
-    pub(crate) fn insert(
-        &mut self,
-        rel: RelId,
-        fp: u64,
-        args: &[Value],
-        size: u64,
-        top: u64,
-        verdict: bool,
-    ) {
-        if let Some(bucket) = self.buckets.get_mut(&fp) {
-            for slot in bucket.iter_mut() {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    // Keep whichever fuels dominate (serve more
-                    // queries). Incomparable fuels keep the existing
-                    // slot; both verdicts are correct wherever they
-                    // apply, per joint monotonicity.
-                    if size <= slot.size && top <= slot.top {
-                        slot.size = size;
-                        slot.top = top;
-                        slot.verdict = verdict;
-                        self.insertions += 1;
-                    }
-                    return;
-                }
-            }
-        }
-        if self.entries < self.capacity {
-            // The only allocating path: one box of `Arc` clones, when a
-            // verdict is actually admitted.
-            self.buckets.entry(fp).or_default().push(Slot {
-                rel,
-                args: args.to_vec().into_boxed_slice(),
-                size,
-                top,
-                verdict,
-            });
-            self.entries += 1;
-            self.insertions += 1;
-        } else {
-            self.full_skipped += 1;
-        }
-    }
-
-    /// Counts a `None` verdict refused at the write site.
-    pub(crate) fn note_none_skipped(&mut self) {
-        self.none_skipped += 1;
-    }
-
-    /// Snapshot of the counters. The serving-layer counters are always
-    /// zero here: a per-session table has no shards to degrade and no
-    /// admission control.
-    pub(crate) fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits,
-            misses: self.misses,
-            insertions: self.insertions,
-            none_skipped: self.none_skipped,
-            full_skipped: self.full_skipped,
-            entries: self.entries,
-            degraded_shards: 0,
-            shed: 0,
-            retries: 0,
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use indrel_term::CtorId;
+
+    /// Keeps the injected `poison_shard` panics out of test output
+    /// (other panics still print; `indrel_pbt` has the general version,
+    /// but core cannot depend on it).
+    pub(crate) fn silence_injected_panics() {
+        use std::sync::Once;
+        static ONCE: Once = Once::new();
+        ONCE.call_once(|| {
+            let prev = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let injected = info
+                    .payload()
+                    .downcast_ref::<&str>()
+                    .is_some_and(|m| m.contains("injected shard poison"));
+                if !injected {
+                    prev(info);
+                }
+            }));
+        });
+    }
 
     fn rel() -> RelId {
         RelId::new(0)
@@ -333,103 +496,105 @@ mod tests {
         Value::ctor(CtorId::new(1), vec![Value::nat(n)])
     }
 
-    fn miss_fp(t: &mut MemoTable, rel: RelId, args: &[Value], size: u64, top: u64) -> u64 {
-        match t.lookup(rel, args, size, top) {
-            Lookup::Miss(fp) => fp,
-            Lookup::Hit(_) => panic!("expected a miss"),
-        }
-    }
-
     #[test]
-    fn miss_then_insert_then_hit() {
-        let mut t = MemoTable::with_capacity(16);
+    fn miss_insert_hit_and_dominance() {
+        let m = SharedMemo::new(8, 16);
         let args = [tree(3), Value::nat(7)];
-        let fp = miss_fp(&mut t, rel(), &args, 5, 5);
-        t.insert(rel(), fp, &args, 5, 5, true);
-        // Same fuels, structurally equal but physically fresh args.
+        let fp = 0xDEAD_BEEF_u64;
+        assert_eq!(m.lookup(rel(), fp, &args, 5, 5), None);
+        m.insert(rel(), fp, &args, 5, 5, true);
+        // Structurally equal but physically fresh args hit.
         let again = [tree(3), Value::nat(7)];
-        assert!(matches!(t.lookup(rel(), &again, 5, 5), Lookup::Hit(true)));
-        // Higher fuels dominate the entry: still a hit.
-        assert!(matches!(t.lookup(rel(), &again, 9, 6), Lookup::Hit(true)));
-        // Lower size: the entry does not answer.
-        assert!(matches!(t.lookup(rel(), &again, 4, 5), Lookup::Miss(_)));
-        // Lower top: likewise.
-        assert!(matches!(t.lookup(rel(), &again, 5, 4), Lookup::Miss(_)));
-        assert_eq!(t.stats().hits, 2);
-        assert_eq!(t.stats().misses, 3);
-    }
-
-    #[test]
-    fn dominating_insert_widens_the_entry() {
-        let mut t = MemoTable::with_capacity(16);
-        let args = [tree(1)];
-        let fp = miss_fp(&mut t, rel(), &args, 8, 8);
-        t.insert(rel(), fp, &args, 8, 8, false);
-        assert!(matches!(t.lookup(rel(), &args, 3, 3), Lookup::Miss(_)));
-        t.insert(rel(), fp, &args, 3, 3, false);
-        // The tighter fuels now answer everything above them.
-        assert!(matches!(t.lookup(rel(), &args, 3, 3), Lookup::Hit(false)));
-        assert!(matches!(t.lookup(rel(), &args, 8, 8), Lookup::Hit(false)));
-        // One slot, updated in place.
-        assert_eq!(t.stats().entries, 1);
-        assert_eq!(t.stats().insertions, 2);
+        assert_eq!(m.lookup(rel(), fp, &again, 5, 5), Some(true));
+        assert_eq!(m.lookup(rel(), fp, &again, 9, 6), Some(true));
+        // Dominated fuels do not answer: lower size, or lower top.
+        assert_eq!(m.lookup(rel(), fp, &again, 4, 5), None);
+        assert_eq!(m.lookup(rel(), fp, &again, 5, 4), None);
+        // A dominating insert widens in place: one entry, two inserts.
+        m.insert(rel(), fp, &args, 2, 2, true);
+        assert_eq!(m.lookup(rel(), fp, &again, 2, 2), Some(true));
+        let s = m.stats();
+        assert_eq!(s.entries, 1);
+        assert_eq!(s.insertions, 2);
+        // Sessions count lookups; the table does not.
+        assert_eq!((s.hits, s.misses), (0, 0));
+        // Colliding fingerprints are confirmed structurally.
+        let other = [tree(4), Value::nat(7)];
+        assert_eq!(m.lookup(rel(), fp, &other, 9, 9), None);
     }
 
     #[test]
     fn distinct_relations_do_not_collide() {
-        let mut t = MemoTable::with_capacity(16);
+        let m = SharedMemo::new(1, 16);
         let args = [tree(2)];
-        let fp = miss_fp(&mut t, RelId::new(0), &args, 5, 5);
-        t.insert(RelId::new(0), fp, &args, 5, 5, true);
-        assert!(matches!(
-            t.lookup(RelId::new(1), &args, 5, 5),
-            Lookup::Miss(_)
-        ));
+        m.insert(RelId::new(0), 7, &args, 5, 5, true);
+        assert_eq!(m.lookup(RelId::new(1), 7, &args, 5, 5), None);
+        assert_eq!(m.lookup(RelId::new(0), 7, &args, 5, 5), Some(true));
     }
 
     #[test]
     fn colliding_fingerprints_are_confirmed_structurally() {
-        let mut t = MemoTable::with_capacity(16);
-        let args = [tree(4)];
-        let fp = miss_fp(&mut t, rel(), &args, 5, 5);
-        // Force a structurally different tuple into the same bucket:
-        // the original tuple must not be answered from that slot.
-        let other = [tree(5)];
-        t.insert(rel(), fp, &other, 5, 5, false);
-        assert!(matches!(t.lookup(rel(), &args, 5, 5), Lookup::Miss(_)));
-        // A second slot for the original tuple can share the bucket.
-        t.insert(rel(), fp, &args, 5, 5, true);
-        assert!(matches!(t.lookup(rel(), &args, 5, 5), Lookup::Hit(true)));
-        assert_eq!(t.stats().entries, 2);
+        let m = SharedMemo::new(1, 16);
+        let (args, other) = ([tree(4)], [tree(5)]);
+        // A structurally different tuple under the same fingerprint
+        // must not answer for the original one.
+        m.insert(rel(), 9, &other, 5, 5, false);
+        assert_eq!(m.lookup(rel(), 9, &args, 5, 5), None);
+        // A second slot for the original tuple shares the bucket.
+        m.insert(rel(), 9, &args, 5, 5, true);
+        assert_eq!(m.lookup(rel(), 9, &args, 5, 5), Some(true));
+        assert_eq!(m.lookup(rel(), 9, &other, 5, 5), Some(false));
+        assert_eq!(m.stats().entries, 2);
     }
 
     #[test]
-    fn capacity_stops_admitting_deterministically() {
-        let mut t = MemoTable::with_capacity(1);
-        for n in 0..3 {
-            let args = [tree(n)];
-            if let Lookup::Miss(fp) = t.lookup(rel(), &args, 5, 5) {
-                t.insert(rel(), fp, &args, 5, 5, true);
-            }
+    fn shard_capacity_stops_admitting() {
+        let m = SharedMemo::new(1, 2);
+        for n in 0..4 {
+            m.insert(rel(), n, &[tree(n)], 5, 5, true);
         }
-        let s = t.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.insertions, 1);
+        let s = m.stats();
+        assert_eq!(s.entries, 2);
+        assert_eq!(s.insertions, 2);
         assert_eq!(s.full_skipped, 2);
-        // The admitted entry keeps answering.
-        assert!(matches!(
-            t.lookup(rel(), &[tree(0)], 5, 5),
-            Lookup::Hit(true)
-        ));
+        // The admitted entries keep answering.
+        assert_eq!(m.lookup(rel(), 0, &[tree(0)], 5, 5), Some(true));
+    }
+
+    #[test]
+    fn poisoned_shard_degrades_and_the_rest_keep_serving() {
+        silence_injected_panics();
+        let m = SharedMemo::new(4, 16);
+        // Two fingerprints in different shards.
+        let (fp_a, mut fp_b) = (0u64, 1u64);
+        while m.shard_for(fp_a) == m.shard_for(fp_b) {
+            fp_b += 1;
+        }
+        m.insert(rel(), fp_a, &[tree(1)], 5, 5, true);
+        m.insert(rel(), fp_b, &[tree(2)], 5, 5, false);
+        m.poison_shard(m.shard_for(fp_a));
+        // The poisoned shard answers misses (fallback), once marked.
+        assert_eq!(m.lookup(rel(), fp_a, &[tree(1)], 5, 5), None);
+        assert_eq!(m.degraded_count(), 1);
+        // Inserts to it are swallowed; lookups stay misses.
+        m.insert(rel(), fp_a, &[tree(9)], 5, 5, true);
+        assert_eq!(m.lookup(rel(), fp_a, &[tree(9)], 5, 5), None);
+        // The other shard is untouched.
+        assert_eq!(m.lookup(rel(), fp_b, &[tree(2)], 5, 5), Some(false));
+        assert_eq!(m.stats().degraded_shards, 1);
+        assert_eq!(m.drain_degraded_events(), vec![m.shard_for(fp_a) as u32]);
+        assert!(m.drain_degraded_events().is_empty(), "drain is one-shot");
     }
 
     #[test]
     fn stats_json_keys_are_sorted_and_display_is_stable() {
-        let mut t = MemoTable::with_capacity(4);
-        let args = [tree(1)];
-        let fp = miss_fp(&mut t, rel(), &args, 5, 5);
-        t.insert(rel(), fp, &args, 5, 5, true);
-        let s = t.stats();
+        let s = MemoStats {
+            hits: 2,
+            misses: 1,
+            insertions: 1,
+            entries: 1,
+            ..MemoStats::default()
+        };
         let j = s.to_json();
         let keys = [
             "degraded_shards",
@@ -448,9 +613,9 @@ mod tests {
             assert!(pos >= at, "key {k} out of sorted order in {j}");
             at = pos;
         }
-        assert_eq!(j, t.stats().to_json(), "snapshot must be deterministic");
+        assert_eq!(j, s.to_json(), "rendering must be deterministic");
         let d = s.to_string();
-        assert!(d.contains("1 insertions"), "{d}");
+        assert!(d.contains("2 hits / 1 misses, 1 insertions"), "{d}");
         assert!(!d.contains("serving:"), "zero serve counters stay silent");
         let served = MemoStats {
             degraded_shards: 2,

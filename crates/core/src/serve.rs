@@ -1,29 +1,14 @@
-//! Concurrent relation serving: a sharded process-wide verdict table
-//! and a hardened request layer over it.
+//! Concurrent relation serving: a hardened request layer over one
+//! shared verdict table.
 //!
-//! The per-session [`MemoTable`](crate::memo) is deliberately
-//! single-threaded (it owns an interner and lives behind a `RefCell`).
-//! This module adds the concurrent counterpart for *serving* workloads —
-//! many worker threads checking queries against one frozen
-//! [`SharedLibrary`] core:
+//! Many worker threads check queries against one frozen
+//! [`SharedLibrary`] core. Each thread drives its own single-threaded
+//! [`Session`], and every session of a [`Server`] consults the same
+//! sharded [`SharedMemo`] ([`crate::memo`] has the table, its
+//! soundness argument, and its poison recovery). Fuel monotonicity
+//! (§5) is what makes *sharing* sound: a verdict decided by any session
+//! holds for every session at dominating fuels.
 //!
-//! * [`SharedMemo`] — a fingerprint-sharded verdict table
-//!   (`RwLock`-per-shard, so concurrent readers never contend) with the
-//!   same soundness guards as the local table: only decided verdicts,
-//!   only under an intact meter, dominance-widening on insert, and
-//!   structural confirmation of fingerprint matches. Fuel monotonicity
-//!   (§5) is what makes *sharing* sound: a verdict decided by any
-//!   session holds for every session at dominating fuels, so entries
-//!   never need invalidating and a reader can never observe a stale
-//!   answer — only a missing one.
-//! * **Poison recovery** — a writer that panics inside a shard poisons
-//!   only that shard's lock. The next access marks the shard *degraded*
-//!   and from then on the shard answers every lookup with a miss and
-//!   swallows every insert: callers transparently fall back to the
-//!   unmemoized checker path, which is sound for the same monotonicity
-//!   reason (the table is an accelerator, never an authority). The
-//!   [`MemoStats::degraded_shards`] counter surfaces how much of the
-//!   table has been retired.
 //! * [`Server`] / [`Session`] — a request layer with admission control
 //!   (bounded in-flight requests, shedding with
 //!   [`ExecError::Overloaded`] instead of queueing), per-request step
@@ -33,8 +18,9 @@
 //!   across runs and any single request can be replayed exactly with
 //!   [`Session::check_replay`].
 //! * **Observability** — every request is booked three ways: into the
-//!   server's [`MetricsRegistry`] (deterministic `serve.*` counters,
-//!   one wall-clock `serve.latency_us` histogram, snapshot with
+//!   server's [`MetricsRegistry`] (deterministic `serve.*` counters and
+//!   the `memo.hits`/`memo.misses` its table lookups made, one
+//!   wall-clock `serve.latency_ns` histogram, snapshot with
 //!   [`Server::snapshot`]), as a wall-clock-free [`RequestSpan`] in the
 //!   worker's bounded [`FlightRecorder`] ring (dumped on shard
 //!   degradation or explicitly with [`Server::dump_flight_recorder`]),
@@ -74,285 +60,35 @@
 
 use crate::error::ExecError;
 use crate::library::{Library, ReplanReport, SharedLibrary};
-use crate::memo::{args_match, MemoStats};
+use crate::memo::MemoStats;
+pub use crate::memo::SharedMemo;
 use indrel_producers::probe::Event;
 use indrel_producers::{
     json_escape, Budget, BudgetPool, Counter, Determinism, Log2Histogram, MetricsRegistry,
     MetricsSnapshot, RequestOutcome, SearchStats,
 };
-use indrel_term::{shard_of, FastHashBuilder, RelId, Value};
+use indrel_term::{RelId, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // Everything the serving layer shares across worker threads must be
 // thread-safe by construction, not by accident.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SharedMemo>();
     assert_send_sync::<Server>();
     assert_send_sync::<Permit>();
 };
-
-/// One cached verdict, mirroring the local table's slot: the relation,
-/// the canonical argument tuple that confirms fingerprint matches, and
-/// the smallest fuels the verdict is known at.
-struct Slot {
-    rel: RelId,
-    args: Box<[Value]>,
-    size: u64,
-    top: u64,
-    verdict: bool,
-}
-
-/// One shard: a bucket map behind its own `RwLock`, plus the degraded
-/// flag poison recovery flips.
-struct Shard {
-    buckets: RwLock<HashMap<u64, Vec<Slot>, FastHashBuilder>>,
-    /// Entries in this shard; written only under the shard's write
-    /// lock, read lock-free by [`SharedMemo::stats`].
-    entries: AtomicUsize,
-    /// Set once, on the first access that observes the lock poisoned.
-    /// A degraded shard answers misses and swallows inserts forever.
-    degraded: AtomicBool,
-}
-
-impl Default for Shard {
-    fn default() -> Shard {
-        Shard {
-            buckets: RwLock::new(HashMap::default()),
-            entries: AtomicUsize::new(0),
-            degraded: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The process-wide concurrent verdict table. See the module docs for
-/// the sharing and degradation model; see [`crate::memo`] for the
-/// monotonicity argument and the write guards (both tables enforce the
-/// same ones — the caller in `run_checker_entry` gates on search cost
-/// and meter intactness before calling [`SharedMemo::insert`]).
-pub struct SharedMemo {
-    shards: Box<[Shard]>,
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    none_skipped: AtomicU64,
-    full_skipped: AtomicU64,
-    degraded_shards: AtomicU64,
-    /// Shard indices degraded since the last drain, for sessions to
-    /// report as [`Event::ShardDegraded`] probe events (probes are
-    /// session-local, so the table itself cannot emit).
-    degraded_events: Mutex<Vec<u32>>,
-}
-
-impl std::fmt::Debug for SharedMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedMemo")
-            .field("shards", &self.shards.len())
-            .field("shard_capacity", &self.shard_capacity)
-            .field("degraded", &self.degraded_count())
-            .finish()
-    }
-}
-
-impl SharedMemo {
-    /// An empty table with `shards` shards (must be a power of two),
-    /// each admitting at most `shard_capacity` verdicts. Once a shard
-    /// is full it stops admitting — deterministically, no eviction —
-    /// and keeps serving hits from what it has, like the local table.
-    pub fn new(shards: usize, shard_capacity: usize) -> SharedMemo {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two, got {shards}"
-        );
-        SharedMemo {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            none_skipped: AtomicU64::new(0),
-            full_skipped: AtomicU64::new(0),
-            degraded_shards: AtomicU64::new(0),
-            degraded_events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a fingerprint maps to — exposed so chaos harnesses can
-    /// poison the shard a particular query lives in.
-    pub fn shard_for(&self, fp: u64) -> usize {
-        shard_of(fp, self.shards.len())
-    }
-
-    /// Shards retired by poison recovery so far.
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded_shards.load(Ordering::Relaxed)
-    }
-
-    /// Retires a shard: flips its degraded flag (once) and queues the
-    /// probe event. Every later lookup in the shard is a miss and every
-    /// insert a no-op, so the table degrades instead of propagating the
-    /// panic that poisoned the lock.
-    fn mark_degraded(&self, idx: usize) {
-        if !self.shards[idx].degraded.swap(true, Ordering::Relaxed) {
-            self.degraded_shards.fetch_add(1, Ordering::Relaxed);
-            self.degraded_events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(idx as u32);
-        }
-    }
-
-    /// Shard indices degraded since the last call — the session layer
-    /// drains this after each request and reports each as an
-    /// [`Event::ShardDegraded`].
-    pub fn drain_degraded_events(&self) -> Vec<u32> {
-        std::mem::take(
-            &mut *self
-                .degraded_events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
-    /// Looks up `(rel, args)` under its structural fingerprint for a
-    /// query at fuels `(size, top)`. `None` is a miss — including every
-    /// query routed to a degraded shard, which is the transparent
-    /// fallback to the unmemoized search.
-    pub fn lookup(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64) -> Option<bool> {
-        let idx = self.shard_for(fp);
-        let shard = &self.shards[idx];
-        if shard.degraded.load(Ordering::Relaxed) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let guard = match shard.buckets.read() {
-            Ok(g) => g,
-            Err(_) => {
-                // A writer panicked while holding this shard. Retire it
-                // and fall back; the other shards keep serving.
-                self.mark_degraded(idx);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if let Some(bucket) = guard.get(&fp) {
-            for slot in bucket {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    if size >= slot.size && top >= slot.top {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(slot.verdict);
-                    }
-                    break;
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Records a decided verdict observed at fuels `(size, top)`,
-    /// widening an existing entry in place when the new fuels dominate
-    /// it (same rule as the local table). The caller must apply the
-    /// write guards of [`crate::memo`]: never a `None`, never under an
-    /// exhausted meter, never below the search-cost gate.
-    pub fn insert(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64, verdict: bool) {
-        let idx = self.shard_for(fp);
-        let shard = &self.shards[idx];
-        if shard.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut guard = match shard.buckets.write() {
-            Ok(g) => g,
-            Err(_) => {
-                self.mark_degraded(idx);
-                return;
-            }
-        };
-        if let Some(bucket) = guard.get_mut(&fp) {
-            for slot in bucket.iter_mut() {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    if size <= slot.size && top <= slot.top {
-                        slot.size = size;
-                        slot.top = top;
-                        slot.verdict = verdict;
-                        self.insertions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
-            }
-        }
-        if shard.entries.load(Ordering::Relaxed) < self.shard_capacity {
-            guard.entry(fp).or_default().push(Slot {
-                rel,
-                args: args.to_vec().into_boxed_slice(),
-                size,
-                top,
-                verdict,
-            });
-            shard.entries.fetch_add(1, Ordering::Relaxed);
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.full_skipped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts a `None` verdict refused at the write site (the
-    /// monotonicity boundary, as in the local table).
-    pub fn note_none_skipped(&self) {
-        self.none_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the table counters. `shed` and `retries` are request
-    /// telemetry and stay zero here; [`Server::stats`] fills them in.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            none_skipped: self.none_skipped.load(Ordering::Relaxed),
-            full_skipped: self.full_skipped.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.entries.load(Ordering::Relaxed))
-                .sum(),
-            degraded_shards: self.degraded_count(),
-            shed: 0,
-            retries: 0,
-        }
-    }
-
-    /// Chaos hook: poisons `shard`'s lock exactly the way a panicking
-    /// writer would — by panicking while holding the write guard
-    /// (caught here, so the caller keeps running). The shard is retired
-    /// lazily, on its next access. Tests and the chaos harness use this
-    /// to prove degraded shards never produce wrong verdicts.
-    pub fn poison_shard(&self, shard: usize) {
-        let lock = &self.shards[shard].buckets;
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = lock.write();
-            panic!("injected shard poison");
-        }));
-    }
-}
 
 /// The completed-request record the serving layer keeps for every
 /// request: the `(seed, index)` repro token, what was asked, how it
 /// ended, and what it cost. Spans are deliberately wall-clock-free —
 /// every field is deterministic for a given workload, so flight-
 /// recorder dumps can be diffed across runs; latency lives only in the
-/// server's `serve.latency_us` histogram, which is marked
+/// server's `serve.latency_ns` histogram, which is marked
 /// [`Determinism::WallClock`] and excluded from byte-identity checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestSpan {
@@ -373,9 +109,9 @@ pub struct RequestSpan {
     pub attempts: u32,
     /// Budget steps spent across all attempts.
     pub steps: u64,
-    /// Shared-memo hits observed during the request.
+    /// Table lookups the request answered from the shared memo.
     pub memo_hits: u64,
-    /// Shared-memo misses observed during the request.
+    /// Table lookups the request made that fell through to the search.
     pub memo_misses: u64,
 }
 
@@ -535,7 +271,7 @@ const MAX_AUTO_DUMPS: usize = 4;
 
 /// The server's metrics: registry-registered counters for every
 /// deterministic serving event, plus the one wall-clock series
-/// (`serve.latency_us`). Request handling bumps the cached [`Arc`]
+/// (`serve.latency_ns`). Request handling bumps the cached [`Arc`]
 /// handles directly — the registry's lock is only taken at
 /// registration and snapshot time.
 struct Telemetry {
@@ -548,10 +284,14 @@ struct Telemetry {
     shed: Arc<Counter>,
     retries: Arc<Counter>,
     steps: Arc<Counter>,
+    /// Table lookups made by requests, summed from their spans: the
+    /// table itself does not count lookups (see [`crate::memo`]).
+    memo_hits: Arc<Counter>,
+    memo_misses: Arc<Counter>,
     /// Checker entries that ran on the plan interpreter because their
     /// plan did not compile to bytecode.
     vm_fallback: Arc<Counter>,
-    latency_us: Arc<Log2Histogram>,
+    latency_ns: Arc<Log2Histogram>,
     /// Profile-guided replan passes run through [`Session::replan_hot`].
     replans: Arc<Counter>,
     /// Relations recompiled into a different plan across those passes.
@@ -573,8 +313,10 @@ impl Telemetry {
             shed: registry.counter("serve.shed", det),
             retries: registry.counter("serve.retries", det),
             steps: registry.counter("serve.steps", det),
+            memo_hits: registry.counter("memo.hits", det),
+            memo_misses: registry.counter("memo.misses", det),
             vm_fallback: registry.counter("vm.fallback", det),
-            latency_us: registry.histogram("serve.latency_us", Determinism::WallClock),
+            latency_ns: registry.histogram("serve.latency_ns", Determinism::WallClock),
             replans: registry.counter("plan.replans", det),
             relations_replanned: registry.counter("plan.relations_replanned", det),
             relations_kept: registry.counter("plan.relations_kept", det),
@@ -794,12 +536,19 @@ impl Server {
         }
     }
 
-    /// Combined serving counters: the shared table's counters plus the
-    /// request layer's `shed` and `retries`.
+    /// Combined serving counters: the shared table's counters, the
+    /// `hits` and `misses` of the lookups requests made (summed from
+    /// their [`RequestSpan`]s), and the request layer's `shed` and
+    /// `retries`. Lookups made outside a request — a direct
+    /// [`Library::check`] on a session's library, or a direct
+    /// [`SharedMemo::lookup`] — are not counted here.
     pub fn stats(&self) -> MemoStats {
+        let tel = &self.state.tel;
         MemoStats {
-            shed: self.state.tel.shed.value(),
-            retries: self.state.tel.retries.value(),
+            hits: tel.memo_hits.value(),
+            misses: tel.memo_misses.value(),
+            shed: tel.shed.value(),
+            retries: tel.retries.value(),
             ..self.state.memo.stats()
         }
     }
@@ -810,11 +559,12 @@ impl Server {
         &self.state.tel.registry
     }
 
-    /// One coherent metrics snapshot: every registry series plus the
-    /// shared table's counters (`memo.*`) and the instantaneous gauges
+    /// One coherent metrics snapshot: every registry series (request
+    /// lookups included as `memo.hits`/`memo.misses`) plus the shared
+    /// table's counters (`memo.*`) and the instantaneous gauges
     /// (`memo.entries`, `memo.degraded_shards`, `serve.inflight`) —
     /// all deterministic; the only wall-clock series is
-    /// `serve.latency_us`. Render with
+    /// `serve.latency_ns`. Render with
     /// [`MetricsSnapshot::to_json`] (schema `indrel.metrics/1`),
     /// [`MetricsSnapshot::deterministic_json`] (byte-comparable), or
     /// [`MetricsSnapshot::to_prometheus`].
@@ -822,8 +572,6 @@ impl Server {
         let mut snap = self.state.tel.registry.snapshot();
         let det = Determinism::Deterministic;
         let m = self.state.memo.stats();
-        snap.insert_counter("memo.hits", m.hits, det);
-        snap.insert_counter("memo.misses", m.misses, det);
         snap.insert_counter("memo.insertions", m.insertions, det);
         snap.insert_counter("memo.none_skipped", m.none_skipped, det);
         snap.insert_counter("memo.full_skipped", m.full_skipped, det);
@@ -1149,7 +897,8 @@ impl Session {
     }
 
     /// Books one completed request everywhere it is observed: the
-    /// deterministic registry counters, the wall-clock latency
+    /// deterministic registry counters (its memo lookups included), the
+    /// wall-clock latency
     /// histogram, this worker's flight-recorder ring, and (when a probe
     /// is armed) an [`Event::Request`].
     fn finish(&self, span: RequestSpan, started: Instant) {
@@ -1161,8 +910,10 @@ impl Session {
             tel.outcome(span.outcome).inc();
         }
         tel.steps.add(span.steps);
-        tel.latency_us
-            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        tel.memo_hits.add(span.memo_hits);
+        tel.memo_misses.add(span.memo_misses);
+        tel.latency_ns
+            .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         self.recorder.push(span);
         self.lib.probe(|| Event::Request {
             rel: span.rel,
@@ -1200,37 +951,14 @@ impl Session {
 mod tests {
     use super::*;
     use crate::library::LibraryBuilder;
+    use crate::memo::tests::silence_injected_panics;
     use indrel_producers::{ExecProbe, SearchStats};
     use indrel_rel::parse::parse_program;
     use indrel_rel::RelEnv;
-    use indrel_term::{CtorId, Universe};
-
-    /// Keeps the injected `poison_shard` panics out of test output
-    /// (other panics still print; `indrel_pbt` has the general version,
-    /// but core cannot depend on it).
-    fn silence_injected_panics() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|m| m.contains("injected shard poison"));
-                if !injected {
-                    prev(info);
-                }
-            }));
-        });
-    }
+    use indrel_term::Universe;
 
     fn rel() -> RelId {
         RelId::new(0)
-    }
-
-    fn tree(n: u64) -> Value {
-        Value::ctor(CtorId::new(1), vec![Value::nat(n)])
     }
 
     fn shared_even() -> (SharedLibrary, RelId) {
@@ -1267,69 +995,6 @@ mod tests {
         let mut b = LibraryBuilder::new(u, env);
         b.derive_checker(twin).unwrap();
         (b.build().shared(), twin)
-    }
-
-    #[test]
-    fn miss_insert_hit_and_dominance() {
-        let m = SharedMemo::new(8, 16);
-        let args = [tree(3), Value::nat(7)];
-        let fp = 0xDEAD_BEEF_u64;
-        assert_eq!(m.lookup(rel(), fp, &args, 5, 5), None);
-        m.insert(rel(), fp, &args, 5, 5, true);
-        // Structurally equal but physically fresh args hit.
-        let again = [tree(3), Value::nat(7)];
-        assert_eq!(m.lookup(rel(), fp, &again, 5, 5), Some(true));
-        assert_eq!(m.lookup(rel(), fp, &again, 9, 6), Some(true));
-        // Dominated fuels do not answer.
-        assert_eq!(m.lookup(rel(), fp, &again, 4, 5), None);
-        // A dominating insert widens in place: one entry, two inserts.
-        m.insert(rel(), fp, &args, 2, 2, true);
-        assert_eq!(m.lookup(rel(), fp, &again, 2, 2), Some(true));
-        let s = m.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.insertions, 2);
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 2);
-        // Colliding fingerprints are confirmed structurally.
-        let other = [tree(4), Value::nat(7)];
-        assert_eq!(m.lookup(rel(), fp, &other, 9, 9), None);
-    }
-
-    #[test]
-    fn shard_capacity_stops_admitting() {
-        let m = SharedMemo::new(1, 2);
-        for n in 0..4 {
-            m.insert(rel(), n, &[tree(n)], 5, 5, true);
-        }
-        let s = m.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.full_skipped, 2);
-        assert_eq!(m.lookup(rel(), 0, &[tree(0)], 5, 5), Some(true));
-    }
-
-    #[test]
-    fn poisoned_shard_degrades_and_the_rest_keep_serving() {
-        silence_injected_panics();
-        let m = SharedMemo::new(4, 16);
-        // Two fingerprints in different shards.
-        let (fp_a, mut fp_b) = (0u64, 1u64);
-        while m.shard_for(fp_a) == m.shard_for(fp_b) {
-            fp_b += 1;
-        }
-        m.insert(rel(), fp_a, &[tree(1)], 5, 5, true);
-        m.insert(rel(), fp_b, &[tree(2)], 5, 5, false);
-        m.poison_shard(m.shard_for(fp_a));
-        // The poisoned shard answers misses (fallback), once marked.
-        assert_eq!(m.lookup(rel(), fp_a, &[tree(1)], 5, 5), None);
-        assert_eq!(m.degraded_count(), 1);
-        // Inserts to it are swallowed; lookups stay misses.
-        m.insert(rel(), fp_a, &[tree(9)], 5, 5, true);
-        assert_eq!(m.lookup(rel(), fp_a, &[tree(9)], 5, 5), None);
-        // The other shard is untouched.
-        assert_eq!(m.lookup(rel(), fp_b, &[tree(2)], 5, 5), Some(false));
-        assert_eq!(m.stats().degraded_shards, 1);
-        assert_eq!(m.drain_degraded_events(), vec![m.shard_for(fp_a) as u32]);
-        assert!(m.drain_degraded_events().is_empty(), "drain is one-shot");
     }
 
     #[test]
@@ -1380,6 +1045,84 @@ mod tests {
         let session2 = server.session();
         session2.check_batch(even, 30, &batch);
         assert!(server.stats().hits > before, "second batch should hit");
+    }
+
+    #[test]
+    fn with_memo_cannot_detach_a_served_session() {
+        let (shared, even) = shared_even();
+        let server = Server::new(shared, ServeConfig::default(), Budget::unlimited());
+        let session = server.session();
+        let lib = session.library().clone().with_memo();
+        assert!(lib.memo_enabled());
+        assert_eq!(lib.check(even, 30, 30, &[Value::nat(20)]), Some(true));
+        // The verdict landed in the server's table, not a private one.
+        assert_eq!(server.memo().stats().entries, 1);
+        assert_eq!(lib.memo_stats().entries, 1);
+        // Likewise a second `with_shared_memo` keeps the first table.
+        let other = Arc::new(SharedMemo::new(1, 16));
+        let lib = lib.with_shared_memo(Arc::clone(&other));
+        lib.check(even, 30, 30, &[Value::nat(22)]);
+        assert_eq!(other.stats().entries, 0);
+        assert_eq!(server.memo().stats().entries, 2);
+    }
+
+    #[test]
+    fn served_memo_stats_pair_own_lookups_with_the_server_table() {
+        let (shared, even) = shared_even();
+        let server = Server::new(shared, ServeConfig::default(), Budget::unlimited());
+        let (first, second) = (server.session(), server.session());
+        let batch: Vec<Vec<Value>> = (10..20u64).map(|n| vec![Value::nat(n)]).collect();
+        first.check_batch(even, 30, &batch);
+        second.check_batch(even, 30, &batch);
+        let table = server.memo().stats();
+        let (a, b) = (first.library().memo_stats(), second.library().memo_stats());
+        for m in [a, b] {
+            assert_eq!(m.insertions, table.insertions);
+            assert_eq!(m.entries, table.entries);
+        }
+        // Each session reports only its own lookups: the first missed
+        // every tuple, the second hit every one.
+        assert_eq!((a.hits, a.misses), (0, 10));
+        assert_eq!((b.hits, b.misses), (10, 0));
+        let s = server.stats();
+        assert_eq!((s.hits, s.misses), (a.hits + b.hits, a.misses + b.misses));
+    }
+
+    #[test]
+    fn server_lookup_counts_are_the_sums_of_the_spans() {
+        let (shared, even) = shared_even();
+        let server = Server::new(
+            shared,
+            ServeConfig {
+                flight_recorder_capacity: 256,
+                ..ServeConfig::default()
+            },
+            Budget::unlimited(),
+        );
+        let sessions = [server.session(), server.session()];
+        for round in 0..3u64 {
+            for (i, session) in sessions.iter().enumerate() {
+                let batch: Vec<Vec<Value>> = (0..24u64)
+                    .map(|n| vec![Value::nat(n * (round + i as u64 + 1) % 40)])
+                    .collect();
+                session.check_batch(even, 40, &batch);
+            }
+        }
+        // Lookups outside a request are not the server's to count.
+        server.memo().lookup(even, 0, &[Value::nat(0)], 40, 40);
+        sessions[0].library().check(even, 40, 40, &[Value::nat(2)]);
+        let spans: Vec<RequestSpan> = sessions
+            .iter()
+            .flat_map(|s| {
+                assert_eq!(s.recorder().dropped(), 0, "the ring kept every span");
+                s.recorder().spans()
+            })
+            .collect();
+        assert_eq!(spans.len(), 2 * 3 * 24);
+        let s = server.stats();
+        assert_eq!(s.hits, spans.iter().map(|sp| sp.memo_hits).sum::<u64>());
+        assert_eq!(s.misses, spans.iter().map(|sp| sp.memo_misses).sum::<u64>());
+        assert!(s.hits > 0 && s.misses > 0, "{s}");
     }
 
     #[test]

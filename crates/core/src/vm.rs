@@ -44,10 +44,9 @@
 //! parameter): a *parity* loop that makes the budget charges, probe
 //! events, and memo-gate bookkeeping of the DESIGN.md opcode table, and
 //! a *fast* loop with every such site compiled out, entered only when
-//! no meter, probe, memo table, or shared serving table is armed — a
-//! state in which the bookkeeping is unobservable, so the two loops
-//! are indistinguishable except in speed. See
-//! [`Library::run_vm_search`] for the entry gate.
+//! no meter, probe, or verdict table is armed — a state in which the
+//! bookkeeping is unobservable, so the two loops are indistinguishable
+//! except in speed. See [`Library::run_vm_search`] for the entry gate.
 //!
 //! [`Env`]: indrel_term::Env
 
@@ -913,16 +912,16 @@ impl Library {
     /// monomorphized dispatch loops runs (the `PAR` const parameter of
     /// [`Library::vm_search`]):
     ///
-    /// * the **parity** loop — whenever a meter, probe, memo table, or
-    ///   shared serving table is armed — makes every budget charge,
-    ///   probe event, and `search_calls` bump the DESIGN.md opcode table
-    ///   specifies, with the armed meter resolved once here instead of
-    ///   one `RefCell` borrow per charge site;
-    /// * the **fast** loop — when none of the four is armed — compiles
+    /// * the **parity** loop — whenever a meter, probe, or verdict
+    ///   table is armed — makes every budget charge, probe event, and
+    ///   `search_calls` bump the DESIGN.md opcode table specifies, with
+    ///   the armed meter resolved once here instead of one `RefCell`
+    ///   borrow per charge site;
+    /// * the **fast** loop — when none of the three is armed — compiles
     ///   all of that bookkeeping out. Unobservable by construction:
     ///   with no meter every charge answers `true`, with no probe every
     ///   event is dropped, and `search_calls` feeds only the memo cost
-    ///   gates and probe-armed premise deltas, all of which are off.
+    ///   gate and probe-armed premise deltas, all of which are off.
     ///   None of the conditions can change mid-call — meters and probes
     ///   arm only between top-level calls.
     pub(crate) fn run_vm_search(
@@ -947,10 +946,7 @@ impl Library {
         let refs = &buf[..args.len().min(MAX_PREMISE_ARITY)];
         let mut frames = self.take_vm_frames();
         let meter = self.active_meter();
-        let fast = meter.is_none()
-            && !self.probe_armed()
-            && !self.inner.memo_enabled.get()
-            && self.inner.shared_memo.borrow().is_none();
+        let fast = meter.is_none() && !self.probe_armed() && self.inner.memo.get().is_none();
         let r = if fast {
             self.vm_search::<false>(chk, prog, &None, &mut frames, size, top, refs)
         } else {

@@ -674,12 +674,12 @@ mod tests {
         assert_eq!(a.value(), 2, "same cell under one name");
         reg.gauge("serve.inflight", Determinism::Deterministic)
             .set(3);
-        reg.histogram("serve.latency_us", Determinism::WallClock)
+        reg.histogram("serve.latency_ns", Determinism::WallClock)
             .record(150);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.requests"), Some(2));
         assert_eq!(snap.gauge("serve.inflight"), Some(3));
-        assert_eq!(snap.histogram("serve.latency_us").unwrap().count, 1);
+        assert_eq!(snap.histogram("serve.latency_ns").unwrap().count, 1);
     }
 
     #[test]
@@ -689,12 +689,12 @@ mod tests {
             .add(7);
         reg.counter("serve.memo.hits", Determinism::Deterministic)
             .add(4);
-        reg.histogram("serve.latency_us", Determinism::WallClock)
+        reg.histogram("serve.latency_ns", Determinism::WallClock)
             .record(99);
         let snap = reg.snapshot();
         let full = snap.to_json();
         assert!(full.starts_with(r#"{"schema":"indrel.metrics/1","deterministic":"#));
-        assert!(full.contains(r#""serve.latency_us":{"count":1"#), "{full}");
+        assert!(full.contains(r#""serve.latency_ns":{"count":1"#), "{full}");
         // Sorted keys: memo.hits before requests.
         let hits = full.find("serve.memo.hits").unwrap();
         let reqs = full.find("serve.requests").unwrap();
@@ -713,15 +713,15 @@ mod tests {
             .add(5);
         reg.gauge("serve.inflight", Determinism::Deterministic)
             .set(2);
-        let h = reg.histogram("serve.latency_us", Determinism::WallClock);
+        let h = reg.histogram("serve.latency_ns", Determinism::WallClock);
         h.record(3);
         h.record(12);
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("# TYPE serve_requests counter\nserve_requests 5\n"));
         assert!(text.contains("# TYPE serve_inflight gauge\nserve_inflight 2\n"));
-        assert!(text.contains("# TYPE serve_latency_us histogram\n"));
-        assert!(text.contains("serve_latency_us_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("serve_latency_us_sum 15\nserve_latency_us_count 2\n"));
+        assert!(text.contains("# TYPE serve_latency_ns histogram\n"));
+        assert!(text.contains("serve_latency_ns_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("serve_latency_ns_sum 15\nserve_latency_ns_count 2\n"));
     }
 
     #[test]
