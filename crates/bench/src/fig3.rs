@@ -327,22 +327,23 @@ fn case_json(t: &CaseTelemetry) -> String {
             p.stats.total_attempts(),
             p.stats.total_successes(),
             p.stats.total_unify_fails(),
-            p.stats.to_json()
+            p.stats.snapshot().deterministic_json()
         ));
     }
     s.push('}');
     s
 }
 
-/// The whole figure as one JSON document (`indrel.bench.fig3/1`):
+/// The whole figure as one JSON document (`indrel.bench.fig3/2`):
 /// per-case throughput, delta, and — when `stats_tests > 0` — the
-/// telemetry pass with runner accounting and full [`SearchStats`].
+/// telemetry pass with runner accounting and, as `search`, the
+/// [`SearchStats`] snapshot's deterministic `indrel.metrics/1` section.
 pub fn fig3_json(budget: Duration, stats_tests: u64) -> String {
     let checkers = checkers_telemetry(budget, stats_tests);
     let generators = generators_telemetry(budget, stats_tests);
     let join = |cases: &[CaseTelemetry]| cases.iter().map(case_json).collect::<Vec<_>>().join(",");
     format!(
-        "{{\"schema\":\"indrel.bench.fig3/1\",\"budget_ms\":{},\"stats_tests\":{},\
+        "{{\"schema\":\"indrel.bench.fig3/2\",\"budget_ms\":{},\"stats_tests\":{},\
          \"checkers\":[{}],\"generators\":[{}]}}",
         budget.as_millis(),
         stats_tests,
@@ -387,7 +388,7 @@ mod tests {
     #[test]
     fn fig3_json_has_schema_and_cases() {
         let j = fig3_json(Duration::from_millis(10), 20);
-        assert!(j.starts_with("{\"schema\":\"indrel.bench.fig3/1\""), "{j}");
+        assert!(j.starts_with("{\"schema\":\"indrel.bench.fig3/2\""), "{j}");
         for name in [
             "\"relation\":\"BST\"",
             "\"relation\":\"IFC\"",
@@ -396,6 +397,9 @@ mod tests {
             assert!(j.contains(name), "{j}");
         }
         assert!(j.contains("\"stats_pass\""), "{j}");
-        assert!(j.contains("\"search\""), "{j}");
+        assert!(
+            j.contains("\"search\":{\"schema\":\"indrel.metrics/1\""),
+            "{j}"
+        );
     }
 }

@@ -418,28 +418,6 @@ pub struct MemoStats {
     pub retries: u64,
 }
 
-impl MemoStats {
-    /// The counters as one JSON object with deterministically sorted
-    /// keys, matching the [`SearchStats`](indrel_producers::SearchStats)
-    /// / [`Budget`](indrel_producers::Budget) reporting idiom: no
-    /// timestamps, byte-identical across identical runs.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"degraded_shards\":{},\"entries\":{},\"full_skipped\":{},\"hits\":{},\
-             \"insertions\":{},\"misses\":{},\"none_skipped\":{},\"retries\":{},\"shed\":{}}}",
-            self.degraded_shards,
-            self.entries,
-            self.full_skipped,
-            self.hits,
-            self.insertions,
-            self.misses,
-            self.none_skipped,
-            self.retries,
-            self.shed,
-        )
-    }
-}
-
 impl std::fmt::Display for MemoStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -587,7 +565,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stats_json_keys_are_sorted_and_display_is_stable() {
+    fn stats_display_is_stable() {
         let s = MemoStats {
             hits: 2,
             misses: 1,
@@ -595,25 +573,6 @@ pub(crate) mod tests {
             entries: 1,
             ..MemoStats::default()
         };
-        let j = s.to_json();
-        let keys = [
-            "degraded_shards",
-            "entries",
-            "full_skipped",
-            "hits",
-            "insertions",
-            "misses",
-            "none_skipped",
-            "retries",
-            "shed",
-        ];
-        let mut at = 0;
-        for k in keys {
-            let pos = j.find(&format!("\"{k}\":")).expect(k);
-            assert!(pos >= at, "key {k} out of sorted order in {j}");
-            at = pos;
-        }
-        assert_eq!(j, s.to_json(), "rendering must be deterministic");
         let d = s.to_string();
         assert!(d.contains("2 hits / 1 misses, 1 insertions"), "{d}");
         assert!(!d.contains("serving:"), "zero serve counters stay silent");

@@ -65,7 +65,7 @@ pub use crate::memo::SharedMemo;
 use indrel_producers::probe::Event;
 use indrel_producers::{
     json_escape, Budget, BudgetPool, Counter, Determinism, Log2Histogram, MetricsRegistry,
-    MetricsSnapshot, RequestOutcome, SearchStats,
+    MetricsSnapshot, NameTable, RequestOutcome, SearchStats,
 };
 use indrel_term::{RelId, Value};
 use rand::rngs::SmallRng;
@@ -116,8 +116,8 @@ pub struct RequestSpan {
 }
 
 impl RequestSpan {
-    /// The span's fields as a JSON object body (no braces), so dumps
-    /// can prefix a `"worker"` coordinate without re-serializing.
+    /// The span's fields as a JSON object body (no braces), which a
+    /// flight-recorder dump line prefixes with a `"worker"` coordinate.
     fn fields(&self, rel_name: &str) -> String {
         format!(
             "\"seed\":{},\"index\":{},\"rel\":\"{}\",\"size\":{},\"outcome\":\"{}\",\
@@ -132,12 +132,6 @@ impl RequestSpan {
             self.memo_hits,
             self.memo_misses,
         )
-    }
-
-    /// Renders the span as one JSON line (the flight-recorder dump
-    /// format). All fields are deterministic; see the type docs.
-    pub fn to_json_line(&self, rel_name: &str) -> String {
-        format!("{{{}}}", self.fields(rel_name))
     }
 }
 
@@ -345,10 +339,10 @@ struct ServerState {
     config: ServeConfig,
     inflight: AtomicUsize,
     tel: Telemetry,
-    /// Relation names indexed by `RelId::index()`, snapshotted at
-    /// construction so dumps can render names without a `Library`
-    /// (sessions are not `Send`; the server is).
-    rel_names: Vec<String>,
+    /// The core's probe names, snapshotted at construction so dumps can
+    /// render names without a `Library` (sessions are not `Send`; the
+    /// server is).
+    names: NameTable,
     /// Every session's flight recorder, in creation order — worker
     /// index in dumps is the position here.
     recorders: Mutex<Vec<Arc<FlightRecorder>>>,
@@ -387,15 +381,6 @@ impl ServerState {
         }
     }
 
-    /// The name snapshot for `rel`, with the same fallback the probe
-    /// name table uses for unknown ids.
-    fn rel_name(&self, rel: RelId) -> String {
-        self.rel_names
-            .get(rel.index())
-            .cloned()
-            .unwrap_or_else(|| format!("rel#{}", rel.index()))
-    }
-
     /// One JSON-lines dump of every registered flight recorder: a
     /// header object (`{"dump":"flight_recorder","reason":…}`), then
     /// each retained span with its worker coordinate, oldest first.
@@ -414,7 +399,7 @@ impl ServerState {
                 out.push_str(&format!(
                     "{{\"worker\":{},{}}}\n",
                     worker,
-                    span.fields(&self.rel_name(span.rel))
+                    span.fields(&self.names.rel(span.rel))
                 ));
             }
         }
@@ -459,18 +444,9 @@ impl Server {
     /// (use [`Budget::unlimited`] for no global cap — per-request step
     /// allotments still apply).
     pub fn new(shared: SharedLibrary, config: ServeConfig, budget: Budget) -> Server {
-        // Snapshot relation names up front: sessions (which own a
-        // `Library`) are not `Send`, but the server and its dumps are.
-        let rel_names: Vec<String> = {
-            let lib = shared.fork();
-            let mut names: Vec<(usize, String)> = lib
-                .env()
-                .iter()
-                .map(|(id, r)| (id.index(), r.name().to_string()))
-                .collect();
-            names.sort_by_key(|(i, _)| *i);
-            names.into_iter().map(|(_, n)| n).collect()
-        };
+        // Snapshot names up front: sessions (which own a `Library`) are
+        // not `Send`, but the server and its dumps are.
+        let names = shared.fork().probe_names();
         Server {
             shared,
             state: Arc::new(ServerState {
@@ -479,7 +455,7 @@ impl Server {
                 config,
                 inflight: AtomicUsize::new(0),
                 tel: Telemetry::new(),
-                rel_names,
+                names,
                 recorders: Mutex::new(Vec::new()),
                 auto_dumps: Mutex::new(Vec::new()),
             }),
@@ -585,37 +561,18 @@ impl Server {
         snap
     }
 
-    /// [`Server::snapshot`] extended with the per-rule attribution an
-    /// armed [`SearchStats`] probe collected: for every attempted rule,
-    /// `rule.<rel>.<i>.{attempts,successes,backtracks}` counters, and
-    /// for every measured premise,
-    /// `premise.<rel>.<i>.<step>.{evals,cost,failures}` — the same data
+    /// [`Server::snapshot`] plus every series of
+    /// [`SearchStats::snapshot`]: the `search.*` totals and histograms,
+    /// and the per-rule (`rule.*`), per-premise (`premise.*`) and
+    /// unification-failure (`unify_fail.*`) attribution an armed probe
+    /// collected — the data
     /// [`Library::explain_with_stats`](crate::Library::explain_with_stats)
-    /// tabulates.
+    /// tabulates. Relations are named by the stats' own name table,
+    /// which [`Library::arm_probe`] installs.
     pub fn snapshot_with_stats(&self, stats: &SearchStats) -> MetricsSnapshot {
         let mut snap = self.snapshot();
-        let det = Determinism::Deterministic;
-        for (rel, rule, r) in stats.all_rule_stats() {
-            let name = self.rel_name(rel);
-            snap.insert_counter(&format!("rule.{name}.{rule}.attempts"), r.attempts, det);
-            snap.insert_counter(&format!("rule.{name}.{rule}.successes"), r.successes, det);
-            snap.insert_counter(&format!("rule.{name}.{rule}.backtracks"), r.backtracks, det);
-        }
-        for (rel, rule, step, p) in stats.all_premise_stats() {
-            let name = self.rel_name(rel);
-            snap.insert_counter(&format!("premise.{name}.{rule}.{step}.evals"), p.evals, det);
-            snap.insert_counter(&format!("premise.{name}.{rule}.{step}.cost"), p.cost, det);
-            snap.insert_counter(
-                &format!("premise.{name}.{rule}.{step}.failures"),
-                p.failures,
-                det,
-            );
-        }
+        snap.extend(stats.snapshot());
         snap
-    }
-
-    fn rel_name(&self, rel: RelId) -> String {
-        self.state.rel_name(rel)
     }
 
     /// Renders every session's flight-recorder ring as a JSON-lines
@@ -1273,6 +1230,23 @@ mod tests {
     }
 
     #[test]
+    fn flight_dump_span_line_is_golden() {
+        let (shared, even) = shared_even();
+        let server = Server::new(shared, ServeConfig::default(), Budget::unlimited());
+        let session = server.session();
+        session.check_batch(even, 10, &[vec![Value::nat(2)]]);
+        assert_eq!(
+            server.dump_flight_recorder(),
+            concat!(
+                "{\"dump\":\"flight_recorder\",\"reason\":\"explicit\",\"workers\":1}\n",
+                "{\"worker\":0,\"seed\":0,\"index\":0,\"rel\":\"even'\",\"size\":10,",
+                "\"outcome\":\"true\",\"attempts\":1,\"steps\":2,\"memo_hits\":0,",
+                "\"memo_misses\":1}\n"
+            )
+        );
+    }
+
+    #[test]
     fn shed_requests_span_without_double_counting() {
         let (shared, even) = shared_even();
         let server = Server::new(
@@ -1344,8 +1318,15 @@ mod tests {
             snap.counter("premise.even'.1.0.evals").unwrap_or(0) > 0,
             "recursive premise attributed:\n{snap}"
         );
-        // Request-level counters came along from the base snapshot.
+        // Request-level counters came along from the base snapshot, and
+        // the probe's own totals from the stats snapshot.
         assert_eq!(snap.counter("serve.requests"), Some(1));
+        assert_eq!(snap.counter("search.requests"), Some(1));
+        assert_eq!(
+            snap.counter("search.events"),
+            Some(stats.events()),
+            "{snap}"
+        );
     }
 
     #[test]

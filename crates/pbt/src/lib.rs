@@ -48,7 +48,7 @@ pub mod par;
 
 pub use par::Parallelism;
 
-use indrel_producers::{Budget, Exhaustion, Hist, Meter};
+use indrel_producers::{Budget, Exhaustion, HistogramSnapshot, Meter};
 use indrel_term::Value;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -200,7 +200,7 @@ pub struct RunReport {
     /// Distribution of generated input sizes (summed constructor nodes
     /// per tuple), over every successful generation — the generator's
     /// observable output distribution.
-    pub input_sizes: Hist,
+    pub input_sizes: HistogramSnapshot,
 }
 
 impl RunReport {
@@ -300,6 +300,13 @@ impl fmt::Display for RunReport {
         }
         write!(f, "  input sizes: {}", self.input_sizes)
     }
+}
+
+/// A generated tuple's size for [`RunReport::input_sizes`]: the summed
+/// [`Value::size`] of its values, saturating at `u64::MAX` as each
+/// value's size does.
+fn tuple_size(input: &[Value]) -> u64 {
+    input.iter().map(Value::size).fold(0, u64::saturating_add)
 }
 
 /// Throughput measurement (Figure 3's metric).
@@ -416,7 +423,7 @@ impl Runner {
         let mut failed: Option<(Vec<Value>, usize)> = None;
         let mut labels = Labels::default();
         let mut label_totals: BTreeMap<String, u64> = BTreeMap::new();
-        let mut input_sizes = Hist::default();
+        let mut input_sizes = HistogramSnapshot::default();
         let max_discards = if self.max_discards == 0 {
             10 * n
         } else {
@@ -450,7 +457,7 @@ impl Runner {
                     continue;
                 }
             };
-            input_sizes.record(input.iter().map(Value::size).sum());
+            input_sizes.record(tuple_size(&input));
             labels.current.clear();
             match catch_unwind(AssertUnwindSafe(|| property(&input, &mut labels))) {
                 Ok(TestOutcome::Pass) => {
@@ -785,8 +792,43 @@ mod tests {
     #[test]
     fn input_sizes_recorded_per_generated_tuple() {
         let r = Runner::new(5).run(10, |_, _| Some(vec![Value::nat(3)]), |_| TestOutcome::Pass);
-        assert_eq!(r.input_sizes.total(), 10);
-        assert_eq!(r.input_sizes.max(), Value::nat(3).size());
+        assert_eq!(r.input_sizes.count, 10);
+        assert_eq!(r.input_sizes.max, Value::nat(3).size());
+    }
+
+    #[test]
+    fn huge_inputs_never_panic_the_runner_or_its_report() {
+        // One input of 2^63 or more lands in the top log₂ bucket.
+        let r = Runner::new(1).run(
+            1,
+            |_, _| Some(vec![Value::nat(1 << 63)]),
+            |_| TestOutcome::Pass,
+        );
+        let s = r.to_string();
+        assert!(
+            s.ends_with(
+                "input sizes: 9223372036854775808-18446744073709551615:1 \
+                 (n=1, mean 9223372036854775808.0, max 9223372036854775808)"
+            ),
+            "{s}"
+        );
+        // A tuple's size saturates at u64::MAX, and the histogram's sum
+        // wraps rather than overflowing, on both engines.
+        let huge =
+            |_: u64, _: &mut dyn rand::RngCore| Some(vec![Value::nat(u64::MAX), Value::nat(1)]);
+        let seq = Runner::new(1).run(3, huge, |_| TestOutcome::Pass);
+        let par = Runner::new(1)
+            .with_parallelism(Parallelism::Fixed(2))
+            .run_par(3, || (huge, |_: &[Value]| TestOutcome::Pass));
+        for r in [seq, par] {
+            assert_eq!(r.passed, 3);
+            let s = r.to_string();
+            assert!(
+                s.contains("input sizes: 9223372036854775808-18446744073709551615:3 (n=3,"),
+                "{s}"
+            );
+            assert!(s.ends_with(", max 18446744073709551615)"), "{s}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! [`Budget`]: indrel_producers::Budget
 
 use crate::{panic_message, Crash, Labels, RunReport, Runner, Spent, TestOutcome};
-use indrel_producers::{BudgetPool, Hist};
+use indrel_producers::{BudgetPool, HistogramSnapshot};
 use indrel_term::Value;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -170,7 +170,7 @@ struct Chunk {
     /// stops at its first failure, so at most one per chunk.
     failure: Option<(u64, Vec<Value>)>,
     labels: BTreeMap<String, u64>,
-    input_sizes: Hist,
+    input_sizes: HistogramSnapshot,
     steps: u64,
     backtracks: u64,
 }
@@ -185,7 +185,7 @@ impl Chunk {
             first_crash: None,
             failure: None,
             labels: BTreeMap::new(),
-            input_sizes: Hist::default(),
+            input_sizes: HistogramSnapshot::default(),
             steps: 0,
             backtracks: 0,
         }
@@ -415,9 +415,7 @@ impl Runner {
                 }
                 Err(payload) => return Slot::Crash(None, panic_message(&*payload)),
             };
-            chunk
-                .input_sizes
-                .record(input.iter().map(Value::size).sum());
+            chunk.input_sizes.record(crate::tuple_size(&input));
             labels.current.clear();
             match catch_unwind(AssertUnwindSafe(|| property(&input, labels))) {
                 Ok(TestOutcome::Pass) => {
@@ -461,7 +459,7 @@ impl Runner {
         let mut first_crash: Option<Crash> = None;
         let mut failed_input: Option<Vec<Value>> = None;
         let mut labels: BTreeMap<String, u64> = BTreeMap::new();
-        let mut input_sizes = Hist::default();
+        let mut input_sizes = HistogramSnapshot::default();
         let mut steps = 0;
         let mut backtracks = 0;
         for c in included {

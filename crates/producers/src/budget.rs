@@ -47,19 +47,6 @@ impl std::fmt::Display for Resource {
     }
 }
 
-impl Resource {
-    /// A JSON string literal (quoted, machine-readable identifier —
-    /// `"steps"`, `"backtracks"`, `"term_size"`).
-    pub fn to_json(&self) -> String {
-        match self {
-            Resource::Steps => r#""steps""#,
-            Resource::Backtracks => r#""backtracks""#,
-            Resource::TermSize => r#""term_size""#,
-        }
-        .to_string()
-    }
-}
-
 /// Why a meter stopped admitting work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Exhaustion {
@@ -74,19 +61,6 @@ impl std::fmt::Display for Exhaustion {
         match self {
             Exhaustion::Budget(r) => write!(f, "{r} budget exhausted"),
             Exhaustion::Deadline => f.write_str("deadline exceeded"),
-        }
-    }
-}
-
-impl Exhaustion {
-    /// A JSON object tagging the cause:
-    /// `{"kind":"budget","resource":"steps"}` or `{"kind":"deadline"}`.
-    pub fn to_json(&self) -> String {
-        match self {
-            Exhaustion::Budget(r) => {
-                format!(r#"{{"kind":"budget","resource":{}}}"#, r.to_json())
-            }
-            Exhaustion::Deadline => r#"{"kind":"deadline"}"#.to_string(),
         }
     }
 }
@@ -151,22 +125,6 @@ impl Budget {
     /// True when no field imposes a limit.
     pub fn is_unlimited(&self) -> bool {
         *self == Budget::default()
-    }
-
-    /// A JSON object with one key per field; unlimited fields are
-    /// `null`, the deadline is in milliseconds.
-    pub fn to_json(&self) -> String {
-        fn opt(v: Option<u64>) -> String {
-            v.map_or_else(|| "null".to_string(), |v| v.to_string())
-        }
-        format!(
-            r#"{{"steps":{},"backtracks":{},"deadline_ms":{},"max_term_size":{}}}"#,
-            opt(self.steps),
-            opt(self.backtracks),
-            self.deadline
-                .map_or_else(|| "null".to_string(), |d| d.as_millis().to_string()),
-            opt(self.max_term_size)
-        )
     }
 }
 
@@ -686,43 +644,32 @@ mod tests {
     #[test]
     fn pool_accounting_is_exact_across_threads() {
         let pool = BudgetPool::new(Budget::unlimited().with_steps(10_000));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let pool = pool.clone();
-                scope.spawn(move || loop {
-                    let got = pool.draw_steps(64);
-                    if got == 0 {
-                        break;
-                    }
-                    // Pretend to consume half of each chunk.
-                    pool.return_steps(got - got.div_ceil(2));
-                });
-            }
+        let kept: u64 = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let pool = pool.clone();
+                    scope.spawn(move || {
+                        let mut kept = 0;
+                        loop {
+                            let got = pool.draw_steps(64);
+                            if got == 0 {
+                                return kept;
+                            }
+                            // Pretend to consume half of each chunk.
+                            kept += got.div_ceil(2);
+                            pool.return_steps(got - got.div_ceil(2));
+                        }
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
         });
         // Every drawn-and-kept unit is accounted for, none lost or
-        // double-counted, regardless of thread interleaving.
-        assert_eq!(pool.steps_used(), 10_000);
+        // double-counted, regardless of thread interleaving. The pool
+        // need not drain to its cap: a refused draw poisons it for good,
+        // so steps another worker returns afterwards stay unspent.
+        assert_eq!(pool.steps_used(), kept);
+        assert!(pool.steps_used() <= 10_000);
         assert!(pool.is_exhausted());
-    }
-
-    #[test]
-    fn budget_json_round_trippable_shapes() {
-        let b = Budget::unlimited()
-            .with_steps(10)
-            .with_deadline(Duration::from_millis(250));
-        assert_eq!(
-            b.to_json(),
-            r#"{"steps":10,"backtracks":null,"deadline_ms":250,"max_term_size":null}"#
-        );
-        assert_eq!(
-            Budget::unlimited().to_json(),
-            r#"{"steps":null,"backtracks":null,"deadline_ms":null,"max_term_size":null}"#
-        );
-        assert_eq!(Resource::TermSize.to_json(), r#""term_size""#);
-        assert_eq!(
-            Exhaustion::Budget(Resource::Backtracks).to_json(),
-            r#"{"kind":"budget","resource":"backtracks"}"#
-        );
-        assert_eq!(Exhaustion::Deadline.to_json(), r#"{"kind":"deadline"}"#);
     }
 }

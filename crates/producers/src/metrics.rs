@@ -12,13 +12,14 @@
 //!   one relaxed `fetch_add` per bump);
 //! * [`Gauge`] — a point-in-time level (in-flight requests, table
 //!   entries), a single atomic cell;
-//! * [`Log2Histogram`] — the atomic, shareable counterpart of the
-//!   probe layer's [`Hist`](crate::probe::Hist): power-of-two buckets
-//!   (bucket 0 holds the value 0, bucket `b > 0` holds
-//!   `[2^(b-1), 2^b)`), plus count/sum/max and bucket-interpolated
-//!   [`quantile`](Log2Histogram::quantile) estimates — the one
-//!   latency-percentile implementation shared by the runtime and the
-//!   serve benchmark.
+//! * [`Log2Histogram`] — an atomic, shareable histogram with
+//!   power-of-two buckets (bucket 0 holds the value 0, bucket `b > 0`
+//!   holds `[2^(b-1), 2^b)`), plus count/sum/max and
+//!   bucket-interpolated [`quantile`](Log2Histogram::quantile)
+//!   estimates — the one latency-percentile implementation shared by
+//!   the runtime and the serve benchmark. Its frozen form,
+//!   [`HistogramSnapshot`], is also the single-owner histogram the
+//!   probes and the PBT runner record into.
 //!
 //! Every metric is registered with a [`Determinism`] class. The repo's
 //! standing invariant is that exports are byte-identical across runs
@@ -29,7 +30,9 @@
 //! [`MetricsSnapshot::deterministic_json`] — the form byte-identity
 //! tests compare — omits the wall-clock section entirely.
 //! [`MetricsSnapshot::to_prometheus`] renders the conventional text
-//! exposition for scraping.
+//! exposition for scraping. A snapshot is the one export format for
+//! aggregate telemetry: the search probe renders its counters as one
+//! too ([`SearchStats::snapshot`](crate::probe::SearchStats::snapshot)).
 //!
 //! Registration takes a `Mutex` (cold path, once per metric name);
 //! the returned `Arc` handles are what the hot path touches.
@@ -37,9 +40,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 
-use crate::probe::json_escape;
+use crate::probe::{json_escape, lock};
 
 /// Whether a metric's value is a pure function of the workload (and so
 /// participates in byte-identity checks) or depends on wall-clock time.
@@ -173,9 +176,7 @@ impl Gauge {
 /// Bucket count: bit lengths 0..=64 cover every `u64`.
 const HIST_BUCKETS: usize = 65;
 
-/// The bucket index for a sample: its bit length — the same bucketing
-/// as the probe layer's [`Hist`](crate::probe::Hist), so the two
-/// render comparably.
+/// The bucket index for a sample: its bit length.
 #[inline]
 fn bucket(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -257,8 +258,13 @@ impl Log2Histogram {
     }
 }
 
-/// A frozen [`Log2Histogram`]: what snapshots and exports carry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A frozen [`Log2Histogram`]: what snapshots and exports carry. It
+/// is also a plain single-owner histogram: [`record`](Self::record)
+/// and [`merge`](Self::merge) build one without atomics. Equality and
+/// every rendering ignore trailing empty buckets, so a histogram built
+/// with `record` equals a [`Log2Histogram::snapshot`] of the same
+/// samples.
+#[derive(Clone, Debug, Default)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
     /// Samples recorded.
@@ -270,6 +276,45 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one sample as [`Log2Histogram::record`] does; the sum
+    /// wraps on overflow like that method's `fetch_add`.
+    pub fn record(&mut self, v: u64) {
+        let b = bucket(v);
+        if self.buckets.len() <= b {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Folds another histogram into this one: bucket counts and counts
+    /// add, sums add as [`record`](Self::record) does, maxima take the
+    /// larger. Merging is associative and commutative, so per-worker
+    /// histograms combine into the same aggregate in any merge order.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (c, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The buckets up to the last non-empty one.
+    fn used_buckets(&self) -> &[u64] {
+        let len = self
+            .buckets
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |b| b + 1);
+        &self.buckets[..len]
+    }
+
     /// Non-empty buckets as `(lo, hi, count)`, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
         self.buckets
@@ -318,8 +363,7 @@ impl HistogramSnapshot {
         self.max as f64
     }
 
-    /// Deterministic JSON: totals plus the non-empty buckets, the same
-    /// shape as [`Hist::to_json`](crate::probe::Hist::to_json).
+    /// Deterministic JSON: totals plus the non-empty buckets.
     pub fn to_json(&self) -> String {
         let buckets: Vec<String> = self
             .nonzero_buckets()
@@ -336,11 +380,42 @@ impl HistogramSnapshot {
     }
 }
 
-// Registration is rare and idempotent; a poisoned registry lock only
-// means some other registrant panicked mid-insert, which BTreeMap
-// survives, so keep reading.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+impl PartialEq for HistogramSnapshot {
+    fn eq(&self, other: &HistogramSnapshot) -> bool {
+        (self.count, self.sum, self.max) == (other.count, other.sum, other.max)
+            && self.used_buckets() == other.used_buckets()
+    }
+}
+
+impl Eq for HistogramSnapshot {}
+
+/// `(empty)`, or the non-empty buckets as `lo-hi:count` (`lo:count`
+/// for one-value buckets) followed by `(n=…, mean …, max …)`.
+impl fmt::Display for HistogramSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.count == 0 {
+            return f.write_str("(empty)");
+        }
+        let parts: Vec<String> = self
+            .nonzero_buckets()
+            .into_iter()
+            .map(|(lo, hi, c)| {
+                if lo == hi {
+                    format!("{lo}:{c}")
+                } else {
+                    format!("{lo}-{hi}:{c}")
+                }
+            })
+            .collect();
+        write!(
+            f,
+            "{} (n={}, mean {:.1}, max {})",
+            parts.join(" "),
+            self.count,
+            self.mean(),
+            self.max
+        )
+    }
 }
 
 #[derive(Default)]
@@ -425,9 +500,10 @@ impl fmt::Debug for MetricsRegistry {
 }
 
 /// A frozen, export-ready view of a registry (plus anything the caller
-/// merges in with the `insert_*` methods — the server folds scraped
-/// `MemoStats` and per-rule `SearchStats` totals into its snapshots
-/// this way, so one document carries the whole picture).
+/// merges in with the `insert_*` methods or [`extend`](Self::extend) —
+/// the server folds its table's counters and a `SearchStats` snapshot
+/// into its snapshots this way, so one document carries the whole
+/// picture).
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, (u64, Determinism)>,
@@ -454,6 +530,13 @@ impl MetricsSnapshot {
     /// Adds (or replaces) a histogram.
     pub fn insert_histogram(&mut self, name: &str, h: HistogramSnapshot, det: Determinism) {
         self.histograms.insert(name.to_string(), (h, det));
+    }
+
+    /// Adds every series of `other`, replacing same-named ones.
+    pub fn extend(&mut self, other: MetricsSnapshot) {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
     }
 
     /// Reads back a counter by name.
@@ -649,6 +732,59 @@ mod tests {
     }
 
     #[test]
+    fn recorded_histogram_equals_atomic_snapshot() {
+        let samples = [0, 0, 1, 2, 3, 4, 7, 8, 100, u64::MAX, u64::MAX];
+        let atomic = Log2Histogram::new();
+        let mut owned = HistogramSnapshot::default();
+        assert_eq!(owned, atomic.snapshot(), "empty equals empty");
+        assert_eq!(owned.to_string(), "(empty)");
+        for v in samples {
+            atomic.record(v);
+            owned.record(v);
+        }
+        // Both sums wrap identically past u64::MAX.
+        assert_eq!(owned, atomic.snapshot());
+        assert_eq!(owned.to_json(), atomic.snapshot().to_json());
+        assert_eq!(owned.to_string(), atomic.snapshot().to_string());
+        assert_eq!(owned.count, 11);
+        assert_eq!(
+            owned.nonzero_buckets().last(),
+            Some(&(1 << 63, u64::MAX, 2)),
+            "the top bucket's range does not overflow"
+        );
+        assert_eq!(
+            owned.to_string(),
+            "0:2 1:1 2-3:2 4-7:2 8-15:1 64-127:1 9223372036854775808-18446744073709551615:2 \
+             (n=11, mean 11.2, max 18446744073709551615)"
+        );
+    }
+
+    #[test]
+    fn histogram_merge_is_associative() {
+        let hist = |samples: &[u64]| {
+            let mut h = HistogramSnapshot::default();
+            for &v in samples {
+                h.record(v);
+            }
+            h
+        };
+        let (a, b, c) = (hist(&[0, 1, 2]), hist(&[3, 100]), hist(&[7]));
+        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
+        let mut ab_c = a.clone();
+        ab_c.merge(&b);
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a.clone();
+        a_bc.merge(&bc);
+        assert_eq!(ab_c, a_bc);
+        assert_eq!(ab_c, hist(&[0, 1, 2, 3, 100, 7]));
+        assert_eq!(ab_c.count, 6);
+        assert_eq!(ab_c.max, 100);
+        assert_eq!(ab_c.to_json(), a_bc.to_json());
+    }
+
+    #[test]
     fn quantiles_interpolate_and_clamp() {
         let h = Log2Histogram::new();
         assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
@@ -722,6 +858,85 @@ mod tests {
         assert!(text.contains("# TYPE serve_latency_ns histogram\n"));
         assert!(text.contains("serve_latency_ns_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("serve_latency_ns_sum 15\nserve_latency_ns_count 2\n"));
+    }
+
+    /// One counter, one gauge and one histogram in each determinism
+    /// class: the fixture the golden-byte tests render.
+    fn golden_snapshot() -> MetricsSnapshot {
+        let (det, wall) = (Determinism::Deterministic, Determinism::WallClock);
+        let hist = |samples: &[u64]| {
+            let h = Log2Histogram::new();
+            for &v in samples {
+                h.record(v);
+            }
+            h.snapshot()
+        };
+        let mut snap = MetricsSnapshot::new();
+        snap.insert_counter("search.events", 42, det);
+        snap.insert_counter("bench.wall_ms", 7, wall);
+        snap.insert_gauge("memo.entries", 3, det);
+        snap.insert_gauge("serve.inflight_peak", 2, wall);
+        snap.insert_histogram("search.depth", hist(&[0, 3, 12]), det);
+        snap.insert_histogram("serve.latency_ns", hist(&[150, 900]), wall);
+        snap
+    }
+
+    const GOLDEN_DETERMINISTIC: &str = concat!(
+        r#"{"counters":{"search.events":42},"gauges":{"memo.entries":3},"#,
+        r#""histograms":{"search.depth":{"count":3,"sum":15,"max":12,"buckets":["#,
+        r#"{"lo":0,"hi":0,"count":1},{"lo":2,"hi":3,"count":1},{"lo":8,"hi":15,"count":1}]}}}"#
+    );
+
+    const GOLDEN_WALL_CLOCK: &str = concat!(
+        r#"{"counters":{"bench.wall_ms":7},"gauges":{"serve.inflight_peak":2},"#,
+        r#""histograms":{"serve.latency_ns":{"count":2,"sum":1050,"max":900,"buckets":["#,
+        r#"{"lo":128,"hi":255,"count":1},{"lo":512,"hi":1023,"count":1}]}}}"#
+    );
+
+    #[test]
+    fn golden_to_json() {
+        assert_eq!(
+            golden_snapshot().to_json(),
+            format!(
+                r#"{{"schema":"indrel.metrics/1","deterministic":{GOLDEN_DETERMINISTIC},"wall_clock":{GOLDEN_WALL_CLOCK}}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn golden_deterministic_json() {
+        assert_eq!(
+            golden_snapshot().deterministic_json(),
+            format!(r#"{{"schema":"indrel.metrics/1","deterministic":{GOLDEN_DETERMINISTIC}}}"#)
+        );
+    }
+
+    #[test]
+    fn golden_to_prometheus() {
+        let want = "\
+# TYPE bench_wall_ms counter
+bench_wall_ms 7
+# TYPE search_events counter
+search_events 42
+# TYPE memo_entries gauge
+memo_entries 3
+# TYPE serve_inflight_peak gauge
+serve_inflight_peak 2
+# TYPE search_depth histogram
+search_depth_bucket{le=\"0\"} 1
+search_depth_bucket{le=\"3\"} 2
+search_depth_bucket{le=\"15\"} 3
+search_depth_bucket{le=\"+Inf\"} 3
+search_depth_sum 15
+search_depth_count 3
+# TYPE serve_latency_ns histogram
+serve_latency_ns_bucket{le=\"255\"} 1
+serve_latency_ns_bucket{le=\"1023\"} 2
+serve_latency_ns_bucket{le=\"+Inf\"} 2
+serve_latency_ns_sum 1050
+serve_latency_ns_count 2
+";
+        assert_eq!(golden_snapshot().to_prometheus(), want);
     }
 
     #[test]

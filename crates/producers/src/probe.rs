@@ -14,8 +14,9 @@
 //!
 //! * [`SearchStats`] — per-rule attempt/success/backtrack counters,
 //!   choice-point-depth and produced-term-size histograms, and
-//!   unification-failure sites, with a human-readable [`Display`] table
-//!   and a deterministic, `serde`-free [`SearchStats::to_json`];
+//!   unification-failure sites, with a human-readable [`Display`] table;
+//!   [`SearchStats::snapshot`] exports the same counters as a
+//!   [`MetricsSnapshot`], the one export format for aggregate telemetry;
 //! * [`TraceProbe`] — a bounded ring buffer of raw events, dumpable as
 //!   JSON lines for post-mortem "why did this check return `None` /
 //!   why is this generator slow" debugging.
@@ -27,6 +28,7 @@
 //! [`Meter`]: crate::budget::Meter
 //! [`Display`]: std::fmt::Display
 
+use crate::metrics::{Determinism, HistogramSnapshot, MetricsSnapshot};
 use indrel_term::RelId;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -274,9 +276,10 @@ impl NameTable {
 }
 
 // Probe sinks tolerate panics in instrumented executors (the PBT layer
-// isolates them with `catch_unwind`): stats updates never leave a sink
-// in a torn state, so a poisoned lock is safe to keep reading.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+// isolates them with `catch_unwind`), and a panicking metric registrant
+// leaves the registry's maps whole: no update leaves a torn state, so a
+// poisoned lock is safe to keep reading.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -298,133 +301,6 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// A histogram over `u64` samples with power-of-two buckets: bucket 0
-/// holds the value 0, bucket `b > 0` holds `[2^(b-1), 2^b)`. Compact,
-/// deterministic, and resolution-matched to term sizes and search
-/// depths.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Hist {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-/// The bucket index for a sample: its bit length.
-fn bucket(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
-/// The inclusive `[lo, hi]` range of bucket `b`.
-fn bucket_range(b: usize) -> (u64, u64) {
-    if b == 0 {
-        (0, 0)
-    } else {
-        (1 << (b - 1), (1u64 << b) - 1)
-    }
-}
-
-impl Hist {
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let b = bucket(v);
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-        self.total += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest sample recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum as f64 / self.total as f64
-    }
-
-    /// Folds another histogram into this one: bucket counts, totals,
-    /// and sums add; maxima take the larger. Merging is associative and
-    /// commutative, so per-worker histograms combine into the same
-    /// aggregate regardless of merge order.
-    pub fn merge(&mut self, other: &Hist) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lo, hi, count)`, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(b, c)| {
-                let (lo, hi) = bucket_range(b);
-                (lo, hi, *c)
-            })
-            .collect()
-    }
-
-    /// Deterministic JSON: totals plus the non-empty buckets.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| format!(r#"{{"lo":{lo},"hi":{hi},"count":{c}}}"#))
-            .collect();
-        format!(
-            r#"{{"total":{},"sum":{},"max":{},"buckets":[{}]}}"#,
-            self.total,
-            self.sum,
-            self.max,
-            buckets.join(",")
-        )
-    }
-}
-
-impl fmt::Display for Hist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.total == 0 {
-            return f.write_str("(empty)");
-        }
-        let parts: Vec<String> = self
-            .buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| {
-                if lo == hi {
-                    format!("{lo}:{c}")
-                } else {
-                    format!("{lo}-{hi}:{c}")
-                }
-            })
-            .collect();
-        write!(
-            f,
-            "{} (n={}, mean {:.1}, max {})",
-            parts.join(" "),
-            self.total,
-            self.mean(),
-            self.max
-        )
-    }
 }
 
 /// Per-rule counters accumulated by [`SearchStats`].
@@ -485,8 +361,8 @@ struct StatsState {
     premises: BTreeMap<(u32, u32, u32), PremiseStats>,
     /// Executor entries per [`ExecKind`] (indexed by discriminant).
     enters: [u64; 3],
-    depths: Hist,
-    term_sizes: Hist,
+    depths: HistogramSnapshot,
+    term_sizes: HistogramSnapshot,
     events: u64,
     memo_hits: u64,
     memo_misses: u64,
@@ -506,7 +382,7 @@ struct StatsState {
 
 /// An aggregating probe: counters and histograms over the whole search,
 /// with a [`Display`](fmt::Display) table and a deterministic
-/// [`SearchStats::to_json`]. Clones share state (`Arc<Mutex>`, so the
+/// [`SearchStats::snapshot`]. Clones share state (`Arc<Mutex>`, so the
 /// sink is `Send + Sync`): keep a handle and read it after the armed
 /// run finishes. For parallel runs, give each worker its own
 /// accumulator and fold them together with [`SearchStats::merge_from`]
@@ -737,18 +613,6 @@ impl SearchStats {
         lock(&self.state).premises.values().map(|p| p.cost).sum()
     }
 
-    /// All per-rule counters, as `(rel, rule, stats)` in deterministic
-    /// `(rel, rule)` order — the bulk form of
-    /// [`SearchStats::rule_stats`], used to fold rule counters into a
-    /// metrics snapshot.
-    pub fn all_rule_stats(&self) -> Vec<(RelId, u32, RuleStats)> {
-        lock(&self.state)
-            .rules
-            .iter()
-            .map(|((rel, rule), r)| (RelId::new(*rel as usize), *rule, *r))
-            .collect()
-    }
-
     /// All premise counters, as `(rel, rule, step, stats)` in
     /// deterministic `(rel, rule, step)` order — the bulk form of
     /// [`SearchStats::premise_stats`].
@@ -770,12 +634,12 @@ impl SearchStats {
     }
 
     /// The choice-point-depth histogram.
-    pub fn depth_hist(&self) -> Hist {
+    pub fn depth_hist(&self) -> HistogramSnapshot {
         lock(&self.state).depths.clone()
     }
 
     /// The produced-term-size histogram.
-    pub fn term_size_hist(&self) -> Hist {
+    pub fn term_size_hist(&self) -> HistogramSnapshot {
         lock(&self.state).term_sizes.clone()
     }
 
@@ -804,88 +668,62 @@ impl SearchStats {
             .collect()
     }
 
-    /// Deterministic, `serde`-free JSON: every map is ordered, no
-    /// timestamps — two runs with the same seed and budget produce
-    /// byte-identical output.
-    pub fn to_json(&self) -> String {
+    /// Every counter and both histograms as a [`MetricsSnapshot`], all
+    /// [`Determinism::Deterministic`]: the same workload gives
+    /// byte-identical [`MetricsSnapshot::deterministic_json`]. Series
+    /// name relations through the installed [`NameTable`] and rules by
+    /// handler index:
+    ///
+    /// * `search.events`, `search.enters.{checker,enumerator,generator}`
+    ///   and `search.{memo_hits,memo_misses,index_skipped,requests,shed,
+    ///   retries,shards_degraded,replans}`, present even when 0;
+    /// * `rule.<rel>.<i>.{attempts,successes,backtracks}`;
+    /// * `premise.<rel>.<i>.<step>.{evals,cost,failures}`;
+    /// * `unify_fail.<rel>.<i>.<site>`, `site` being `inputs` or `stepN`;
+    /// * the histograms `search.depth` and `search.term_size`.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let s = lock(&self.state);
-        let rules: Vec<String> = s
-            .rules
-            .iter()
-            .map(|((rel, rule), r)| {
-                let id = RelId::new(*rel as usize);
-                format!(
-                    r#"{{"rel":"{}","rule":"{}","attempts":{},"successes":{},"backtracks":{}}}"#,
-                    json_escape(&s.names.rel(id)),
-                    json_escape(&s.names.rule(id, *rule)),
-                    r.attempts,
-                    r.successes,
-                    r.backtracks
-                )
-            })
-            .collect();
-        let fails: Vec<String> = s
-            .fails
-            .iter()
-            .map(|((rel, rule, site), count)| {
-                let id = RelId::new(*rel as usize);
-                format!(
-                    r#"{{"rel":"{}","rule":"{}","site":"{}","count":{}}}"#,
-                    json_escape(&s.names.rel(id)),
-                    json_escape(&s.names.rule(id, *rule)),
-                    site,
-                    count
-                )
-            })
-            .collect();
-        let premises: Vec<String> = s
-            .premises
-            .iter()
-            .map(|((rel, rule, step), p)| {
-                let id = RelId::new(*rel as usize);
-                format!(
-                    r#"{{"rel":"{}","rule":"{}","step":{},"evals":{},"cost":{},"failures":{}}}"#,
-                    json_escape(&s.names.rel(id)),
-                    json_escape(&s.names.rule(id, *rule)),
-                    step,
-                    p.evals,
-                    p.cost,
-                    p.failures
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                r#"{{"events":{},"#,
-                r#""enters":{{"checker":{},"enumerator":{},"generator":{}}},"#,
-                r#""memo":{{"hits":{},"misses":{}}},"#,
-                r#""index_skipped":{},"#,
-                r#""serve":{{"requests":{},"retries":{},"shards_degraded":{},"shed":{}}},"#,
-                r#""plan":{{"replans":{}}},"#,
-                r#""rules":[{}],"#,
-                r#""unify_fails":[{}],"#,
-                r#""premises":[{}],"#,
-                r#""depth":{},"#,
-                r#""term_size":{}}}"#
-            ),
-            s.events,
-            s.enters[ExecKind::Checker as usize],
-            s.enters[ExecKind::Enumerator as usize],
-            s.enters[ExecKind::Generator as usize],
-            s.memo_hits,
-            s.memo_misses,
-            s.index_skipped,
-            s.requests,
-            s.retries,
-            s.shards_degraded,
-            s.shed,
-            s.replans,
-            rules.join(","),
-            fails.join(","),
-            premises.join(","),
-            s.depths.to_json(),
-            s.term_sizes.to_json()
-        )
+        let det = Determinism::Deterministic;
+        let mut snap = MetricsSnapshot::new();
+        let mut counter = |name: String, v: u64| snap.insert_counter(&name, v, det);
+        counter("search.events".into(), s.events);
+        for kind in [ExecKind::Checker, ExecKind::Enumerator, ExecKind::Generator] {
+            counter(
+                format!("search.enters.{}", kind.label()),
+                s.enters[kind as usize],
+            );
+        }
+        for (name, v) in [
+            ("memo_hits", s.memo_hits),
+            ("memo_misses", s.memo_misses),
+            ("index_skipped", s.index_skipped),
+            ("requests", s.requests),
+            ("shed", s.shed),
+            ("retries", s.retries),
+            ("shards_degraded", s.shards_degraded),
+            ("replans", s.replans),
+        ] {
+            counter(format!("search.{name}"), v);
+        }
+        let rel = |r: u32| s.names.rel(RelId::new(r as usize));
+        for ((r, rule), st) in &s.rules {
+            let at = format!("rule.{}.{rule}", rel(*r));
+            counter(format!("{at}.attempts"), st.attempts);
+            counter(format!("{at}.successes"), st.successes);
+            counter(format!("{at}.backtracks"), st.backtracks);
+        }
+        for ((r, rule, step), p) in &s.premises {
+            let at = format!("premise.{}.{rule}.{step}", rel(*r));
+            counter(format!("{at}.evals"), p.evals);
+            counter(format!("{at}.cost"), p.cost);
+            counter(format!("{at}.failures"), p.failures);
+        }
+        for ((r, rule, site), n) in &s.fails {
+            counter(format!("unify_fail.{}.{rule}.{site}", rel(*r)), *n);
+        }
+        snap.insert_histogram("search.depth", s.depths.clone(), det);
+        snap.insert_histogram("search.term_size", s.term_sizes.clone(), det);
+        snap
     }
 }
 
@@ -1043,7 +881,9 @@ impl TraceProbe {
     }
 
     /// The buffered events as JSON lines (one object per line, oldest
-    /// first), for post-mortem analysis with ordinary line tools.
+    /// first), for post-mortem analysis with ordinary line tools. Every
+    /// line carries its `seq`, and the first buffered `seq` equals the
+    /// number of evicted events, so a truncated dump shows itself.
     pub fn to_json_lines(&self) -> String {
         let s = lock(&self.state);
         let mut out = String::new();
@@ -1052,26 +892,6 @@ impl TraceProbe {
             out.push('\n');
         }
         out
-    }
-
-    /// The whole ring as one JSON object — ring bookkeeping (capacity,
-    /// eviction count, next sequence number) plus the buffered events,
-    /// keys in sorted order. Use [`to_json_lines`](Self::to_json_lines)
-    /// when line tools are the consumer.
-    pub fn to_json(&self) -> String {
-        let s = lock(&self.state);
-        let events: Vec<String> = s
-            .buf
-            .iter()
-            .map(|(seq, e)| event_json(*seq, e, &s.names))
-            .collect();
-        format!(
-            r#"{{"capacity":{},"dropped":{},"events":[{}],"next_seq":{}}}"#,
-            s.capacity,
-            s.dropped,
-            events.join(","),
-            s.next_seq
-        )
     }
 }
 
@@ -1247,31 +1067,6 @@ mod tests {
     }
 
     #[test]
-    fn hist_buckets_are_powers_of_two() {
-        let mut h = Hist::default();
-        for v in [0, 0, 1, 2, 3, 4, 7, 8, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 9);
-        assert_eq!(h.max(), 100);
-        assert_eq!(
-            h.buckets(),
-            vec![
-                (0, 0, 2),
-                (1, 1, 1),
-                (2, 3, 2),
-                (4, 7, 2),
-                (8, 15, 1),
-                (64, 127, 1)
-            ]
-        );
-        assert!(h
-            .to_json()
-            .starts_with(r#"{"total":9,"sum":125,"max":100,"#));
-        assert_eq!(format!("{}", Hist::default()), "(empty)");
-    }
-
-    #[test]
     fn stats_accumulate_and_export_deterministically() {
         let stats = SearchStats::new();
         stats.set_names(names());
@@ -1309,14 +1104,195 @@ mod tests {
             stats.top_fail_sites(3),
             vec![("bst.bst_leaf[inputs]".into(), 1)]
         );
-        let json = stats.to_json();
-        assert!(json.contains(r#""rel":"bst","rule":"bst_node","attempts":1,"successes":1"#));
-        assert!(json.contains(r#""site":"inputs","count":1"#));
-        assert!(json.contains(r#""memo":{"hits":2,"misses":1},"index_skipped":3"#));
-        assert_eq!(json, stats.to_json(), "export is stable");
+        let snap = stats.snapshot();
+        assert_eq!(snap.counter("rule.bst.1.attempts"), Some(1));
+        assert_eq!(snap.counter("rule.bst.1.successes"), Some(1));
+        assert_eq!(snap.counter("unify_fail.bst.0.inputs"), Some(1));
+        assert_eq!(snap.counter("search.memo_hits"), Some(2));
+        assert_eq!(snap.counter("search.memo_misses"), Some(1));
+        assert_eq!(snap.counter("search.index_skipped"), Some(3));
+        assert_eq!(
+            snap.deterministic_json(),
+            stats.snapshot().deterministic_json(),
+            "export is stable"
+        );
         let table = stats.to_string();
         assert!(table.contains("bst.bst_node"));
         assert!(table.contains("top unification failures"));
+    }
+
+    /// At least one event of every [`Event`] variant, several counters
+    /// hit more than once, and samples in both histograms.
+    fn every_variant() -> Vec<Event> {
+        let rel = RelId::new(0);
+        vec![
+            Event::Enter {
+                rel,
+                kind: ExecKind::Checker,
+                depth: 0,
+            },
+            Event::Enter {
+                rel,
+                kind: ExecKind::Checker,
+                depth: 3,
+            },
+            Event::Enter {
+                rel,
+                kind: ExecKind::Enumerator,
+                depth: 1,
+            },
+            Event::Enter {
+                rel,
+                kind: ExecKind::Generator,
+                depth: 12,
+            },
+            Event::RuleAttempt { rel, rule: 0 },
+            Event::UnifyFail {
+                rel,
+                rule: 0,
+                site: FailSite::Inputs,
+            },
+            Event::Backtrack { rel, rule: 0 },
+            Event::RuleAttempt { rel, rule: 1 },
+            Event::UnifyFail {
+                rel,
+                rule: 1,
+                site: FailSite::Step(2),
+            },
+            Event::UnifyFail {
+                rel,
+                rule: 1,
+                site: FailSite::Step(2),
+            },
+            Event::RuleSuccess { rel, rule: 1 },
+            Event::TermProduced { rel, size: 5 },
+            Event::TermProduced { rel, size: 40 },
+            Event::MemoMiss { rel },
+            Event::MemoHit { rel },
+            Event::MemoHit { rel },
+            Event::IndexSkip { rel, skipped: 3 },
+            Event::Shed { rel },
+            Event::Retry { rel, attempt: 1 },
+            Event::ShardDegraded { shard: 5 },
+            Event::Request {
+                rel,
+                index: 3,
+                outcome: RequestOutcome::True,
+                attempts: 1,
+                steps: 40,
+            },
+            Event::Premise {
+                rel,
+                rule: 1,
+                step: 2,
+                cost: 5,
+                failed: false,
+            },
+            Event::Premise {
+                rel,
+                rule: 1,
+                step: 2,
+                cost: 7,
+                failed: true,
+            },
+            Event::Replanned { rel },
+        ]
+    }
+
+    #[test]
+    fn stats_display_is_golden() {
+        let stats = SearchStats::new();
+        stats.set_names(names());
+        for e in every_variant() {
+            stats.record(e);
+        }
+        let want = "\
+search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
+  rule                       attempts  successes backtracks
+  bst.bst_leaf                      1          0          1
+  bst.bst_node                      1          1          0
+  memo: 2 hits / 1 misses; index pruned 3 rules
+  serve: 1 requests / 1 shed / 1 retries / 1 degraded shard(s)
+  plan: 1 relation(s) replanned
+  premise                           evals       cost      mean    fail%
+  bst.bst_node[step2]                   2         12       6.0    50.0%
+  top unification failures:
+    bst.bst_node[step2]                   2
+    bst.bst_leaf[inputs]                  1
+  depth:     0:1 1:1 2-3:1 8-15:1 (n=4, mean 4.0, max 12)
+  term size: 4-7:1 32-63:1 (n=2, mean 22.5, max 40)";
+        assert_eq!(stats.to_string(), want);
+    }
+
+    #[test]
+    fn snapshot_carries_every_counter() {
+        let det = |snap: &MetricsSnapshot| snap.deterministic_json();
+        // Scalar series are present even when nothing was recorded.
+        let empty = SearchStats::new().snapshot();
+        assert_eq!(empty.counter("search.shards_degraded"), Some(0));
+        assert_eq!(empty.counter("search.enters.generator"), Some(0));
+        assert_eq!(empty.histogram("search.depth").map(|h| h.count), Some(0));
+
+        let stats = SearchStats::new();
+        stats.set_names(names());
+        for e in every_variant() {
+            stats.record(e);
+        }
+        let snap = stats.snapshot();
+        let c = |name: &str| {
+            snap.counter(name)
+                .unwrap_or_else(|| panic!("{name}: {}", det(&snap)))
+        };
+        assert_eq!(c("search.events"), stats.events());
+        for kind in [ExecKind::Checker, ExecKind::Enumerator, ExecKind::Generator] {
+            assert_eq!(
+                c(&format!("search.enters.{}", kind.label())),
+                stats.enters(kind)
+            );
+        }
+        assert_eq!(c("search.memo_hits"), stats.memo_hits());
+        assert_eq!(c("search.memo_misses"), stats.memo_misses());
+        assert_eq!(c("search.index_skipped"), stats.index_skipped());
+        assert_eq!(c("search.requests"), stats.requests());
+        assert_eq!(c("search.shed"), stats.shed());
+        assert_eq!(c("search.retries"), stats.retries());
+        assert_eq!(c("search.shards_degraded"), stats.shards_degraded());
+        assert_eq!(c("search.replans"), stats.replans());
+        let rel = RelId::new(0);
+        let mut totals = RuleStats::default();
+        for rule in 0..2 {
+            let r = stats.rule_stats(rel, rule);
+            assert_eq!(c(&format!("rule.bst.{rule}.attempts")), r.attempts);
+            assert_eq!(c(&format!("rule.bst.{rule}.successes")), r.successes);
+            assert_eq!(c(&format!("rule.bst.{rule}.backtracks")), r.backtracks);
+            totals.attempts += r.attempts;
+            totals.successes += r.successes;
+            totals.backtracks += r.backtracks;
+        }
+        assert_eq!(totals.attempts, stats.total_attempts());
+        assert_eq!(totals.successes, stats.total_successes());
+        assert_eq!(totals.backtracks, stats.total_backtracks());
+        let premises = stats.premise_stats(rel);
+        assert_eq!(premises.len(), 1);
+        for (rule, step, p) in premises {
+            assert_eq!(c(&format!("premise.bst.{rule}.{step}.evals")), p.evals);
+            assert_eq!(c(&format!("premise.bst.{rule}.{step}.cost")), p.cost);
+            assert_eq!(
+                c(&format!("premise.bst.{rule}.{step}.failures")),
+                p.failures
+            );
+        }
+        assert_eq!(c("premise.bst.1.2.cost"), stats.total_premise_cost());
+        assert_eq!(c("unify_fail.bst.0.inputs"), 1);
+        assert_eq!(c("unify_fail.bst.1.step2"), 2);
+        assert_eq!(stats.total_unify_fails(), 3);
+        assert_eq!(snap.histogram("search.depth"), Some(&stats.depth_hist()));
+        assert_eq!(
+            snap.histogram("search.term_size"),
+            Some(&stats.term_size_hist())
+        );
+        assert_eq!(stats.depth_hist().count, 4);
+        assert_eq!(stats.term_size_hist().max, 40);
     }
 
     #[test]
@@ -1329,6 +1305,11 @@ mod tests {
         }
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.dropped(), 2);
+        assert_eq!(trace.capacity(), 2);
+        assert_eq!(
+            trace.to_string(),
+            "trace: 2 buffered / 2 capacity, 2 dropped, next seq 4"
+        );
         let lines = trace.to_json_lines();
         let lines: Vec<&str> = lines.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -1361,32 +1342,6 @@ mod tests {
             rule: 0,
         });
         assert_eq!(stats.total_attempts(), 1, "NoProbe records nothing");
-    }
-
-    #[test]
-    fn hist_merge_is_associative() {
-        let mut a = Hist::default();
-        let mut b = Hist::default();
-        let mut c = Hist::default();
-        for v in [0, 1, 2] {
-            a.record(v);
-        }
-        for v in [3, 100] {
-            b.record(v);
-        }
-        c.record(7);
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c.total(), 6);
-        assert_eq!(ab_c.max(), 100);
-        assert_eq!(ab_c.to_json(), a_bc.to_json());
     }
 
     #[test]
@@ -1431,7 +1386,10 @@ mod tests {
             }
         }
         left.merge_from(&right);
-        assert_eq!(left.to_json(), whole.to_json());
+        assert_eq!(
+            left.snapshot().deterministic_json(),
+            whole.snapshot().deterministic_json()
+        );
         assert_eq!(left.events(), whole.events());
     }
 
@@ -1456,11 +1414,11 @@ mod tests {
         assert_eq!(stats.shed(), 2);
         assert_eq!(stats.retries(), 1);
         assert_eq!(stats.shards_degraded(), 1);
-        let json = stats.to_json();
-        assert!(
-            json.contains(r#""serve":{"requests":0,"retries":1,"shards_degraded":1,"shed":2}"#),
-            "{json}"
-        );
+        let snap = stats.snapshot();
+        assert_eq!(snap.counter("search.requests"), Some(0));
+        assert_eq!(snap.counter("search.retries"), Some(1));
+        assert_eq!(snap.counter("search.shards_degraded"), Some(1));
+        assert_eq!(snap.counter("search.shed"), Some(2));
         assert!(stats
             .to_string()
             .contains("serve: 0 requests / 2 shed / 1 retries"));
@@ -1524,17 +1482,14 @@ mod tests {
         assert_eq!(stats.total_premise_cost(), 12);
         assert_eq!(ps[0].2.mean_cost(), 6.0);
         assert_eq!(ps[0].2.failure_rate(), 0.5);
-        let json = stats.to_json();
-        assert!(
-            json.contains(r#""serve":{"requests":1,"retries":0,"shards_degraded":0,"shed":0}"#),
-            "{json}"
-        );
-        assert!(
-            json.contains(
-                r#""premises":[{"rel":"bst","rule":"bst_node","step":2,"evals":2,"cost":12,"failures":1}]"#
-            ),
-            "{json}"
-        );
+        let snap = stats.snapshot();
+        assert_eq!(snap.counter("search.requests"), Some(1));
+        assert_eq!(snap.counter("search.retries"), Some(0));
+        assert_eq!(snap.counter("search.shards_degraded"), Some(0));
+        assert_eq!(snap.counter("search.shed"), Some(0));
+        assert_eq!(snap.counter("premise.bst.1.2.evals"), Some(2));
+        assert_eq!(snap.counter("premise.bst.1.2.cost"), Some(12));
+        assert_eq!(snap.counter("premise.bst.1.2.failures"), Some(1));
         assert!(stats.to_string().contains("bst.bst_node[step2]"), "{stats}");
         // Merging folds premises and requests like every other counter.
         let other = SearchStats::new();
@@ -1585,32 +1540,6 @@ mod tests {
             ),
             "{lines}"
         );
-    }
-
-    #[test]
-    fn trace_to_json_carries_ring_bookkeeping_in_sorted_key_order() {
-        let trace = TraceProbe::new(2);
-        trace.set_names(names());
-        let rel = RelId::new(0);
-        for rule in 0..3 {
-            trace.record(Event::RuleAttempt { rel, rule });
-        }
-        assert_eq!(trace.capacity(), 2);
-        let json = trace.to_json();
-        assert!(
-            json.starts_with(r#"{"capacity":2,"dropped":1,"events":[{"seq":1,"#),
-            "{json}"
-        );
-        assert!(json.ends_with(r#"],"next_seq":3}"#), "{json}");
-        // Keys appear in sorted order: capacity < dropped < events < next_seq.
-        let positions: Vec<usize> = ["\"capacity\"", "\"dropped\"", "\"events\"", "\"next_seq\""]
-            .iter()
-            .map(|k| json.find(k).expect(k))
-            .collect();
-        assert!(positions.windows(2).all(|w| w[0] < w[1]), "{json}");
-        assert!(trace
-            .to_string()
-            .contains("2 buffered / 2 capacity, 1 dropped"));
     }
 
     #[test]

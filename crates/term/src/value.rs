@@ -74,15 +74,17 @@ impl Value {
     ///
     /// Iterative (explicit worklist): fuzz-generated terms can nest
     /// arbitrarily deep, and the recursion stack must not be the limit.
+    /// Saturates at `u64::MAX`, so an oversized term never measures
+    /// small.
     pub fn size(&self) -> u64 {
         let mut total = 0u64;
         let mut work = vec![self];
         while let Some(v) = work.pop() {
             match v {
-                Value::Nat(n) => total += n,
+                Value::Nat(n) => total = total.saturating_add(*n),
                 Value::Bool(_) => {}
                 Value::Ctor(_, args) => {
-                    total += 1;
+                    total = total.saturating_add(1);
                     work.extend(args.iter());
                 }
             }

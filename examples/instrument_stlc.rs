@@ -41,9 +41,10 @@ fn main() {
     // histograms.
     println!("{stats}");
 
-    // The same data, machine-readable (serde-free JSON).
+    // The same data, machine-readable: a metrics snapshot, rendered as
+    // `indrel.metrics/1` JSON (or `to_prometheus()` text).
     println!("\nstats as JSON (truncated):");
-    let json = stats.to_json();
+    let json = stats.snapshot().to_json();
     println!("  {}...", &json[..json.len().min(120)]);
 
     // The raw view: the last events of the search, one JSON object per

@@ -1,5 +1,5 @@
 //! Observability of the search: `SearchStats` probes are deterministic
-//! (same seed + budget ⇒ byte-identical JSON export) for all three
+//! (same seed + budget ⇒ byte-identical snapshot JSON) for all three
 //! execution families, arming a probe never changes results, the
 //! `TraceProbe` ring keeps the newest events, and the PBT runner's
 //! `RunReport` renders the full telemetry block — snapshot-tested under
@@ -32,18 +32,18 @@ fn le_lib() -> (Library, RelId, Universe, Vec<TypeExpr>) {
 }
 
 /// One fixed checker workload with a fresh `SearchStats` armed.
-fn checker_stats_json() -> String {
+fn checker_stats() -> MetricsSnapshot {
     let (lib, le, u, tys) = le_lib();
     let stats = SearchStats::new();
     let _probe = lib.arm_probe(ExecProbe::stats(&stats));
     for args in tuples_up_to(&u, &tys, 5) {
         let _ = lib.check(le, 8, 8, &args);
     }
-    stats.to_json()
+    stats.snapshot()
 }
 
 /// One fixed enumerator workload with a fresh `SearchStats` armed.
-fn enumerator_stats_json() -> String {
+fn enumerator_stats() -> MetricsSnapshot {
     let (lib, le, _, _) = le_lib();
     let stats = SearchStats::new();
     let _probe = lib.arm_probe(ExecProbe::stats(&stats));
@@ -54,12 +54,12 @@ fn enumerator_stats_json() -> String {
             .values()
             .len();
     }
-    stats.to_json()
+    stats.snapshot()
 }
 
 /// One fixed generator workload (seeded RNG) with a fresh
 /// `SearchStats` armed.
-fn generator_stats_json() -> String {
+fn generator_stats() -> MetricsSnapshot {
     let (lib, le, _, _) = le_lib();
     let stats = SearchStats::new();
     let _probe = lib.arm_probe(ExecProbe::stats(&stats));
@@ -68,28 +68,29 @@ fn generator_stats_json() -> String {
     for n in 0..20u64 {
         let _ = lib.generate(le, &mode, 8, 8, &[Value::nat(n % 6)], &mut rng);
     }
-    stats.to_json()
+    stats.snapshot()
 }
 
 #[test]
 fn checker_stats_are_deterministic() {
-    let (a, b) = (checker_stats_json(), checker_stats_json());
-    assert!(a.contains("\"rules\":[{"), "stats should be non-empty: {a}");
+    let (a, b) = (checker_stats(), checker_stats());
+    let (a, b) = (a.deterministic_json(), b.deterministic_json());
+    assert!(a.contains("\"rule."), "stats should be non-empty: {a}");
     assert_eq!(a, b, "same workload must export byte-identical stats");
 }
 
 #[test]
 fn enumerator_stats_are_deterministic() {
-    let (a, b) = (enumerator_stats_json(), enumerator_stats_json());
-    assert!(a.contains("\"enumerator\""), "{a}");
-    assert_eq!(a, b);
+    let (a, b) = (enumerator_stats(), enumerator_stats());
+    assert!(a.counter("search.enters.enumerator") > Some(0), "{a}");
+    assert_eq!(a.deterministic_json(), b.deterministic_json());
 }
 
 #[test]
 fn generator_stats_are_deterministic() {
-    let (a, b) = (generator_stats_json(), generator_stats_json());
-    assert!(a.contains("\"generator\""), "{a}");
-    assert_eq!(a, b);
+    let (a, b) = (generator_stats(), generator_stats());
+    assert!(a.counter("search.enters.generator") > Some(0), "{a}");
+    assert_eq!(a.deterministic_json(), b.deterministic_json());
 }
 
 #[test]

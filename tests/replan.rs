@@ -63,7 +63,7 @@ fn adversarial_replan_reorders_and_explains() {
     let stats = profile(&lib, good, &adversarial_tuples());
 
     // The replan itself is observable: a probe armed on the *source*
-    // session sees one `Replanned` event, exported under `"plan"`.
+    // session sees one `Replanned` event, exported as `search.replans`.
     let replan_stats = SearchStats::new();
     let (replanned, report) = {
         let _probe = lib.arm_probe(ExecProbe::stats(&replan_stats));
@@ -73,10 +73,11 @@ fn adversarial_replan_reorders_and_explains() {
     assert_eq!(report.replanned, vec![good], "{report:?}");
     assert!(report.errors.is_empty(), "{report:?}");
     assert_eq!(replan_stats.replans(), 1);
-    assert!(
-        replan_stats.to_json().contains("\"plan\":{\"replans\":1}"),
+    assert_eq!(
+        replan_stats.snapshot().counter("search.replans"),
+        Some(1),
         "{}",
-        replan_stats.to_json()
+        replan_stats.snapshot()
     );
 
     // The replanned core advertises its provenance and renders the
@@ -157,8 +158,8 @@ fn noop_replan_is_behaviourally_invisible() {
     let before = profile(&lib, le, &tuples);
     let after = profile(&replanned, le, &tuples);
     assert_eq!(
-        before.to_json(),
-        after.to_json(),
+        before.snapshot().deterministic_json(),
+        after.snapshot().deterministic_json(),
         "a no-op replan must not perturb the probe stream"
     );
     for t in &tuples {

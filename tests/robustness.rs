@@ -290,3 +290,27 @@ fn budgeted_pbt_run_accounts_spend() {
     );
     assert_eq!(report.spent.steps, 200);
 }
+
+/// A term whose size overflows `u64` neither panics `try_check` nor
+/// slips past `max_term_size`: `Value::size` saturates, so a BST
+/// holding two keys of 2^63 measures `u64::MAX` nodes, not 5.
+#[test]
+fn overflowing_term_size_is_rejected_not_wrapped() {
+    let bst = indrel::bst::Bst::new();
+    let key = 1u64 << 63;
+    let tree = bst.tree_node(key, bst.tree_node(key, bst.leaf(), bst.leaf()), bst.leaf());
+    assert_eq!(tree.size(), u64::MAX);
+    let r = bst.library().try_check(
+        bst.relation(),
+        10,
+        10,
+        &[Value::nat(0), Value::nat(10), tree],
+        Budget::unlimited().with_max_term_size(100),
+    );
+    assert_eq!(
+        r,
+        Err(ExecError::BudgetExhausted {
+            resource: Resource::TermSize
+        })
+    );
+}
