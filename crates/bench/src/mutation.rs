@@ -196,4 +196,23 @@ mod tests {
             assert!(row.derived.failures > 0, "derived missed {row}");
         }
     }
+
+    #[test]
+    fn mean_tests_to_failure_is_pinned() {
+        // Recorded while every derived generator still ran on the plan
+        // interpreter. The compiled generators make the same RNG draws,
+        // so every mean is exactly what it was.
+        let want = [
+            ("BST/insert", 1.8, 1.4),
+            ("STLC/subst", 5.0, 4.4),
+            ("STLC/lift", 111.8, 20.6),
+            ("IFC/add-no-join", 4.8, 8.2),
+            ("IFC/load-no-join", 19.2, 21.8),
+        ];
+        let got: Vec<_> = run(5, 20_000)
+            .iter()
+            .map(|row| (row.name, row.handwritten.mean, row.derived.mean))
+            .collect();
+        assert_eq!(got, want);
+    }
 }

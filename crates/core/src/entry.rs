@@ -40,25 +40,57 @@ pub(crate) struct CompiledChecker {
     pub(crate) vm: Option<VmProgram>,
 }
 
-/// Compiles a checker plan. Must only be called on plans whose mode is
-/// the all-input checker mode.
-pub(crate) fn compile_checker(plan: &Plan) -> CompiledChecker {
-    debug_assert!(plan.mode.is_checker());
+/// What a derived producer keeps next to its plan when the plan
+/// compiles: one bytecode program that both producer executors of
+/// [`crate::vm`] run, and the dispatch index only the enumerator uses.
+pub(crate) struct CompiledProducer {
+    /// The plan it compiled, whose interpreted streams take over below
+    /// the push-mode enumerator's depth limit (`vm::PUSH_DEPTH`).
+    pub(crate) plan: Arc<Plan>,
+    pub(crate) has_recursive: bool,
+    /// Input-position discrimination index for the push-mode
+    /// enumerator. The generator never dispatches through it: pruning
+    /// a handler would change the weight total its draws range over.
+    pub(crate) index: Option<DispatchIndex>,
+    pub(crate) prog: VmProgram,
+}
+
+/// The dispatch index over a plan's input patterns.
+fn dispatch_index(plan: &Plan) -> Option<DispatchIndex> {
     let rows: Vec<&[Pattern]> = plan
         .handlers
         .iter()
         .map(|h| h.input_pats.as_slice())
         .collect();
-    let index = DispatchIndex::build(&rows);
+    DispatchIndex::build(&rows)
+}
+
+/// Compiles a checker plan. Must only be called on plans whose mode is
+/// the all-input checker mode.
+pub(crate) fn compile_checker(plan: &Plan) -> CompiledChecker {
+    debug_assert!(plan.mode.is_checker());
+    let index = dispatch_index(plan);
     // The bytecode compiler sees the index so it can elide head guards
     // that indexed dispatch already proves can never fail.
-    let vm = crate::vm::compile_vm(plan, index.as_ref());
+    let vm = crate::vm::compile_vm(plan, index.as_ref().map(DispatchIndex::pos));
     CompiledChecker {
         rel: plan.rel,
         has_recursive: plan.has_recursive_handlers(),
         index,
         vm,
     }
+}
+
+/// Compiles a producer plan; `None` when it does not compile. No head
+/// guard is elided, because the generator runs every handler's guards.
+pub(crate) fn compile_producer(plan: &Arc<Plan>) -> Option<CompiledProducer> {
+    debug_assert!(!plan.mode.is_checker());
+    Some(CompiledProducer {
+        plan: plan.clone(),
+        has_recursive: plan.has_recursive_handlers(),
+        index: dispatch_index(plan),
+        prog: crate::vm::compile_vm(plan, None)?,
+    })
 }
 
 impl Library {

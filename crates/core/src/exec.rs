@@ -166,7 +166,7 @@ impl Library {
         self.run_enum_impl(rel, entry, size, top_size, inputs)
     }
 
-    fn run_enum_impl(
+    pub(crate) fn run_enum_impl(
         &self,
         rel: RelId,
         entry: &ProducerImpl,
@@ -202,7 +202,7 @@ impl Library {
             stream.inspect(move |outs| {
                 lib.probe(|| Event::TermProduced {
                     rel,
-                    size: outs.iter().map(Value::size).sum(),
+                    size: tuple_size(outs),
                 });
             })
         } else {
@@ -219,6 +219,12 @@ impl Library {
     /// Randomly generates one output tuple for `(rel, mode)`, or `None`
     /// when generation failed (backtracking exhausted or out of fuel).
     ///
+    /// A derived generator whose plan compiled runs on the bytecode VM
+    /// when no meter and no probe is armed, and on the plan interpreter
+    /// otherwise; both make the same RNG draws in the same order, so
+    /// the output and the generator's state afterwards are the same
+    /// (see [`Library::generate_interpreted`]).
+    ///
     /// # Panics
     ///
     /// Panics if no generator instance exists for `(rel, mode)`.
@@ -234,10 +240,56 @@ impl Library {
         let entry = self
             .require_producer(rel, mode, InstanceKind::Generator)
             .unwrap_or_else(|e| panic!("{e}"));
+        self.run_gen_entry(rel, entry, size, top_size, inputs, rng)
+    }
+
+    /// Runs the generator for `(rel, mode)` through the *interpreted*
+    /// plan executor at every producer level — the oracle every
+    /// compiled generator is held to: from the same RNG state it
+    /// returns the same tuple as [`Library::generate`] and leaves the
+    /// RNG in the same state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no generator instance exists for `(rel, mode)`.
+    pub fn generate_interpreted(
+        &self,
+        rel: RelId,
+        mode: &Mode,
+        size: u64,
+        top_size: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<Vec<Value>> {
+        let entry = self
+            .require_producer(rel, mode, InstanceKind::Generator)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
     }
 
-    fn run_gen_impl(
+    /// The generator entry gate: a derived generator's bytecode when it
+    /// compiled and no meter or probe is armed, otherwise
+    /// [`Library::run_gen_impl`].
+    fn run_gen_entry(
+        &self,
+        rel: RelId,
+        entry: &ProducerImpl,
+        size: u64,
+        top_size: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<Vec<Value>> {
+        match (&entry.hand_gen, &entry.vm) {
+            (None, Some(cp)) if self.producers_unarmed() => {
+                self.run_vm_gen(cp, size, top_size, inputs, rng)
+            }
+            _ => self.run_gen_impl(rel, entry, size, top_size, inputs, rng),
+        }
+    }
+
+    /// A handwritten generator, or a derived one on the plan
+    /// interpreter, with the budget charges and probe events of both.
+    pub(crate) fn run_gen_impl(
         &self,
         rel: RelId,
         entry: &ProducerImpl,
@@ -266,7 +318,7 @@ impl Library {
         if let Some(outs) = &out {
             self.probe(|| Event::TermProduced {
                 rel,
-                size: outs.iter().map(Value::size).sum(),
+                size: tuple_size(outs),
             });
         }
         out
@@ -552,7 +604,7 @@ impl Library {
         let entry = self.require_producer(rel, mode, InstanceKind::Generator)?;
         self.require_count(rel, mode.arity() - mode.num_outs(), inputs.len())?;
         if budget.is_unlimited() {
-            return Ok(self.run_gen_impl(rel, entry, size, top_size, inputs, rng));
+            return Ok(self.run_gen_entry(rel, entry, size, top_size, inputs, rng));
         }
         let meter = Meter::new(budget);
         admit_terms(&meter, inputs)?;
@@ -1239,8 +1291,15 @@ impl Library {
                     in_args,
                     out_slots,
                 } => {
+                    // The callee stays on the interpreter too: this
+                    // executor runs when a meter or probe is armed (the
+                    // callee would take it anyway), for a plan that did
+                    // not compile, or as `generate_interpreted`'s oracle.
+                    let entry = self
+                        .require_producer(*rel, mode, InstanceKind::Generator)
+                        .unwrap_or_else(|e| panic!("{e}"));
                     let in_vals = self.eval_into(in_args, env);
-                    let outs = self.generate(*rel, mode, top, top, &in_vals, rng);
+                    let outs = self.run_gen_impl(*rel, entry, top, top, &in_vals, rng);
                     self.put_args(in_vals);
                     for (slot, v) in out_slots.iter().zip(outs?) {
                         env.bind(*slot, v);
@@ -1288,6 +1347,12 @@ impl Drop for MeterGuard<'_> {
     fn drop(&mut self) {
         *self.lib.inner.meter.borrow_mut() = self.prev.take();
     }
+}
+
+/// Total size of a produced tuple, saturating like [`Value::size`]:
+/// the `TermProduced` event must not overflow on huge outputs.
+fn tuple_size(outs: &[Value]) -> u64 {
+    outs.iter().map(Value::size).fold(0, u64::saturating_add)
 }
 
 /// Rejects argument terms over the budget's `max_term_size`, reporting

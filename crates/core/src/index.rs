@@ -17,6 +17,7 @@
 //! pattern, no index is built and dispatch stays linear.
 
 use indrel_term::{CtorId, Pattern, Value};
+use std::borrow::Borrow;
 
 /// The head class a rigid pattern demands of its scrutinee.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,11 +121,11 @@ impl DispatchIndex {
     }
 
     /// The candidate handlers for a call with these arguments (held by
-    /// reference, the bytecode VM's calling convention), in ascending
-    /// handler order. Slices borrow from the index; callers compute
-    /// `skipped` as `total() - candidates.len()`.
-    pub(crate) fn candidates(&self, args: &[&Value]) -> &[u32] {
-        match args[self.pos] {
+    /// reference in a checker search, owned by a producer level), in
+    /// ascending handler order. Slices borrow from the index; callers
+    /// compute `skipped` as `total() - candidates.len()`.
+    pub(crate) fn candidates<A: Borrow<Value>>(&self, args: &[A]) -> &[u32] {
+        match args[self.pos].borrow() {
             Value::Nat(0) => &self.nat_zero,
             Value::Nat(_) => &self.nat_pos,
             Value::Bool(true) => &self.bool_true,

@@ -51,6 +51,10 @@ pub(crate) enum CheckerImpl {
 #[derive(Clone, Default)]
 pub(crate) struct ProducerImpl {
     pub(crate) plan: Option<Arc<Plan>>,
+    /// The plan compiled to bytecode, compiled when the plan is
+    /// derived. `None` without a plan, or when the plan did not
+    /// compile: both producer halves then run on the plan interpreter.
+    pub(crate) vm: Option<Arc<crate::entry::CompiledProducer>>,
     pub(crate) hand_enum: Option<HandEnumFn>,
     pub(crate) hand_gen: Option<HandGenFn>,
 }
@@ -67,12 +71,30 @@ pub(crate) struct Shared {
     /// Dense checker table indexed by relation id (ids are dense per
     /// `RelEnv`), so the hot external-call path avoids hashing.
     pub(crate) checkers: Vec<Option<CheckerImpl>>,
-    pub(crate) producers: HashMap<(RelId, Mode), ProducerImpl>,
+    /// Dense producer table indexed by relation id, one entry per mode
+    /// with an instance. A lookup compares modes by reference, so no
+    /// call — compiled producer premises included — allocates a key.
+    pub(crate) producers: Vec<Vec<(Mode, ProducerImpl)>>,
     /// The measured cost profile the checker plans were scheduled
     /// under — `None` for fresh builds (static seeds only), `Some` for
     /// cores produced by [`Library::replan_from`]. `explain()` renders
     /// it as the replanned-cost column.
     pub(crate) profile: Option<Arc<CostProfile>>,
+}
+
+impl Shared {
+    /// The instance for `(rel, mode)`, if one was derived or registered.
+    fn producer(&self, rel: RelId, mode: &Mode) -> Option<&ProducerImpl> {
+        self.producers
+            .get(rel.index())?
+            .iter()
+            .find(|(m, _)| m == mode)
+            .map(|(_, p)| p)
+    }
+
+    fn producer_count(&self) -> usize {
+        self.producers.iter().map(Vec::len).sum()
+    }
 }
 
 // The whole point of the split: the frozen core must be shareable
@@ -349,7 +371,10 @@ impl LibraryBuilder {
                 self,
             )
             .map(|plan| {
-                self.producers.entry((*rel, mode.clone())).or_default().plan = Some(Arc::new(plan));
+                let entry = self.producers.entry((*rel, mode.clone())).or_default();
+                let plan = Arc::new(plan);
+                entry.vm = crate::entry::compile_producer(&plan).map(Arc::new);
+                entry.plan = Some(plan);
             }),
         };
         self.in_progress.pop();
@@ -362,16 +387,40 @@ impl LibraryBuilder {
         for (rel, imp) in self.checkers {
             checkers[rel.index()] = Some(imp);
         }
+        let mut producers: Vec<Vec<(Mode, ProducerImpl)>> = vec![Vec::new(); self.env.len()];
+        for ((rel, mode), imp) in self.producers {
+            producers[rel.index()].push((mode, imp));
+        }
         Library {
             inner: Rc::new(Inner::fresh(Arc::new(Shared {
                 universe: self.universe,
                 env: self.env,
                 opts: self.opts,
                 checkers,
-                producers: self.producers,
+                producers,
                 profile: self.profile,
             }))),
         }
+    }
+}
+
+/// `explain()`'s backend line for a derived instance: the bytecode size
+/// and per-handler opcodes when its plan compiled, the interpreter
+/// fallback otherwise.
+fn explain_bytecode(out: &mut String, plan: &Plan, prog: Option<&crate::vm::VmProgram>) {
+    let Some(prog) = prog else {
+        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
+        return;
+    };
+    let _ = writeln!(
+        out,
+        "  bytecode: {} instrs across {} handlers",
+        prog.code_len(),
+        prog.handlers.len()
+    );
+    for (h, p) in prog.handlers.iter().zip(&plan.handlers) {
+        let ops: Vec<&str> = h.code.iter().map(|i| i.opcode()).collect();
+        let _ = writeln!(out, "    {}: {}", p.name, ops.join(" "));
     }
 }
 
@@ -451,7 +500,7 @@ impl std::fmt::Debug for Library {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Library")
             .field("checkers", &self.inner.checkers.len())
-            .field("producers", &self.inner.producers.len())
+            .field("producers", &self.inner.producer_count())
             .finish()
     }
 }
@@ -497,7 +546,7 @@ impl std::fmt::Debug for SharedLibrary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedLibrary")
             .field("checkers", &self.shared.checkers.len())
-            .field("producers", &self.shared.producers.len())
+            .field("producers", &self.shared.producer_count())
             .finish()
     }
 }
@@ -550,15 +599,14 @@ impl Library {
 
     /// `true` when a producer instance exists for `(rel, mode)`.
     pub fn has_producer(&self, rel: RelId, mode: &Mode) -> bool {
-        self.inner.producers.contains_key(&(rel, mode.clone()))
+        self.inner.producer(rel, mode).is_some()
     }
 
     /// `true` when `(rel, mode)` can be enumerated — a derived plan or
     /// a handwritten enumerator is registered.
     pub fn has_enumerator(&self, rel: RelId, mode: &Mode) -> bool {
         self.inner
-            .producers
-            .get(&(rel, mode.clone()))
+            .producer(rel, mode)
             .is_some_and(|p| p.hand_enum.is_some() || p.plan.is_some())
     }
 
@@ -566,8 +614,7 @@ impl Library {
     /// derived plan or a handwritten generator is registered.
     pub fn has_generator(&self, rel: RelId, mode: &Mode) -> bool {
         self.inner
-            .producers
-            .get(&(rel, mode.clone()))
+            .producer(rel, mode)
             .is_some_and(|p| p.hand_gen.is_some() || p.plan.is_some())
     }
 
@@ -587,7 +634,8 @@ impl Library {
 
     /// Looks up the producer for `(rel, mode)`, requiring the half
     /// (enumerator or generator) that `kind` asks for. Borrows from the
-    /// frozen table, like [`Library::require_checker`].
+    /// frozen table, like [`Library::require_checker`], and allocates
+    /// nothing on success.
     pub(crate) fn require_producer(
         &self,
         rel: RelId,
@@ -599,11 +647,7 @@ impl Library {
             rel: self.inner.env.relation(rel).name().to_string(),
             mode: Some(mode.to_string()),
         };
-        let entry = self
-            .inner
-            .producers
-            .get(&(rel, mode.clone()))
-            .ok_or_else(no_instance)?;
+        let entry = self.inner.producer(rel, mode).ok_or_else(no_instance)?;
         let usable = match kind {
             InstanceKind::Enumerator => entry.hand_enum.is_some() || entry.plan.is_some(),
             InstanceKind::Generator => entry.hand_gen.is_some() || entry.plan.is_some(),
@@ -890,7 +934,16 @@ impl Library {
         let mut b =
             LibraryBuilder::with_options(shared.universe.clone(), shared.env.clone(), shared.opts);
         b.profile = Some(Arc::new(profile));
-        b.producers = shared.producers.clone();
+        b.producers = shared
+            .producers
+            .iter()
+            .enumerate()
+            .flat_map(|(rel, modes)| {
+                modes
+                    .iter()
+                    .map(move |(mode, imp)| ((RelId::new(rel), mode.clone()), imp.clone()))
+            })
+            .collect();
         let mut targets: Vec<(RelId, Arc<Plan>)> = Vec::new();
         let mut report = ReplanReport::default();
         for (idx, slot) in shared.checkers.iter().enumerate() {
@@ -958,23 +1011,7 @@ impl Library {
                 let _ = writeln!(out, "checker (derived{guided}):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                match &compiled.vm {
-                    Some(prog) => {
-                        let _ = writeln!(
-                            out,
-                            "  bytecode: {} instrs across {} handlers",
-                            prog.code_len(),
-                            prog.handlers.len()
-                        );
-                        for (h, p) in prog.handlers.iter().zip(&plan.handlers) {
-                            let ops: Vec<&str> = h.code.iter().map(|i| i.opcode()).collect();
-                            let _ = writeln!(out, "    {}: {}", p.name, ops.join(" "));
-                        }
-                    }
-                    None => {
-                        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
-                    }
-                }
+                explain_bytecode(&mut out, plan, compiled.vm.as_ref());
                 if let Some(stats) = stats {
                     out.push_str(&Self::premise_cost_table(
                         plan,
@@ -993,9 +1030,10 @@ impl Library {
         let mut producers: Vec<(String, &ProducerImpl)> = self
             .inner
             .producers
-            .iter()
-            .filter(|((r, _), _)| *r == rel)
-            .map(|((_, mode), imp)| (mode.to_string(), imp))
+            .get(rel.index())
+            .into_iter()
+            .flatten()
+            .map(|(mode, imp)| (mode.to_string(), imp))
             .collect();
         producers.sort_by(|a, b| a.0.cmp(&b.0));
         for (mode, imp) in producers {
@@ -1004,6 +1042,7 @@ impl Library {
                     let _ = writeln!(out, "producer {mode} (derived):");
                     let _ = writeln!(out, "{}", plan.display(u, env));
                     let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
+                    explain_bytecode(&mut out, plan, imp.vm.as_ref().map(|cp| &cp.prog));
                 }
                 None => {
                     let kinds = match (&imp.hand_enum, &imp.hand_gen) {

@@ -1,11 +1,12 @@
-//! Register-based bytecode backend for derived checkers.
+//! Register-based bytecode backend for derived checkers and producers.
 //!
-//! The executor of every derived checker whose plan compiles: when a
-//! checker is derived, its plan is compiled — when every construct is
-//! supported — into a flat array of register-machine instructions
-//! ([`VmProgram`]), and every search below the entry boundary
-//! ([`crate::entry`]) executes that array in a single threaded dispatch
-//! loop. The plan interpreter ([`crate::exec`]) stays the oracle.
+//! When a checker or producer is derived, its plan is compiled — when
+//! every construct is supported — into a flat array of register-machine
+//! instructions ([`VmProgram`]). One instruction set, three executors:
+//! every checker search below the entry boundary ([`crate::entry`])
+//! runs the checker dispatch loop, and producer programs run on a
+//! push-mode enumerator and a generator (below). The plan interpreter
+//! ([`crate::exec`]) stays the oracle.
 //!
 //! The instruction set, register model, compilability rules, and the
 //! budget charges and probe events of every opcode are documented in
@@ -14,8 +15,8 @@
 //! the budget, telemetry, and replanning layers consume, so the
 //! parity loop (below) must keep them exactly.
 //!
-//! Compilation is total over the checker plans the deriver emits today;
-//! [`compile_vm`] still returns `None` (per-relation fallback to the
+//! Compilation is total over the plans the deriver emits today;
+//! [`compile_vm`] still returns `None` (per-instance fallback to the
 //! plan interpreter) on any construct outside its register discipline,
 //! so new plan features degrade to the slow path instead of breaking.
 //!
@@ -48,15 +49,41 @@
 //! bookkeeping is unobservable, so the two loops are indistinguishable
 //! except in speed. See [`Library::run_vm_search`] for the entry gate.
 //!
+//! # Producers
+//!
+//! A producer program is a checker program plus two opcodes:
+//! `ProduceRec`, the recursive call at size − 1, and `Emit`, the output
+//! tuple that ends every handler. Two executors run it, and only when
+//! no meter and no probe is armed ([`Library::producers_unarmed`]);
+//! armed calls, handwritten instances, and the lazy public
+//! [`Library::enumerate`] stay on the plan interpreter.
+//!
+//! * The **push-mode enumerator** ([`Library::vm_enum_search`]) calls a
+//!   [`Sink`] once per outcome, in exactly the order the interpreter's
+//!   stream yields them. The fan-out opcodes keep their checker meaning
+//!   — re-run the suffix per candidate — and a `Break` from the sink
+//!   stops the whole enumeration. The checker's `ProduceExt` folds a
+//!   callee this way (§4's `bindEC`): no stream is built. Each level's
+//!   frames stay live under the consumer, so past [`PUSH_DEPTH`]
+//!   nested levels the interpreter's stream runs the rest of the
+//!   descent.
+//! * The **generator** ([`Library::run_vm_gen`]) replays the
+//!   interpreter's weighted `backtrack` with the same RNG draws in the
+//!   same order; each fan-out opcode makes one draw.
+//!
 //! [`Env`]: indrel_term::Env
 
-use crate::entry::CompiledChecker;
+use crate::entry::{CompiledChecker, CompiledProducer};
+use crate::error::InstanceKind;
 use crate::library::{CheckerImpl, Library};
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
-use indrel_producers::{bind_ec, cnot, Meter};
+use indrel_producers::{bind_ec, cnot, EStream, Meter, Outcome};
+use indrel_term::random::random_value;
 use indrel_term::{CtorId, FunId, Pattern, RelId, TermExpr, TypeExpr, Value, VarId};
+use std::borrow::Borrow;
+use std::ops::ControlFlow;
 
 /// Hard ceiling on registers per compiled handler; plans wider than
 /// this fall back to the interpreter (`u16` operands stay valid and a
@@ -268,6 +295,21 @@ pub(crate) enum Instr {
         /// Plan step index, for `Premise` attribution.
         step: u32,
     },
+    /// Recursive producer premise at size − 1 (producer programs only):
+    /// the enumerator re-runs the suffix per witness tuple, the
+    /// generator draws one tuple.
+    ProduceRec {
+        /// Input-argument locations.
+        srcs: Box<[Src]>,
+        /// Registers receiving the produced outputs.
+        outs: Box<[u16]>,
+    },
+    /// The handler's output tuple (producer programs only; every
+    /// producer handler ends with exactly one).
+    Emit {
+        /// Output locations, in the mode's output order.
+        srcs: Box<[Src]>,
+    },
 }
 
 impl Instr {
@@ -291,6 +333,8 @@ impl Instr {
             Instr::RecSelf { .. } => "RecSelf",
             Instr::ProduceExt { .. } => "ProduceExt",
             Instr::Unconstrained { .. } => "Unconstrained",
+            Instr::ProduceRec { .. } => "ProduceRec",
+            Instr::Emit { .. } => "Emit",
         }
     }
 }
@@ -307,9 +351,10 @@ pub(crate) struct VmHandler {
     pub(crate) code: Box<[Instr]>,
 }
 
-/// A checker plan compiled to bytecode: one [`VmHandler`] per rule.
-/// Rule dispatch (constructor indexing, fuel discipline, backtrack
-/// charges) lives in the executor, not the program.
+/// A plan compiled to bytecode: one [`VmHandler`] per rule. Rule
+/// dispatch (constructor indexing, fuel discipline, backtrack charges,
+/// the generator's weighted choice) lives in the executors, not the
+/// program.
 pub(crate) struct VmProgram {
     /// One compiled handler per plan handler, same order.
     pub(crate) handlers: Vec<VmHandler>,
@@ -330,27 +375,25 @@ impl VmProgram {
 // Compilation
 // ---------------------------------------------------------------------
 
-/// Compiles a checker plan to bytecode. Returns `None` — the signal for
-/// the per-relation interpreter fallback — when any handler uses a
-/// construct outside the register discipline (see the DESIGN.md
-/// compilability rules): a `ProduceRec` step (never emitted in checker
-/// plans, kept as a defensive gate), a register written twice, a read
-/// of a never-written register, a pattern that cannot match any value,
-/// or a frame wider than the register ceiling.
-pub(crate) fn compile_vm(
-    plan: &Plan,
-    index: Option<&crate::index::DispatchIndex>,
-) -> Option<VmProgram> {
-    debug_assert!(plan.mode.is_checker());
-    // Dispatch runs through the index whenever one exists, so a head
-    // guard at the indexed position that merely restates the bucket's
-    // head class can never fail — the compiler drops it (see
-    // [`head_guard_subsumed`]).
-    let elide_pos = index.map(|ix| ix.pos());
+/// Compiles a checker or producer plan to bytecode. Returns `None` —
+/// the signal for the per-instance interpreter fallback — when any
+/// handler uses a construct outside the register discipline (see the
+/// DESIGN.md compilability rules): a step of the other plan kind
+/// (`ProduceRec` in a checker, `RecCheck` in a producer; never emitted,
+/// kept as defensive gates), a register written twice, a read of a
+/// never-written register, a pattern that cannot match any value, or a
+/// frame or tuple wider than its ceiling.
+///
+/// `elide_pos` is the position indexed dispatch discriminates on, when
+/// every call dispatches through an index: a head guard there that
+/// merely restates the bucket's head class can never fail, so the
+/// compiler drops it (see [`head_guard_subsumed`]).
+pub(crate) fn compile_vm(plan: &Plan, elide_pos: Option<usize>) -> Option<VmProgram> {
+    let producer = !plan.mode.is_checker();
     let handlers = plan
         .handlers
         .iter()
-        .map(|h| compile_handler(h, elide_pos))
+        .map(|h| compile_handler(h, elide_pos, producer))
         .collect::<Option<Vec<_>>>()?;
     let all = (0..handlers.len() as u32).collect();
     Some(VmProgram { handlers, all })
@@ -366,6 +409,9 @@ pub(crate) fn compile_vm(
 /// emitted.
 struct Compiler {
     code: Vec<Instr>,
+    /// Compiling a producer plan: `ProduceRec` is legal, `RecCheck` is
+    /// not, and the handler ends with `Emit`.
+    producer: bool,
     nslots: usize,
     nregs: usize,
     /// Frame width actually needed at run time: one past the highest
@@ -377,12 +423,16 @@ struct Compiler {
     loc: Vec<Option<Src>>,
 }
 
-fn compile_handler(h: &Handler, elide_pos: Option<usize>) -> Option<VmHandler> {
-    if h.nslots > MAX_REGS || h.input_pats.len() > MAX_PREMISE_ARITY {
+fn compile_handler(h: &Handler, elide_pos: Option<usize>, producer: bool) -> Option<VmHandler> {
+    if h.nslots > MAX_REGS
+        || h.input_pats.len() > MAX_PREMISE_ARITY
+        || h.outputs.len() > MAX_PREMISE_ARITY
+    {
         return None;
     }
     let mut c = Compiler {
         code: Vec::new(),
+        producer,
         nslots: h.nslots,
         nregs: h.nslots,
         frame_len: 0,
@@ -409,6 +459,10 @@ fn compile_handler(h: &Handler, elide_pos: Option<usize>) -> Option<VmHandler> {
     }
     for (idx, step) in h.steps.iter().enumerate() {
         c.step(idx as u32, step)?;
+    }
+    if producer {
+        let srcs = c.expr_list(&h.outputs)?;
+        c.code.push(Instr::Emit { srcs });
     }
     Some(VmHandler {
         recursive: h.recursive,
@@ -713,7 +767,7 @@ impl Compiler {
                 });
             }
             Step::RecCheck { args } => {
-                if args.len() > MAX_PREMISE_ARITY {
+                if self.producer || args.len() > MAX_PREMISE_ARITY {
                     return None;
                 }
                 let srcs = self.expr_list(args)?;
@@ -739,10 +793,21 @@ impl Compiler {
                     step: idx,
                 });
             }
-            // Checker plans never contain ProduceRec; treat it as
-            // uncompilable rather than unreachable so a future plan
-            // change degrades to the interpreter.
-            Step::ProduceRec { .. } => return None,
+            Step::ProduceRec { in_args, out_slots } => {
+                // Checker plans never contain ProduceRec; treat it as
+                // uncompilable rather than unreachable so a future plan
+                // change degrades to the interpreter.
+                if !self.producer || in_args.len() > MAX_PREMISE_ARITY {
+                    return None;
+                }
+                let srcs = self.expr_list(in_args)?;
+                let outs = out_slots
+                    .iter()
+                    .map(|v| self.bind_var(*v))
+                    .collect::<Option<Vec<_>>>()?
+                    .into_boxed_slice();
+                self.code.push(Instr::ProduceRec { srcs, outs });
+            }
             Step::Unconstrained { var, ty } => {
                 let dst = self.bind_var(*var)?;
                 self.code.push(Instr::Unconstrained {
@@ -772,6 +837,8 @@ impl Compiler {
 pub(crate) struct VmFrames {
     free: Vec<Vec<Value>>,
     argv: Vec<Vec<Value>>,
+    /// The generator's `(weight, handler)` option vectors.
+    options: Vec<Vec<(u64, u32)>>,
 }
 
 impl VmFrames {
@@ -785,6 +852,17 @@ impl VmFrames {
     fn put(&mut self, f: Vec<Value>) {
         if self.free.len() < 64 {
             self.free.push(f);
+        }
+    }
+
+    fn take_options(&mut self) -> Vec<(u64, u32)> {
+        self.options.pop().unwrap_or_default()
+    }
+
+    fn put_options(&mut self, mut v: Vec<(u64, u32)>) {
+        v.clear();
+        if self.options.len() < 64 {
+            self.options.push(v);
         }
     }
 
@@ -821,12 +899,14 @@ fn charge_backtrack_cached(meter: &Option<Meter>) -> bool {
     }
 }
 
+/// Reads a source. Checker arguments arrive by reference (`A =
+/// &Value`); a producer level's are values it owns (`A = Value`).
 #[inline]
-fn read<'a>(frame: &'a [Value], args: &'a [&'a Value], src: Src) -> &'a Value {
+fn read<'a, A: Borrow<Value>>(frame: &'a [Value], args: &'a [A], src: Src) -> &'a Value {
     match src {
-        Src::Arg(i) => args[i as usize],
+        Src::Arg(i) => args[i as usize].borrow(),
         Src::Reg(r) => &frame[r as usize],
-        Src::ArgField(i, j) => field(args[i as usize], j),
+        Src::ArgField(i, j) => field(args[i as usize].borrow(), j),
         Src::RegField(r, j) => field(&frame[r as usize], j),
     }
 }
@@ -842,15 +922,109 @@ fn field(base: &Value, j: u16) -> &Value {
     }
 }
 
+/// A `match` on an instruction whose straight-line arms — `Copy`
+/// through `Destruct`, the register effects of the DESIGN.md opcode
+/// table — come from this one source, followed by the caller's arms
+/// for the rest. The checker loop ([`Library::vm_exec`]) and the
+/// producer executors' run ([`Library::vm_run`]) both expand it, so the
+/// opcode semantics live in one place while each keeps its own code.
+/// A failed guard evaluates `fail` with the guard's [`FailSite`] bound
+/// to the `|site|` pattern.
+macro_rules! match_instr {
+    (
+        $instr:expr, $lib:expr, $frame:ident, $frames:ident, $args:ident,
+        |$site:pat_param| $fail:expr;
+        $($pat:pat => $arm:expr,)+
+    ) => {
+        match $instr {
+            Instr::Copy { src, dst } => {
+                let v = read($frame, $args, *src).clone();
+                $frame[*dst as usize] = v;
+            }
+            Instr::LoadNat { dst, lit } => $frame[*dst as usize] = Value::Nat(*lit),
+            Instr::LoadBool { dst, lit } => $frame[*dst as usize] = Value::Bool(*lit),
+            Instr::MkSucc { src, dst } => {
+                let n = read($frame, $args, *src)
+                    .as_nat()
+                    .expect("plan invariant: successor of a non-nat");
+                $frame[*dst as usize] = Value::Nat(n.saturating_add(1));
+            }
+            Instr::MkCtor { ctor, srcs, dst } => {
+                let vals = srcs.iter().map(|&s| read($frame, $args, s).clone()).collect();
+                $frame[*dst as usize] = Value::ctor(*ctor, vals);
+            }
+            Instr::CallFun { fun, srcs, dst } => {
+                let mut vals = $frames.take_argv();
+                vals.extend(srcs.iter().map(|&s| read($frame, $args, s).clone()));
+                let v = $lib.universe().fun(*fun).apply(&vals);
+                $frames.put_argv(vals);
+                $frame[*dst as usize] = v;
+            }
+            Instr::GuardNat { src, lit, site: $site } => {
+                if read($frame, $args, *src).as_nat() != Some(*lit) {
+                    $fail
+                }
+            }
+            Instr::GuardNatGe { src, min, site: $site } => {
+                if read($frame, $args, *src).as_nat().is_none_or(|n| n < *min) {
+                    $fail
+                }
+            }
+            Instr::GuardBool { src, lit, site: $site } => {
+                if read($frame, $args, *src).as_bool() != Some(*lit) {
+                    $fail
+                }
+            }
+            Instr::GuardSucc { src, k, dst, site: $site } => {
+                match read($frame, $args, *src).as_nat() {
+                    Some(n) if n >= *k => $frame[*dst as usize] = Value::Nat(n - *k),
+                    _ => $fail,
+                }
+            }
+            Instr::GuardEq { a, b, negated, site: $site } => {
+                let l = read($frame, $args, *a);
+                let r = read($frame, $args, *b);
+                if (l == r) == *negated {
+                    $fail
+                }
+            }
+            Instr::Destruct { src, ctor, dsts, site: $site } => {
+                let fields = match read($frame, $args, *src) {
+                    Value::Ctor(c, fields) if c == ctor && fields.len() == dsts.len() => {
+                        // Pure guard (every field read through a path
+                        // source): no copies at all. Otherwise an O(1)
+                        // Arc clone releases the borrow of the frame so
+                        // the field copies can write.
+                        if dsts.iter().all(Option::is_none) {
+                            None
+                        } else {
+                            Some(fields.clone())
+                        }
+                    }
+                    _ => $fail,
+                };
+                if let Some(fields) = fields {
+                    for (slot, v) in dsts.iter().zip(fields.iter()) {
+                        if let Some(d) = slot {
+                            $frame[*d as usize] = v.clone();
+                        }
+                    }
+                }
+            }
+            $($pat => $arm,)+
+        }
+    };
+}
+
 /// Resolves a premise's source list into the stack reference buffer,
 /// returning the populated length. Arities one through three — every
 /// premise in the bundled workloads — unroll to straight-line reads;
 /// only wider calls pay a counted loop.
 #[inline(always)]
-fn fill_refs<'a>(
+fn fill_refs<'a, A: Borrow<Value>>(
     buf: &mut [&'a Value; MAX_PREMISE_ARITY],
     frame: &'a [Value],
-    args: &'a [&'a Value],
+    args: &'a [A],
     srcs: &[Src],
 ) -> usize {
     match *srcs {
@@ -1102,89 +1276,9 @@ impl Library {
     ) -> Option<bool> {
         let mut pc = pc0;
         while let Some(instr) = h.code.get(pc) {
-            match instr {
-                Instr::Copy { src, dst } => {
-                    let v = read(frame, args, *src).clone();
-                    frame[*dst as usize] = v;
-                }
-                Instr::LoadNat { dst, lit } => frame[*dst as usize] = Value::Nat(*lit),
-                Instr::LoadBool { dst, lit } => frame[*dst as usize] = Value::Bool(*lit),
-                Instr::MkSucc { src, dst } => {
-                    let n = read(frame, args, *src)
-                        .as_nat()
-                        .expect("plan invariant: successor of a non-nat");
-                    frame[*dst as usize] = Value::Nat(n.saturating_add(1));
-                }
-                Instr::MkCtor { ctor, srcs, dst } => {
-                    let vals = srcs.iter().map(|&s| read(frame, args, s).clone()).collect();
-                    frame[*dst as usize] = Value::ctor(*ctor, vals);
-                }
-                Instr::CallFun { fun, srcs, dst } => {
-                    let mut vals = frames.take_argv();
-                    vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
-                    let v = self.universe().fun(*fun).apply(&vals);
-                    frames.put_argv(vals);
-                    frame[*dst as usize] = v;
-                }
-                Instr::GuardNat { src, lit, site } => {
-                    if read(frame, args, *src).as_nat() != Some(*lit) {
-                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardNatGe { src, min, site } => {
-                    if read(frame, args, *src).as_nat().is_none_or(|n| n < *min) {
-                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardBool { src, lit, site } => {
-                    if read(frame, args, *src).as_bool() != Some(*lit) {
-                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardSucc { src, k, dst, site } => match read(frame, args, *src).as_nat() {
-                    Some(n) if n >= *k => frame[*dst as usize] = Value::Nat(n - *k),
-                    _ => return self.vm_fail::<PAR>(chk.rel, h_idx, *site),
-                },
-                Instr::GuardEq {
-                    a,
-                    b,
-                    negated,
-                    site,
-                } => {
-                    let l = read(frame, args, *a);
-                    let r = read(frame, args, *b);
-                    if (l == r) == *negated {
-                        return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
-                    }
-                }
-                Instr::Destruct {
-                    src,
-                    ctor,
-                    dsts,
-                    site,
-                } => {
-                    let fields = match read(frame, args, *src) {
-                        Value::Ctor(c, fields) if c == ctor && fields.len() == dsts.len() => {
-                            // Pure guard (every field read through a
-                            // path source): no copies at all. Otherwise
-                            // an O(1) Arc clone releases the borrow of
-                            // the frame so the field copies can write.
-                            if dsts.iter().all(Option::is_none) {
-                                None
-                            } else {
-                                Some(fields.clone())
-                            }
-                        }
-                        _ => return self.vm_fail::<PAR>(chk.rel, h_idx, *site),
-                    };
-                    if let Some(fields) = fields {
-                        for (slot, v) in dsts.iter().zip(fields.iter()) {
-                            if let Some(d) = slot {
-                                frame[*d as usize] = v.clone();
-                            }
-                        }
-                    }
-                }
+            match_instr! {
+                instr, self, frame, frames, args,
+                |site| return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
                 Instr::CheckRel {
                     rel,
                     srcs,
@@ -1223,42 +1317,7 @@ impl Library {
                         frames.put_argv(vals);
                         r
                     } else {
-                        // Inlined `Library::check` minus its (inert
-                        // here) charge and probe sites; a compiled
-                        // callee stays inside the VM, reusing this
-                        // scratch instead of crossing the entry
-                        // boundary again — and taking the reference
-                        // buffer as-is, no clones.
-                        let imp = self.require_checker(*rel).unwrap_or_else(|e| panic!("{e}"));
-                        let mut r = match imp {
-                            CheckerImpl::Hand(f) => match refs {
-                                // Small arities clone into a stack
-                                // array — no pool round-trip.
-                                [a] => f(top, top, &[(*a).clone()]),
-                                [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
-                                [a, b, c] => {
-                                    f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()])
-                                }
-                                _ => {
-                                    let mut vals = frames.take_argv();
-                                    vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = f(top, top, &vals);
-                                    frames.put_argv(vals);
-                                    r
-                                }
-                            },
-                            CheckerImpl::Plan(plan, compiled) => match &compiled.vm {
-                                Some(p) => self
-                                    .vm_search::<false>(compiled, p, &None, frames, top, top, refs),
-                                None => {
-                                    let mut vals = frames.take_argv();
-                                    vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = self.run_checker_entry(plan, compiled, top, top, &vals);
-                                    frames.put_argv(vals);
-                                    r
-                                }
-                            },
-                        };
+                        let mut r = self.check_unarmed(*rel, refs, frames, top);
                         if *negated {
                             r = cnot(r);
                         }
@@ -1268,7 +1327,7 @@ impl Library {
                         Some(true) => {}
                         other => return other,
                     }
-                }
+                },
                 Instr::RecSelf { srcs, step } => {
                     // The recursive call never leaves the VM, so its
                     // arguments never materialize: a stack buffer of
@@ -1305,7 +1364,7 @@ impl Library {
                         Some(true) => {}
                         other => return other,
                     }
-                }
+                },
                 // The two fan-out instructions live in outlined cold
                 // functions: their bodies (stream plumbing, candidate
                 // loops, premise accounting) would otherwise dominate
@@ -1315,21 +1374,75 @@ impl Library {
                     return self.vm_produce_ext::<PAR>(
                         chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
-                }
+                },
                 Instr::Unconstrained { .. } => {
                     return self.vm_unconstrained::<PAR>(
                         chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
-                }
+                },
+                Instr::ProduceRec { .. } | Instr::Emit { .. } => {
+                    unreachable!("producer-only instruction in a checker program")
+                },
             }
             pc += 1;
         }
         Some(true)
     }
 
-    /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: lazy-stream
-    /// premise, binding each yielded tuple into the frame and
-    /// re-entering the instruction suffix, folded with `bindEC`. The
+    /// [`Library::check`] for a premise when no meter, probe, or
+    /// verdict table is armed: the entry's charge and probe sites are
+    /// inert, so this is the call minus them. A compiled callee stays
+    /// inside the VM, reusing this scratch instead of crossing the
+    /// entry boundary again — and taking the reference buffer as-is,
+    /// no clones.
+    #[inline(always)]
+    fn check_unarmed(
+        &self,
+        rel: RelId,
+        refs: &[&Value],
+        frames: &mut VmFrames,
+        top: u64,
+    ) -> Option<bool> {
+        let imp = self.require_checker(rel).unwrap_or_else(|e| panic!("{e}"));
+        match imp {
+            CheckerImpl::Hand(f) => match refs {
+                // Small arities clone into a stack array — no pool
+                // round-trip.
+                [a] => f(top, top, &[(*a).clone()]),
+                [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
+                [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
+                _ => {
+                    let mut vals = frames.take_argv();
+                    vals.extend(refs.iter().map(|&v| v.clone()));
+                    let r = f(top, top, &vals);
+                    frames.put_argv(vals);
+                    r
+                }
+            },
+            CheckerImpl::Plan(plan, compiled) => match &compiled.vm {
+                Some(p) => self.vm_search::<false>(compiled, p, &None, frames, top, top, refs),
+                None => {
+                    let mut vals = frames.take_argv();
+                    vals.extend(refs.iter().map(|&v| v.clone()));
+                    let r = self.run_checker_entry(plan, compiled, top, top, &vals);
+                    frames.put_argv(vals);
+                    r
+                }
+            },
+        }
+    }
+
+    /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: binds each
+    /// witness tuple into the frame and re-enters the instruction
+    /// suffix, folded with `bindEC`.
+    ///
+    /// When no meter and no probe is armed — always in the fast loop,
+    /// and in the parity loop of a session whose only armed layer is a
+    /// verdict table — the callee runs in push mode
+    /// ([`Library::enum_push`]): a compiled enumerator calls the fold
+    /// once per outcome, and the fold answers `Break` at the first
+    /// witness that proves the goal. Otherwise the callee's lazy stream
+    /// is drained, charging and emitting what the interpreter does. The
     /// streams are lazy, so the cost delta necessarily covers the
     /// premise *and* its continuation under the binder — the
     /// scheduling-relevant tail cost of placing the premise here.
@@ -1361,7 +1474,45 @@ impl Library {
         };
         let mut in_vals = frames.take_argv();
         in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
-        let calls_before = (PAR && self.probe_armed()).then(|| self.inner.search_calls.get());
+        if !PAR || (meter.is_none() && !self.probe_armed()) {
+            let mut needs_fuel = false;
+            let flow = self.enum_push(*rel, mode, top, &in_vals, 0, frames, &mut |frames, o| {
+                let Outcome::Val(vals) = o else {
+                    needs_fuel = true;
+                    return ControlFlow::Continue(());
+                };
+                bind_outs(frame, outs, vals);
+                match self.vm_exec::<PAR>(
+                    chk,
+                    prog,
+                    h,
+                    h_idx,
+                    pc + 1,
+                    frame,
+                    frames,
+                    meter,
+                    size_rem,
+                    top,
+                    args,
+                ) {
+                    Some(true) => ControlFlow::Break(()),
+                    Some(false) => ControlFlow::Continue(()),
+                    None => {
+                        needs_fuel = true;
+                        ControlFlow::Continue(())
+                    }
+                }
+            });
+            frames.put_argv(in_vals);
+            return if flow.is_break() {
+                Some(true)
+            } else if needs_fuel {
+                None
+            } else {
+                Some(false)
+            };
+        }
+        let calls_before = self.probe_armed().then(|| self.inner.search_calls.get());
         let stream = self.enumerate(*rel, mode, top, top, &in_vals);
         frames.put_argv(in_vals);
         let r = bind_ec(stream, |out_vals| {
@@ -1474,6 +1625,585 @@ impl Library {
     }
 }
 
+// ---------------------------------------------------------------------
+// Producer executors
+// ---------------------------------------------------------------------
+
+/// An output tuple pushed to a [`Sink`], read in place: an `Emit`'s
+/// sources over the emitting handler's frame, or a tuple a handwritten
+/// or interpreted stream owns. Nothing is copied until a consumer binds
+/// it.
+#[derive(Clone, Copy)]
+enum Tuple<'a> {
+    /// `Emit { srcs }`, with the frame and arguments it reads.
+    Emitted {
+        srcs: &'a [Src],
+        frame: &'a [Value],
+        args: &'a [Value],
+    },
+    /// A stream's tuple.
+    Owned(&'a [Value]),
+}
+
+impl<'a> Tuple<'a> {
+    /// The `j`-th output.
+    fn get(self, j: usize) -> &'a Value {
+        match self {
+            Tuple::Emitted { srcs, frame, args } => read(frame, args, srcs[j]),
+            Tuple::Owned(vals) => &vals[j],
+        }
+    }
+}
+
+/// Writes a pushed tuple into a consumer's output registers.
+#[inline(never)]
+fn bind_outs(frame: &mut [Value], outs: &[u16], vals: Tuple<'_>) {
+    for (j, &o) in outs.iter().enumerate() {
+        frame[o as usize] = vals.get(j).clone();
+    }
+}
+
+/// A compiled generator's inputs as a reference buffer. Compilation
+/// caps every producer's input arity at `MAX_PREMISE_ARITY`, so a tuple
+/// that reaches a compiled program always fits.
+fn ref_buf(vals: &[Value]) -> ([&Value; MAX_PREMISE_ARITY], usize) {
+    debug_assert!(vals.len() <= MAX_PREMISE_ARITY);
+    let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+    for (slot, v) in buf.iter_mut().zip(vals) {
+        *slot = v;
+    }
+    (buf, vals.len().min(MAX_PREMISE_ARITY))
+}
+
+/// The consumer of a push-mode enumeration: called once per outcome, in
+/// the plan interpreter's stream order. `Break` ends the enumeration
+/// early — the checker's `bindEC` fold answers it at the first witness
+/// that proves its goal, where `bind_ec` stops pulling the stream.
+type Sink<'s> = dyn FnMut(&mut VmFrames, Outcome<Tuple<'_>>) -> ControlFlow<()> + 's;
+
+/// A handler body running in a push-mode enumeration level: what it
+/// reads and the sink it pushes to. A pointer to it is the
+/// enumerator's calling convention, which keeps small the frames that
+/// stay live under the consumer.
+struct EnumRun<'a, 's> {
+    cp: &'a CompiledProducer,
+    h: &'a VmHandler,
+    frame: &'a mut [Value],
+    size_rem: u64,
+    top: u64,
+    args: &'a [Value],
+    /// Push-mode levels above this one.
+    depth: u32,
+    sink: &'a mut Sink<'s>,
+}
+
+/// Push-mode levels one enumeration nests — compiled `ProduceRec` and
+/// `ProduceExt` calls beneath one checker premise — before the rest of
+/// its descent runs on the interpreter's streams. Push mode keeps a
+/// level's frames live twice, on the way down and again under the
+/// consumer, so past a few dozen levels its stack per derivation level
+/// would outgrow the interpreter's, whose streams return each outcome
+/// instead. The streams yield the same outcomes in the same order, so
+/// only speed changes, and only below any bundled workload's depth.
+const PUSH_DEPTH: u32 = 64;
+
+/// Pushes a stream's outcomes into `sink`, in order, until it breaks.
+fn drain(
+    stream: EStream<Vec<Value>>,
+    frames: &mut VmFrames,
+    sink: &mut Sink<'_>,
+) -> ControlFlow<()> {
+    for o in stream {
+        let o = match &o {
+            Outcome::Val(vals) => Outcome::Val(Tuple::Owned(vals)),
+            Outcome::OutOfFuel => Outcome::OutOfFuel,
+        };
+        sink(frames, o)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// Where a straight-line run of a producer handler stopped.
+enum Run {
+    /// At this producing instruction.
+    At(usize),
+    /// A guard or premise failed: the handler yields nothing.
+    Failed,
+    /// A `CheckRel` premise was undecided.
+    OutOfFuel,
+}
+
+impl Library {
+    /// `true` when compiled producers may run: no budget meter and no
+    /// probe is armed, so nothing observes the charges and events only
+    /// the plan interpreter makes. Both arm only around whole top-level
+    /// calls, so the answer at the outermost producer call holds for
+    /// everything beneath it. A verdict table does not close the gate:
+    /// tables observe checker entries only, and compiled producers make
+    /// the same checker calls, in the same order, as the interpreter.
+    pub(crate) fn producers_unarmed(&self) -> bool {
+        self.inner.meter.borrow().is_none() && !self.probe_armed()
+    }
+
+    /// An enumerator premise in push mode (no meter or probe armed):
+    /// `rel`'s compiled program when it has one, otherwise its
+    /// handwritten or interpreted stream drained into `sink`. Outlined:
+    /// its stream-draining path would otherwise widen every frame that
+    /// stays live under the consumer.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn enum_push(
+        &self,
+        rel: RelId,
+        mode: &Mode,
+        top: u64,
+        inputs: &[Value],
+        depth: u32,
+        frames: &mut VmFrames,
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        let entry = self
+            .require_producer(rel, mode, InstanceKind::Enumerator)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let (None, Some(cp)) = (&entry.hand_enum, &entry.vm) {
+            return self.vm_enum_search(cp, top, top, inputs, depth, frames, sink);
+        }
+        drain(
+            self.run_enum_impl(rel, entry, top, top, inputs),
+            frames,
+            sink,
+        )
+    }
+
+    /// The interpreter's stream for `cp`'s plan, pushed: the deep end
+    /// of an enumeration past [`PUSH_DEPTH`] levels.
+    #[inline(never)]
+    fn enum_interpreted(
+        &self,
+        cp: &CompiledProducer,
+        size: u64,
+        top: u64,
+        args: &[Value],
+        frames: &mut VmFrames,
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        drain(self.run_plan_enum(&cp.plan, size, top, args), frames, sink)
+    }
+
+    /// Push-mode enumerator dispatch: pushes exactly the outcomes
+    /// `run_plan_enum` streams, in its order. Handlers run in plan
+    /// order, through the index when there is one (a pruned handler
+    /// would fail its input match and yield nothing); at size 0 the
+    /// recursive ones are skipped and, if there are any, one
+    /// out-of-fuel outcome follows the last handler.
+    ///
+    /// Every outcome is pushed from the top of the stack that produced
+    /// it, so a level's frames stay live under the consumer; from
+    /// [`PUSH_DEPTH`] levels down the interpreter's stream takes over.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_enum_search(
+        &self,
+        cp: &CompiledProducer,
+        size: u64,
+        top: u64,
+        args: &[Value],
+        depth: u32,
+        frames: &mut VmFrames,
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        if depth >= PUSH_DEPTH {
+            return self.enum_interpreted(cp, size, top, args, frames, sink);
+        }
+        let size_rem = size.saturating_sub(1);
+        let candidates: &[u32] = match &cp.index {
+            Some(index) => index.candidates(args),
+            None => &cp.prog.all,
+        };
+        for &i in candidates {
+            let h = &cp.prog.handlers[i as usize];
+            if size == 0 && h.recursive {
+                continue;
+            }
+            let mut frame = frames.take(h.nregs);
+            let run = &mut EnumRun {
+                cp,
+                h,
+                frame: &mut frame,
+                size_rem,
+                top,
+                args,
+                depth,
+                sink: &mut *sink,
+            };
+            let flow = self.vm_enum_exec(run, 0, frames);
+            frames.put(frame);
+            flow?;
+        }
+        if size == 0 && cp.has_recursive {
+            sink(frames, Outcome::OutOfFuel)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The enumerator's handler body from `pc`: the straight-line run,
+    /// then the instruction it stopped at. A failed guard yields
+    /// nothing, `Emit` pushes the output tuple, and the fan-out
+    /// instructions re-enter this body per candidate on the same frame,
+    /// as the checker's do.
+    #[inline]
+    fn vm_enum_exec(
+        &self,
+        run: &mut EnumRun<'_, '_>,
+        pc: usize,
+        frames: &mut VmFrames,
+    ) -> ControlFlow<()> {
+        let h = run.h;
+        let pc = match self.vm_run(h, pc, run.frame, frames, run.top, run.args) {
+            Run::At(pc) => pc,
+            Run::Failed => return ControlFlow::Continue(()),
+            // `bindCE`: an undecided premise yields a single out-of-fuel
+            // outcome.
+            Run::OutOfFuel => return (run.sink)(frames, Outcome::OutOfFuel),
+        };
+        match &h.code[pc] {
+            Instr::Emit { srcs } => {
+                let vals = Tuple::Emitted {
+                    srcs,
+                    frame: run.frame,
+                    args: run.args,
+                };
+                (run.sink)(frames, Outcome::Val(vals))
+            }
+            Instr::Unconstrained { .. } => self.vm_enum_unconstrained(run, pc, frames),
+            _ => self.vm_enum_bind(run, pc, frames),
+        }
+    }
+
+    /// Runs a producer handler's straight-line instructions and
+    /// `CheckRel` premises from `pc`, stopping at the first instruction
+    /// that produces (`ProduceRec`, `ProduceExt`, `Unconstrained`,
+    /// `Emit`) — the part of a handler body both producer executors
+    /// share.
+    #[inline(never)]
+    fn vm_run<A: Borrow<Value>>(
+        &self,
+        h: &VmHandler,
+        mut pc: usize,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        top: u64,
+        args: &[A],
+    ) -> Run {
+        loop {
+            match_instr! {
+                &h.code[pc], self, frame, frames, args,
+                |_| return Run::Failed;
+                Instr::CheckRel {
+                    rel, srcs, negated, ..
+                } => match self.producer_check(*rel, srcs, *negated, frame, args, frames, top) {
+                    Some(true) => {}
+                    Some(false) => return Run::Failed,
+                    None => return Run::OutOfFuel,
+                },
+                Instr::ProduceRec { .. }
+                | Instr::ProduceExt { .. }
+                | Instr::Unconstrained { .. }
+                | Instr::Emit { .. } => return Run::At(pc),
+                Instr::RecSelf { .. } => unreachable!("RecSelf in a producer program"),
+            }
+            pc += 1;
+        }
+    }
+
+    /// Outlined `Unconstrained` arm of the enumerator: the suffix per
+    /// candidate of the type's bounded domain, then the truncation
+    /// marker when the domain was cut.
+    #[inline(never)]
+    fn vm_enum_unconstrained(
+        &self,
+        run: &mut EnumRun<'_, '_>,
+        pc: usize,
+        frames: &mut VmFrames,
+    ) -> ControlFlow<()> {
+        let h = run.h;
+        let Instr::Unconstrained { ty, dst, .. } = &h.code[pc] else {
+            unreachable!("vm_enum_unconstrained entered on a non-Unconstrained pc");
+        };
+        let candidates = self.raw_values(ty, run.top);
+        for v in candidates.iter() {
+            run.frame[*dst as usize] = v.clone();
+            self.vm_enum_exec(run, pc + 1, frames)?;
+        }
+        if self.raw_truncated(ty, run.top) {
+            (run.sink)(frames, Outcome::OutOfFuel)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Outlined `ProduceRec`/`ProduceExt` arm of the enumerator: `bindE`.
+    /// Each witness tuple is written into `outs` and the instruction
+    /// suffix re-runs; the callee's out-of-fuel outcomes pass straight
+    /// through to the sink.
+    #[inline(never)]
+    fn vm_enum_bind(
+        &self,
+        run: &mut EnumRun<'_, '_>,
+        pc: usize,
+        frames: &mut VmFrames,
+    ) -> ControlFlow<()> {
+        let (cp, h, size_rem, top, depth) = (run.cp, run.h, run.size_rem, run.top, run.depth + 1);
+        let (Instr::ProduceRec { srcs, outs } | Instr::ProduceExt { srcs, outs, .. }) = &h.code[pc]
+        else {
+            unreachable!("vm_enum_bind entered on a non-producer pc");
+        };
+        // The suffix rewrites this frame while the callee still reads
+        // its inputs, so the inputs leave the frame first.
+        let mut in_vals = frames.take_argv();
+        in_vals.extend(srcs.iter().map(|&s| read(run.frame, run.args, s).clone()));
+        let mut bind = |frames: &mut VmFrames, o: Outcome<Tuple<'_>>| match o {
+            Outcome::Val(vals) => {
+                bind_outs(run.frame, outs, vals);
+                self.vm_enum_exec(run, pc + 1, frames)
+            }
+            Outcome::OutOfFuel => (run.sink)(frames, Outcome::OutOfFuel),
+        };
+        let flow = match &h.code[pc] {
+            Instr::ProduceExt { rel, mode, .. } => {
+                self.enum_push(*rel, mode, top, &in_vals, depth, frames, &mut bind)
+            }
+            _ => self.vm_enum_search(cp, size_rem, top, &in_vals, depth, frames, &mut bind),
+        };
+        frames.put_argv(in_vals);
+        flow
+    }
+
+    /// Runs a compiled generator from the top (no meter or probe armed).
+    pub(crate) fn run_vm_gen(
+        &self,
+        cp: &CompiledProducer,
+        size: u64,
+        top: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<Vec<Value>> {
+        let mut frames = self.take_vm_frames();
+        let mut out = Vec::new();
+        let (refs, len) = ref_buf(inputs);
+        let ok = self.vm_gen_search(cp, size, top, &refs[..len], &mut frames, rng, &mut out);
+        self.put_vm_frames(frames);
+        ok.then_some(out)
+    }
+
+    /// Generator dispatch: `run_plan_gen`'s weighted `backtrack`, making
+    /// the same RNG draws in the same order over the same `(weight,
+    /// handler)` options. Every handler is an option (never the index:
+    /// pruning one would change the weight total that every later draw
+    /// ranges over), weighted 1 when it is a base case and `size.max(1)`
+    /// when it recurses, with the recursive ones dropped at size 0; a
+    /// failed option leaves by `swap_remove`. On success the output
+    /// tuple is appended to `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen_search(
+        &self,
+        cp: &CompiledProducer,
+        size: u64,
+        top: u64,
+        args: &[&Value],
+        frames: &mut VmFrames,
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let size_rem = size.saturating_sub(1);
+        let mut options = frames.take_options();
+        options.extend(
+            cp.prog
+                .handlers
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| size > 0 || !h.recursive)
+                .map(|(i, h)| (if h.recursive { size.max(1) } else { 1 }, i as u32)),
+        );
+        let mut total: u64 = options.iter().map(|(w, _)| *w).sum();
+        let mut ok = false;
+        while total > 0 {
+            let mut pick = rand::Rng::gen_range(&mut *rng, 0..total);
+            let mut chosen = 0;
+            for (j, (w, _)) in options.iter().enumerate() {
+                if pick < *w {
+                    chosen = j;
+                    break;
+                }
+                pick -= *w;
+            }
+            let (w, i) = options[chosen];
+            let h = &cp.prog.handlers[i as usize];
+            let mut frame = frames.take(h.nregs);
+            ok = self.vm_gen_exec(cp, h, &mut frame, frames, size_rem, top, args, rng, out);
+            frames.put(frame);
+            if ok {
+                break;
+            }
+            total -= w;
+            options.swap_remove(chosen);
+        }
+        frames.put_options(options);
+        ok
+    }
+
+    /// The generator's handler body: the straight-line runs of
+    /// [`Library::vm_run`], and one draw per instruction they stop at;
+    /// `false` when a guard, a premise, or a callee fails. `Emit`
+    /// appends the output tuple to `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen_exec(
+        &self,
+        cp: &CompiledProducer,
+        h: &VmHandler,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let mut pc = 0;
+        loop {
+            // A refuted or undecided premise fails the draw alike.
+            let Run::At(at) = self.vm_run(h, pc, frame, frames, top, args) else {
+                return false;
+            };
+            match &h.code[at] {
+                Instr::Emit { srcs } => {
+                    out.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                    return true;
+                }
+                Instr::Unconstrained { ty, dst, .. } => {
+                    frame[*dst as usize] = random_value(self.universe(), ty, size_rem.max(1), rng);
+                }
+                instr => {
+                    if !self.vm_gen_bind(cp, instr, frame, frames, size_rem, top, args, rng) {
+                        return false;
+                    }
+                }
+            }
+            pc = at + 1;
+        }
+    }
+
+    /// Outlined `ProduceRec`/`ProduceExt` arm of the generator: one
+    /// draw from the callee, its outputs written into `outs`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen_bind(
+        &self,
+        cp: &CompiledProducer,
+        instr: &Instr,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+        rng: &mut dyn rand::RngCore,
+    ) -> bool {
+        let mut res = frames.take_argv();
+        let (ok, outs) = match instr {
+            // The callee only reads its inputs while this frame waits,
+            // so they travel by reference.
+            Instr::ProduceRec { srcs, outs } => {
+                let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                let len = fill_refs(&mut refs, frame, args, srcs);
+                let ok = self.vm_gen_search(cp, size_rem, top, &refs[..len], frames, rng, &mut res);
+                (ok, outs)
+            }
+            Instr::ProduceExt {
+                rel,
+                mode,
+                srcs,
+                outs,
+                ..
+            } => {
+                let mut in_vals = frames.take_argv();
+                in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                let ok = self.gen_ext(*rel, mode, top, &in_vals, frames, rng, &mut res);
+                frames.put_argv(in_vals);
+                (ok, outs)
+            }
+            _ => unreachable!("vm_gen_bind entered on a non-producer instruction"),
+        };
+        if ok {
+            for (&o, v) in outs.iter().zip(res.drain(..)) {
+                frame[o as usize] = v;
+            }
+        }
+        frames.put_argv(res);
+        ok
+    }
+
+    /// An external generator premise: `rel`'s compiled program when it
+    /// has one, otherwise its handwritten or interpreted generator.
+    #[allow(clippy::too_many_arguments)]
+    fn gen_ext(
+        &self,
+        rel: RelId,
+        mode: &Mode,
+        top: u64,
+        inputs: &[Value],
+        frames: &mut VmFrames,
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let entry = self
+            .require_producer(rel, mode, InstanceKind::Generator)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if let (None, Some(cp)) = (&entry.hand_gen, &entry.vm) {
+            let (refs, len) = ref_buf(inputs);
+            return self.vm_gen_search(cp, top, top, &refs[..len], frames, rng, out);
+        }
+        match self.run_gen_impl(rel, entry, top, top, inputs, rng) {
+            Some(vals) => {
+                out.extend(vals);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// A `CheckRel` premise inside a compiled producer. With a verdict
+    /// table attached it crosses the entry boundary exactly as the
+    /// interpreter's `check` call does, so the table sees the same
+    /// lookups and insertions; without one it is the fast loop's call.
+    #[allow(clippy::too_many_arguments)]
+    fn producer_check<A: Borrow<Value>>(
+        &self,
+        rel: RelId,
+        srcs: &[Src],
+        negated: bool,
+        frame: &[Value],
+        args: &[A],
+        frames: &mut VmFrames,
+        top: u64,
+    ) -> Option<bool> {
+        let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+        let len = fill_refs(&mut refs, frame, args, srcs);
+        let refs = &refs[..len];
+        let r = if self.inner.memo.get().is_some() {
+            let mut vals = frames.take_argv();
+            vals.extend(refs.iter().map(|&v| v.clone()));
+            let r = self.check(rel, top, top, &vals);
+            frames.put_argv(vals);
+            r
+        } else {
+            self.check_unarmed(rel, refs, frames, top)
+        };
+        if negated {
+            cnot(r)
+        } else {
+            r
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1543,6 +2273,156 @@ mod tests {
         assert_eq!(lib.vm_fallback_count(), 0, "every demo relation compiles");
     }
 
+    /// The compiled enumerator's outcomes for one call, in push order,
+    /// stopping after `cap`.
+    fn pushed_outcomes(
+        lib: &Library,
+        rel: RelId,
+        mode: &Mode,
+        fuel: u64,
+        inputs: &[Value],
+        cap: usize,
+    ) -> Vec<Outcome<Vec<Value>>> {
+        let entry = lib
+            .require_producer(rel, mode, InstanceKind::Enumerator)
+            .unwrap();
+        let cp = entry.vm.as_ref().expect("every derived producer compiles");
+        let arity = mode.out_positions().len();
+        let mut out = Vec::new();
+        let mut frames = VmFrames::default();
+        let _ = lib.vm_enum_search(cp, fuel, fuel, inputs, 0, &mut frames, &mut |_, o| {
+            out.push(o.map(|vals| (0..arity).map(|j| vals.get(j).clone()).collect()));
+            if out.len() < cap {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        });
+        out
+    }
+
+    /// Every derived producer of `lib` compiles, and on the inputs of
+    /// `tuples_up_to(arg_size)` at fuels 0–6 its push-mode outcome
+    /// sequence equals the interpreter's stream, element for element,
+    /// up to `cap` outcomes per call. Returns the number of producers
+    /// covered.
+    fn assert_enumerators_agree(lib: &Library, arg_size: u64, cap: usize) -> usize {
+        let mut covered = 0;
+        for (rel_idx, modes) in lib.inner.producers.iter().enumerate() {
+            let rel = RelId::new(rel_idx);
+            for (mode, imp) in modes.iter().filter(|(_, imp)| imp.plan.is_some()) {
+                assert!(imp.vm.is_some(), "{rel:?} {mode} should compile");
+                let tys: Vec<TypeExpr> = mode
+                    .in_positions()
+                    .into_iter()
+                    .map(|i| lib.env().relation(rel).arg_types()[i].clone())
+                    .collect();
+                let tuples = indrel_term::enumerate::tuples_up_to(lib.universe(), &tys, arg_size);
+                for inputs in &tuples {
+                    for fuel in 0..=6u64 {
+                        let want = lib.enumerate(rel, mode, fuel, fuel, inputs).take(cap);
+                        assert_eq!(
+                            pushed_outcomes(lib, rel, mode, fuel, inputs, cap),
+                            want.outcomes(),
+                            "{} {mode} fuel {fuel} on {inputs:?}",
+                            lib.env().relation(rel).name()
+                        );
+                    }
+                }
+                covered += 1;
+            }
+        }
+        covered
+    }
+
+    /// Derives a checker and the given producers over a parsed program.
+    fn derive(
+        u: Universe,
+        env: RelEnv,
+        checkers: &[&str],
+        producers: &[(&str, &[usize])],
+    ) -> Library {
+        let mut b = LibraryBuilder::new(u, env);
+        for name in checkers {
+            let rel = b.env().rel_id(name).unwrap();
+            b.derive_checker(rel).unwrap();
+        }
+        for (name, outs) in producers {
+            let rel = b.env().rel_id(name).unwrap();
+            let arity = b.env().relation(rel).arity();
+            b.derive_producer(rel, Mode::producer(arity, outs)).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn bst_and_ifc_enumerators_push_the_interpreters_outcomes() {
+        let mut u = Universe::new();
+        let mut env = RelEnv::new();
+        parse_program(&mut u, &mut env, indrel_bst::BST_SOURCE).unwrap();
+        let bst = derive(u, env, &["bst"], &[("bst", &[2])]);
+        // bst, lt', le'.
+        assert_eq!(assert_enumerators_agree(&bst, 5, 400), 3);
+
+        let mut u = Universe::new();
+        u.std_list();
+        let mut env = RelEnv::new();
+        parse_program(&mut u, &mut env, indrel_ifc::IFC_SOURCE).unwrap();
+        let ifc = derive(u, env, &["indist"], &[("indist", &[1])]);
+        // indist, indist_list, indist_atom.
+        assert_eq!(assert_enumerators_agree(&ifc, 8, 400), 3);
+    }
+
+    #[test]
+    fn stlc_and_corpus_enumerators_push_the_interpreters_outcomes() {
+        let (u, env) = indrel_corpus::corpus_env();
+        let stlc = derive(
+            u,
+            env,
+            &["stlc_typing", "stlc_step"],
+            &[
+                ("stlc_typing", &[2]),
+                ("stlc_typing", &[1]),
+                ("stlc_step", &[1]),
+            ],
+        );
+        // stlc_typing at both modes, stlc_lookup at both, stlc_step.
+        assert_eq!(assert_enumerators_agree(&stlc, 5, 300), 5);
+
+        let (u, env) = indrel_corpus::corpus_env();
+        let corpus = derive(
+            u,
+            env,
+            &[],
+            &[("le", &[1]), ("ev", &[0]), ("in_list", &[0])],
+        );
+        assert_eq!(assert_enumerators_agree(&corpus, 6, 400), 3);
+    }
+
+    #[test]
+    fn deep_enumerations_hand_over_to_the_interpreter() {
+        // Past `PUSH_DEPTH` nested levels the interpreter's stream
+        // takes over; the outcome sequence must not change across it.
+        let (u, env) = indrel_corpus::corpus_env();
+        let lib = derive(u, env, &[], &[("le", &[1]), ("le", &[0])]);
+        let le = lib.env().rel_id("le").unwrap();
+        let deep = u64::from(PUSH_DEPTH);
+        for outs in [[1], [0]] {
+            let mode = Mode::producer(2, &outs);
+            for fuel in [deep - 1, deep, deep + 1, 2 * deep] {
+                for n in [0, 3, fuel] {
+                    let inputs = [Value::nat(n)];
+                    let want = lib.enumerate(le, &mode, fuel, fuel, &inputs).take(1_000);
+                    assert_eq!(
+                        pushed_outcomes(&lib, le, &mode, fuel, &inputs, 1_000),
+                        want.outcomes(),
+                        "le {mode} fuel {fuel} on {n}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn opcode_names_are_unique() {
         let names = [
@@ -1562,6 +2442,8 @@ mod tests {
             "RecSelf",
             "ProduceExt",
             "Unconstrained",
+            "ProduceRec",
+            "Emit",
         ];
         let set: std::collections::HashSet<_> = names.iter().collect();
         assert_eq!(set.len(), names.len());

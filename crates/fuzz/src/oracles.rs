@@ -10,7 +10,7 @@
 //! | oracle                     | left side              | right side                  |
 //! |----------------------------|------------------------|-----------------------------|
 //! | `parse_roundtrip`          | parsed program         | reparse of pretty-printout  |
-//! | `interp_vs_compiled`       | compiled checker (budgeted) | budgeted re-run + plan interpreter |
+//! | `interp_vs_compiled`       | compiled checker, generator | budgeted re-run + plan interpreter |
 //! | `checker_vs_reference`     | derived checker        | `indrel-semantics` search   |
 //! | `enumerator_vs_checker`    | enumerator outcome set | checker-filtered domain     |
 //! | `probe_parity`             | probe-armed checker    | unarmed checker             |
@@ -46,9 +46,12 @@ pub enum Oracle {
     Roundtrip,
     /// [`Library::check`] (the bytecode VM, or the interpreter fallback
     /// for plans that did not compile) returns the same budgeted
-    /// `Result` on a repeated run, and every decided verdict equals
-    /// [`Library::check_interpreted`], across the domain and a fuel
-    /// ladder.
+    /// `Result` on a repeated run, and every decided verdict — budgeted,
+    /// and unbudgeted with compiled enumerators folded into `bindEC` —
+    /// equals [`Library::check_interpreted`], across the domain and a
+    /// fuel ladder. Each all-outputs [`Library::generate`] returns what
+    /// [`Library::generate_interpreted`] returns from the same seed and
+    /// leaves the RNG in the same state.
     InterpVsCompiled,
     /// The derived checker agrees with the bounded reference proof
     /// search of `indrel-semantics` (via [`Validator::checker_case`]).
@@ -444,14 +447,17 @@ fn interp_vs_compiled(
                 }
                 match compiled {
                     // The budgeted run bounds the work; the interpreter
-                    // walks the same plan unindexed, so a verdict that
-                    // fits the budget is cheap enough to re-derive.
+                    // walks the same plan unindexed, and the unbudgeted
+                    // run does the same search without the meter, so a
+                    // verdict that fits the budget is cheap enough to
+                    // re-derive both ways.
                     Ok(verdict) => {
                         let interpreted = interp.check_interpreted(rel, fuel, fuel, args);
-                        if interpreted != verdict {
+                        let unbudgeted = again.check(rel, fuel, fuel, args);
+                        if interpreted != verdict || unbudgeted != verdict {
                             return OracleOutcome::Violation(format!(
-                                "{} at fuel {fuel} on {}: compiled {verdict:?} vs interpreted \
-                                 {interpreted:?}",
+                                "{} at fuel {fuel} on {}: compiled {verdict:?} (unbudgeted \
+                                 {unbudgeted:?}) vs interpreted {interpreted:?}",
                                 env.relation(rel).name(),
                                 render_args(u, args),
                             ));
@@ -462,8 +468,51 @@ fn interp_vs_compiled(
                 }
             }
         }
+        if let Err(msg) = generators_agree(lib, &again, &interp, env, rel, params) {
+            return OracleOutcome::Violation(msg);
+        }
     }
     OracleOutcome::Pass
+}
+
+/// The generator half of `interp_vs_compiled`: at each fuel of the
+/// ladder and a few seeds, a budgeted `try_generate` (meter armed, so
+/// on the plan interpreter) screens the work, and a draw that fits must
+/// come out the same from the compiled [`Library::generate`] and from
+/// [`Library::generate_interpreted`], leaving both RNGs in one state.
+fn generators_agree(
+    lib: &Library,
+    compiled: &Library,
+    interp: &Library,
+    env: &RelEnv,
+    rel: RelId,
+    params: &OracleParams,
+) -> Result<(), String> {
+    use rand::{RngCore, SeedableRng};
+    let arity = env.relation(rel).arity();
+    let mode = Mode::producer(arity, &(0..arity).collect::<Vec<_>>());
+    let name = env.relation(rel).name();
+    for fuel in [0, params.max_fuel / 2, params.max_fuel] {
+        for seed in 0..4u64 {
+            let rng = || rand::rngs::SmallRng::seed_from_u64(seed);
+            let budget = Budget::unlimited().with_steps(params.call_steps);
+            let screened = match lib.try_generate(rel, &mode, fuel, fuel, &[], &mut rng(), budget) {
+                Ok(out) => out,
+                Err(e) if is_cutoff(&e) => continue,
+                Err(e) => return Err(format!("generator: {e}")),
+            };
+            let (mut a, mut b) = (rng(), rng());
+            let got = compiled.generate(rel, &mode, fuel, fuel, &[], &mut a);
+            let want = interp.generate_interpreted(rel, &mode, fuel, fuel, &[], &mut b);
+            if got != want || screened != want || a.next_u64() != b.next_u64() {
+                return Err(format!(
+                    "{name} generator at fuel {fuel}, seed {seed}: compiled {got:?} vs \
+                     interpreted {want:?} (budgeted {screened:?}), or their RNG states differ"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn checker_vs_reference(lib: &Library, rels: &[RelId], params: &OracleParams) -> OracleOutcome {

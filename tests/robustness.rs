@@ -314,3 +314,36 @@ fn overflowing_term_size_is_rejected_not_wrapped() {
         })
     );
 }
+
+#[test]
+fn armed_producer_telemetry_survives_huge_outputs() {
+    // Each output is as large as a term can be, so the probe's
+    // `TermProduced` size of the pair saturates instead of overflowing.
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        "rel tri : nat nat nat := | c : forall n, tri n n n .",
+    )
+    .unwrap();
+    let tri = env.rel_id("tri").unwrap();
+    let mode = Mode::producer(3, &[1, 2]);
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_producer(tri, mode.clone()).unwrap();
+    let lib = b.build();
+    let stats = SearchStats::new();
+    let _probe = lib.arm_probe(ExecProbe::stats(&stats));
+    let input = [Value::nat(u64::MAX)];
+    let pair = vec![Value::nat(u64::MAX), Value::nat(u64::MAX)];
+    let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0);
+    assert_eq!(
+        lib.try_generate(tri, &mode, 3, 3, &input, &mut rng, Budget::unlimited()),
+        Ok(Some(pair.clone()))
+    );
+    let stream = lib
+        .try_enumerate(tri, &mode, 3, 3, &input, Budget::unlimited())
+        .unwrap();
+    assert_eq!(stream.values(), Ok(vec![pair]));
+    assert_eq!(stats.term_size_hist().max, u64::MAX);
+}

@@ -10,7 +10,11 @@
 //!   runs cut off (or decide) identically when repeated;
 //! * memoized and served sessions agree with a plain session;
 //! * the fast dispatch loop (an unarmed session) agrees with the parity
-//!   loop (a stats-armed session).
+//!   loop (a stats-armed session);
+//! * the compiled generators ([`Library::generate`]) return what the
+//!   interpreted ones ([`Library::generate_interpreted`]) return from
+//!   the same seed, and leave the RNG in the same state;
+//! * deep compiled derivations fit the 2 MiB stack of a test thread.
 //!
 //! A relation wider than the VM's premise-arity ceiling pins the
 //! interpreter fallback itself.
@@ -21,7 +25,7 @@ use indrel::ifc::Ifc;
 use indrel::prelude::*;
 use indrel::stlc::Stlc;
 use rand::rngs::SmallRng;
-use rand::{Rng as _, SeedableRng};
+use rand::{Rng as _, RngCore as _, SeedableRng};
 
 /// Budget ladder for `Result`-level determinism: tight enough that
 /// early rungs exhaust mid-search, generous enough that the top rung
@@ -218,7 +222,120 @@ fn bst_vm_matches_interpreter_verdicts_and_cutoffs() {
 
 #[test]
 fn stlc_vm_matches_interpreter_on_typing() {
-    assert_vm_matches_interpreter(&stlc_corpus());
+    // `T_App` infers its argument's type through the compiled
+    // enumerator; fuels 0–8 reach its out-of-fuel paths.
+    let mut c = stlc_corpus();
+    c.fuels = (0..=8).chain([40]).collect();
+    let verdicts = assert_vm_matches_interpreter(&c);
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "corpus should hit Some(true)/Some(false)/None: {verdicts:?}"
+    );
+}
+
+/// One derived generator against its interpreted oracle at sizes 0–6
+/// over `seeds` seeds: the same output, and the same next RNG word.
+/// `inputs` draws the call's inputs from a separate stream. Returns how
+/// many calls produced a tuple.
+fn assert_generator_matches_interpreter(
+    lib: &Library,
+    rel: RelId,
+    mode: &Mode,
+    seeds: u64,
+    mut inputs: impl FnMut(&mut SmallRng) -> Vec<Value>,
+) -> usize {
+    let mut produced = 0;
+    let mut draw = SmallRng::seed_from_u64(99);
+    for seed in 0..seeds {
+        for size in 0..=6u64 {
+            let inputs = inputs(&mut draw);
+            let mut compiled = SmallRng::seed_from_u64(seed);
+            let mut interpreted = compiled.clone();
+            let got = lib.generate(rel, mode, size, size, &inputs, &mut compiled);
+            let want = lib.generate_interpreted(rel, mode, size, size, &inputs, &mut interpreted);
+            assert_eq!(got, want, "seed {seed} size {size} on {inputs:?}");
+            assert_eq!(
+                compiled.next_u64(),
+                interpreted.next_u64(),
+                "RNG state after seed {seed} size {size} on {inputs:?}"
+            );
+            produced += usize::from(got.is_some());
+        }
+    }
+    produced
+}
+
+#[test]
+fn compiled_generators_replay_the_interpreters_draws() {
+    let bst = Bst::new();
+    let produced = assert_generator_matches_interpreter(
+        bst.library(),
+        bst.relation(),
+        &bst.tree_mode(),
+        1000,
+        |rng| {
+            let lo = rng.gen_range(0..8u64);
+            vec![Value::nat(lo), Value::nat(lo + rng.gen_range(0..16u64))]
+        },
+    );
+    assert!(produced > 0);
+
+    let stlc = Stlc::new();
+    let produced = assert_generator_matches_interpreter(
+        stlc.library(),
+        stlc.typing_relation(),
+        &stlc.term_mode(),
+        1000,
+        |rng| vec![stlc.ctx(&[]), stlc.random_ty(2, rng)],
+    );
+    assert!(produced > 0);
+
+    let ifc = Ifc::new();
+    let produced = assert_generator_matches_interpreter(
+        ifc.library(),
+        ifc.indist_relation(),
+        &ifc.variation_mode(),
+        1000,
+        |rng| {
+            let (_, m, _) = ifc.gen_indist_pair(6, rng);
+            vec![ifc.machine_value(&m)]
+        },
+    );
+    assert!(produced > 0);
+}
+
+#[test]
+fn compiled_producers_make_the_interpreters_memo_lookups() {
+    // `stlc_step`'s producer checks `stlc_value` through the derived
+    // checker, so a memoized session crosses the entry boundary from
+    // inside the compiled generator. Arming a probe sends the same
+    // calls through the interpreter; the table must see both alike.
+    let stlc = Stlc::new();
+    let (rel, mode) = (stlc.step_relation(), Mode::producer(2, &[1]));
+    let mut rng = SmallRng::seed_from_u64(3);
+    let terms: Vec<Value> = std::iter::from_fn(|| {
+        let ty = stlc.random_ty(2, &mut rng);
+        Some(stlc.handwritten_gen(&[], &ty, 5, &mut rng))
+    })
+    .flatten()
+    .take(200)
+    .collect();
+    let run = |armed: bool| {
+        let lib = stlc.library().fork().with_memo();
+        let stats = SearchStats::new();
+        let _probe = armed.then(|| lib.arm_probe(ExecProbe::stats(&stats)));
+        let mut rng = SmallRng::seed_from_u64(4);
+        let outs: Vec<_> = terms
+            .iter()
+            .map(|e| lib.generate(rel, &mode, 8, 8, std::slice::from_ref(e), &mut rng))
+            .collect();
+        (outs, lib.memo_stats())
+    };
+    let (compiled, compiled_stats) = run(false);
+    let (interpreted, interpreted_stats) = run(true);
+    assert_eq!(compiled, interpreted);
+    assert_eq!(compiled_stats, interpreted_stats);
+    assert!(compiled_stats.misses > 0, "{compiled_stats:?}");
 }
 
 #[test]
@@ -399,4 +516,127 @@ fn uncompilable_relation_falls_back_to_the_interpreter() {
     let want: Vec<_> = first.into_iter().map(Ok).collect();
     assert_eq!(served, want);
     assert!(server.snapshot().counter("vm.fallback").unwrap() > 0);
+}
+
+#[test]
+fn handwritten_producers_serve_compiled_callers() {
+    // `le` at (-,+) is registered, not derived, so the compiled
+    // `between` checker and generator reach it through the
+    // handwritten stream and generator.
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"
+        rel le : nat nat :=
+        | le_n : forall n, le n n
+        | le_S : forall n m, le n m -> le n (S m)
+        .
+        rel between : nat nat :=
+        | b : forall n m p, le n m -> le (S m) p -> between n p
+        .",
+    )
+    .unwrap();
+    let (le, between) = (env.rel_id("le").unwrap(), env.rel_id("between").unwrap());
+    let up = Mode::producer(2, &[1]);
+    let mut b = LibraryBuilder::new(u, env);
+    b.register_enumerator(
+        le,
+        up.clone(),
+        std::sync::Arc::new(|size, _, ins: &[Value]| {
+            let n = ins[0].as_nat().unwrap();
+            EStream::from_outcomes(
+                (n..=n + size)
+                    .map(|m| Outcome::Val(vec![Value::nat(m)]))
+                    .chain([Outcome::OutOfFuel]),
+            )
+        }),
+    );
+    b.register_generator(
+        le,
+        up.clone(),
+        std::sync::Arc::new(|size, _, ins: &[Value], rng: &mut dyn rand::RngCore| {
+            Some(vec![Value::nat(
+                ins[0].as_nat().unwrap() + rng.gen_range(0..=size),
+            )])
+        }),
+    );
+    b.derive_checker(between).unwrap();
+    b.derive_producer(between, up.clone()).unwrap();
+    let lib = b.build();
+    assert!(lib.vm_compiled(between));
+    for fuel in 0..6u64 {
+        for n in 0..4u64 {
+            for p in 0..8u64 {
+                let args = [Value::nat(n), Value::nat(p)];
+                assert_eq!(
+                    lib.check(between, fuel, fuel, &args),
+                    lib.check_interpreted(between, fuel, fuel, &args),
+                    "fuel {fuel} on {args:?}"
+                );
+            }
+        }
+    }
+    let produced = assert_generator_matches_interpreter(&lib, between, &up, 200, |rng| {
+        vec![Value::nat(rng.gen_range(0..4u64))]
+    });
+    assert!(produced > 0);
+}
+
+#[test]
+fn deep_derivations_fit_a_two_mib_stack() {
+    // Debug-build tests run on 2 MiB threads, and a derivation that
+    // outgrows its stack aborts the process. The floors pinned here sit
+    // below what a debug build reaches on x86-64: about 2,500 levels
+    // for `between`'s compiled enumeration of `le` (the interpreter:
+    // 2,600) and about 670 for the compiled `deep` generator (the
+    // interpreter: 600).
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let mut u = Universe::new();
+            let mut env = RelEnv::new();
+            parse_program(
+                &mut u,
+                &mut env,
+                r"
+                rel le : nat nat :=
+                | le_n : forall n, le n n
+                | le_S : forall n m, le n m -> le n (S m)
+                .
+                rel between : nat nat :=
+                | b : forall n m p, le n m -> le (S m) p -> between n p
+                .
+                rel deep : nat nat :=
+                | d0 : deep 0 0
+                | dS : forall n m, deep n m -> deep (S n) (S m)
+                .",
+            )
+            .unwrap();
+            let between = env.rel_id("between").unwrap();
+            let deep = env.rel_id("deep").unwrap();
+            let down = Mode::producer(2, &[1]);
+            let mut b = LibraryBuilder::new(u, env);
+            b.derive_checker(between).unwrap();
+            b.derive_producer(deep, down.clone()).unwrap();
+            let lib = b.build();
+            assert!(lib.vm_compiled(between));
+
+            // `le 5 m` enumerates m = 5, 6, .. down to depth `fuel`, and
+            // every `le (S m) 3` fails: no witness, out of fuel.
+            let fuel = 2_000;
+            let args = [Value::nat(5), Value::nat(3)];
+            assert_eq!(lib.check(between, fuel, fuel, &args), None);
+            assert_eq!(lib.check_interpreted(between, fuel, fuel, &args), None);
+
+            // `deep n` has one derivation, `n` levels deep.
+            let n = 550;
+            let mut rng = SmallRng::seed_from_u64(7);
+            let out = lib.generate(deep, &down, n + 1, n + 1, &[Value::nat(n)], &mut rng);
+            assert_eq!(out, Some(vec![Value::nat(n)]));
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
