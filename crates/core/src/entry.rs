@@ -2,13 +2,17 @@
 //!
 //! Every derived-checker call that arrives from outside the relation's
 //! own recursion — a top-level [`Library::check`] or an external
-//! `CheckRel` premise — passes through [`Library::run_checker_entry`]:
-//! one budget step, then the session's verdict table, if it has one
-//! ([`crate::memo`]), and only then the search. The search runs on the
-//! bytecode VM ([`crate::vm`]) when the plan compiled, and on the plan
-//! interpreter ([`crate::exec`]) when it did not, so tabling, shared
-//! serving and the `try_*` budget discipline behave the same whichever
-//! executor answers.
+//! `CheckRel` premise — passes through one body,
+//! [`Library::checker_entry`]: one budget step, then the session's
+//! verdict table, if it has one ([`crate::memo`]), and only then the
+//! search. A top-level call reaches it through
+//! [`Library::run_checker_entry`], whose search runs on the bytecode VM
+//! ([`crate::vm`]) when the plan compiled and on the plan interpreter
+//! ([`crate::exec`]) when it did not. A premise inside the VM's parity
+//! loop calls it directly, with arguments borrowed from the calling
+//! frame and a search that stays in the VM. So tabling, shared serving
+//! and the `try_*` budget discipline behave the same however the call
+//! arrives and whichever executor answers.
 //!
 //! Recursive self-calls never come back here: the VM re-enters its own
 //! dispatch loop (`RecSelf`) and the interpreter its own plan walk.
@@ -24,6 +28,7 @@ use crate::plan::Plan;
 use crate::vm::VmProgram;
 use indrel_producers::probe::Event;
 use indrel_term::{Pattern, RelId, Value};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// What a derived checker keeps next to its plan: the dispatch index
@@ -105,15 +110,37 @@ impl Library {
         top: u64,
         args: &[Value],
     ) -> Option<bool> {
+        self.checker_entry(compiled, size, top, args, self.charge_step(), || {
+            self.run_checker_search(plan, compiled, size, top, args)
+        })
+    }
+
+    /// The entry boundary's body, shared by [`Library::run_checker_entry`]
+    /// and the VM's in-loop premise crossing (`vm.rs`), which passes its
+    /// own charge on the cached meter and a search that stays inside
+    /// the VM: the entry step, then the session's table around
+    /// `search`. Arguments are owned at the top level and borrowed from
+    /// the caller's frame at a crossing; the table clones them only when
+    /// it admits an entry.
+    #[inline(always)]
+    pub(crate) fn checker_entry<A: Borrow<Value>>(
+        &self,
+        compiled: &CompiledChecker,
+        size: u64,
+        top: u64,
+        args: &[A],
+        charged: bool,
+        search: impl FnOnce() -> Option<bool>,
+    ) -> Option<bool> {
         // Budget charge: one step per checker entry (no-op when no
         // meter is armed). A memo hit still pays this step — the table
         // accelerates the search, it does not make work free.
-        if !self.charge_step() {
+        if !charged {
             return None;
         }
         // Sessions without a table pay one `OnceCell` load here.
         let Some(memo) = self.inner.memo.get() else {
-            return self.run_checker_search(plan, compiled, size, top, args);
+            return search();
         };
         // Decided verdicts are monotone in both fuels, so an entry
         // decided at dominated fuels answers this call outright. The
@@ -130,7 +157,7 @@ impl Library {
         self.inner.memo_misses.set(self.inner.memo_misses.get() + 1);
         self.probe(|| Event::MemoMiss { rel });
         let calls_before = self.inner.search_calls.get();
-        let result = self.run_checker_search(plan, compiled, size, top, args);
+        let result = search();
         match result {
             // Never cache under an exhausted meter: past that point
             // inner searches return early and verdicts can be
@@ -157,6 +184,7 @@ impl Library {
     /// [`Library::check_interpreted`] call does after its entry step,
     /// and bumps `search_calls` per search like the VM, so the memo
     /// cost gates see its work.
+    #[inline]
     fn run_checker_search(
         &self,
         plan: &Arc<Plan>,

@@ -468,7 +468,7 @@ impl Library {
             return Ok(self.run_checker_impl(rel, imp, size, top_size, args));
         }
         let meter = Meter::new(budget);
-        admit_terms(&meter, args)?;
+        admit_terms(budget, &meter, args)?;
         let result = {
             let _armed = self.arm_meter(meter.clone());
             self.run_checker_impl(rel, imp, size, top_size, args)
@@ -501,7 +501,7 @@ impl Library {
             return (Err(e), 0);
         }
         let meter = Meter::new(budget);
-        if let Err(e) = admit_terms(&meter, args) {
+        if let Err(e) = admit_terms(budget, &meter, args) {
             return (Err(e), meter.steps_used());
         }
         let result = {
@@ -531,7 +531,7 @@ impl Library {
         let imp = self.require_checker(rel)?;
         self.require_count(rel, self.inner.env.relation(rel).arity(), args.len())?;
         let meter = Meter::new(budget);
-        admit_terms(&meter, args)?;
+        admit_terms(budget, &meter, args)?;
         let _armed = (!budget.is_unlimited()).then(|| self.arm_meter(meter.clone()));
         let mut fuel = 1u64;
         loop {
@@ -573,7 +573,7 @@ impl Library {
         let entry = self.require_producer(rel, mode, InstanceKind::Enumerator)?;
         self.require_count(rel, mode.arity() - mode.num_outs(), inputs.len())?;
         let meter = Meter::new(budget);
-        admit_terms(&meter, inputs)?;
+        admit_terms(budget, &meter, inputs)?;
         let stream = self.run_enum_impl(rel, entry, size, top_size, inputs);
         Ok(BudgetedStream {
             lib: self.clone(),
@@ -607,7 +607,7 @@ impl Library {
             return Ok(self.run_gen_entry(rel, entry, size, top_size, inputs, rng));
         }
         let meter = Meter::new(budget);
-        admit_terms(&meter, inputs)?;
+        admit_terms(budget, &meter, inputs)?;
         let result = {
             let _armed = self.arm_meter(meter.clone());
             self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
@@ -1356,8 +1356,13 @@ fn tuple_size(outs: &[Value]) -> u64 {
 }
 
 /// Rejects argument terms over the budget's `max_term_size`, reporting
-/// the poisoned meter's exhaustion as the error.
-fn admit_terms(meter: &Meter, args: &[Value]) -> Result<(), ExecError> {
+/// the poisoned meter's exhaustion as the error. A budget without that
+/// cap admits every term, so nothing is sized: `Value::size` walks the
+/// whole term, which on a memo hit costs more than the rest of the call.
+fn admit_terms(budget: Budget, meter: &Meter, args: &[Value]) -> Result<(), ExecError> {
+    if budget.max_term_size.is_none() {
+        return Ok(());
+    }
     for a in args {
         if !meter.admit_term_size(a.size()) {
             return Err(meter

@@ -27,7 +27,8 @@
 //! [`Server`](crate::Server) attaches one sharded table to all of its
 //! sessions. A session has at most one table and consults it at one
 //! place, the derived-checker entry boundary (`entry.rs`): lookup,
-//! search, guarded insert.
+//! search, guarded insert — for top-level calls and for premise calls
+//! inside the VM alike, whose argument tuples are borrowed.
 //!
 //! What is deliberately **not** cached (the write guards the entry
 //! boundary applies before [`SharedMemo::insert`]):
@@ -94,6 +95,7 @@
 //! [`Meter`]: indrel_producers::Meter
 
 use indrel_term::{shard_of, FastHashBuilder, Interner, RelId, Value};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -119,10 +121,12 @@ const _: fn() = || {
 /// structural fingerprint into the relation's. Fingerprints are
 /// *structural* — independent of which session's interner computed
 /// them — so every session over a core agrees on a query's shard.
-pub(crate) fn query_fp(interner: &mut Interner, rel: RelId, args: &[Value]) -> u64 {
+#[inline]
+pub(crate) fn query_fp<A: Borrow<Value>>(interner: &mut Interner, rel: RelId, args: &[A]) -> u64 {
     let mut h = 0x243F_6A88_85A3_08D3u64 ^ (rel.index() as u64);
     for a in args {
-        h = (h.rotate_left(5) ^ interner.fingerprint(a)).wrapping_mul(0x517C_C1B7_2722_0A95);
+        h = (h.rotate_left(5) ^ interner.fingerprint(a.borrow()))
+            .wrapping_mul(0x517C_C1B7_2722_0A95);
     }
     h
 }
@@ -131,13 +135,18 @@ pub(crate) fn query_fp(interner: &mut Interner, rel: RelId, args: &[Value]) -> u
 /// same arguments. Scalars compare by value; constructor terms take the
 /// `Arc`-identity fast path and fall back to the iterative structural
 /// walk.
-fn args_match(stored: &[Value], probe: &[Value]) -> bool {
+fn args_match<A: Borrow<Value>>(stored: &[Value], probe: &[A]) -> bool {
     stored.len() == probe.len()
-        && stored.iter().zip(probe).all(|(a, b)| match (a, b) {
-            (Value::Nat(x), Value::Nat(y)) => x == y,
-            (Value::Bool(x), Value::Bool(y)) => x == y,
-            (Value::Ctor(_, x), Value::Ctor(_, y)) => Arc::ptr_eq(x, y) || a.structurally_equal(b),
-            _ => false,
+        && stored.iter().zip(probe).all(|(a, b)| {
+            let b = b.borrow();
+            match (a, b) {
+                (Value::Nat(x), Value::Nat(y)) => x == y,
+                (Value::Bool(x), Value::Bool(y)) => x == y,
+                (Value::Ctor(_, x), Value::Ctor(_, y)) => {
+                    Arc::ptr_eq(x, y) || a.structurally_equal(b)
+                }
+                _ => false,
+            }
         })
 }
 
@@ -176,9 +185,9 @@ impl Default for Shard {
 }
 
 /// The verdict table. See the module docs for the monotonicity
-/// argument, the write guards (the caller in `run_checker_entry`
-/// applies them before calling [`SharedMemo::insert`]), and the
-/// degradation model.
+/// argument, the write guards (the entry boundary's body,
+/// `Library::checker_entry`, applies them before calling
+/// [`SharedMemo::insert`]), and the degradation model.
 pub struct SharedMemo {
     shards: Box<[Shard]>,
     shard_capacity: usize,
@@ -257,7 +266,15 @@ impl SharedMemo {
     /// Shard indices degraded since the last call — the session layer
     /// drains this after each request and reports each as an
     /// [`Event::ShardDegraded`](indrel_producers::Event).
+    ///
+    /// A healthy table answers without the lock every worker shares:
+    /// `mark_degraded` counts a shard before it queues the event, so a
+    /// zero read racing a retirement only defers that event to a later
+    /// drain (the queue itself is read under its lock).
     pub fn drain_degraded_events(&self) -> Vec<u32> {
+        if self.degraded_count() == 0 {
+            return Vec::new();
+        }
         std::mem::take(
             &mut *self
                 .degraded_events
@@ -275,7 +292,19 @@ impl SharedMemo {
     ///
     /// The table does not count lookups; the calling session does (see
     /// the module docs).
-    pub fn lookup(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64) -> Option<bool> {
+    //
+    // Out of line, like `insert`: inlined, both would grow the
+    // derived-checker entry (`Library::run_checker_entry`) that every
+    // unarmed top-level call runs.
+    #[inline(never)]
+    pub fn lookup<A: Borrow<Value>>(
+        &self,
+        rel: RelId,
+        fp: u64,
+        args: &[A],
+        size: u64,
+        top: u64,
+    ) -> Option<bool> {
         let idx = self.shard_for(fp);
         let shard = &self.shards[idx];
         if shard.degraded.load(Ordering::Relaxed) {
@@ -299,7 +328,16 @@ impl SharedMemo {
     /// it. The caller must apply the write guards of the module docs:
     /// never a `None`, never under an exhausted meter, never below the
     /// search-cost gate.
-    pub fn insert(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64, verdict: bool) {
+    #[inline(never)]
+    pub fn insert<A: Borrow<Value>>(
+        &self,
+        rel: RelId,
+        fp: u64,
+        args: &[A],
+        size: u64,
+        top: u64,
+        verdict: bool,
+    ) {
         let idx = self.shard_for(fp);
         let shard = &self.shards[idx];
         if shard.degraded.load(Ordering::Relaxed) {
@@ -332,7 +370,7 @@ impl SharedMemo {
             // verdict is actually admitted.
             guard.entry(fp).or_default().push(Slot {
                 rel,
-                args: args.to_vec().into_boxed_slice(),
+                args: args.iter().map(|a| a.borrow().clone()).collect(),
                 size,
                 top,
                 verdict,

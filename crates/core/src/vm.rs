@@ -49,6 +49,15 @@
 //! bookkeeping is unobservable, so the two loops are indistinguishable
 //! except in speed. See [`Library::run_vm_search`] for the entry gate.
 //!
+//! A `CheckRel` premise over a compiled callee never leaves the VM
+//! ([`Library::check_premise`]). The fast loop enters the callee's
+//! dispatch loop; the parity loop runs the entry boundary's own body
+//! ([`Library::checker_entry`]) with the caller's scratch and cached
+//! meter, so an armed premise charges, counts, tables and emits what
+//! [`Library::check`] would, without cloning its arguments or deciding
+//! the loop again: that decision is made once per top-level call, the
+//! only place meters and probes are armed.
+//!
 //! # Producers
 //!
 //! A producer program is a checker program plus two opcodes:
@@ -248,9 +257,10 @@ pub(crate) enum Instr {
         /// Probe attribution on failure.
         site: FailSite,
     },
-    /// External checker premise: gather `srcs` and call
-    /// [`Library::check`] at the top-level fuel. `Some(true)` falls
-    /// through; any other verdict (after `negated` flips it) returns.
+    /// External checker premise: gather `srcs` and check `rel` at the
+    /// top-level fuel, as [`Library::check`] does (a compiled callee is
+    /// entered inside the VM). `Some(true)` falls through; any other
+    /// verdict (after `negated` flips it) returns.
     CheckRel {
         /// The relation checked.
         rel: RelId,
@@ -827,12 +837,13 @@ impl Compiler {
 
 /// VM scratch: free lists for register frames and premise argument
 /// vectors. One lives on the session (`library::Inner::vm_frames`)
-/// behind a `RefCell`, but it is *taken wholesale* at each VM entry and
-/// threaded `&mut` through the search, so the dispatch loop itself
-/// never touches the `RefCell`. A re-entrant entry — an uncompiled
-/// premise calling back into the VM through [`Library::check`] — finds
-/// the cell empty, starts with a cold scratch, and merges it back on
-/// exit.
+/// behind a `RefCell`, but it is *taken wholesale* at each top-level VM
+/// entry and threaded `&mut` through the search — premise calls into
+/// compiled callees included, armed or not — so the dispatch loop
+/// itself never touches the `RefCell`. A re-entrant entry — a premise
+/// of an interpreted plan calling back into the VM through
+/// [`Library::check`] — finds the cell empty, starts with a cold
+/// scratch, and merges it back on exit.
 #[derive(Default)]
 pub(crate) struct VmFrames {
     free: Vec<Vec<Value>>,
@@ -1098,6 +1109,10 @@ impl Library {
     ///   gate and probe-armed premise deltas, all of which are off.
     ///   None of the conditions can change mid-call — meters and probes
     ///   arm only between top-level calls.
+    //
+    // Out of line, so the entry boundary that calls it
+    // (`run_checker_entry`) stays small for every unarmed top-level call.
+    #[inline(never)]
     pub(crate) fn run_vm_search(
         &self,
         chk: &CompiledChecker,
@@ -1288,19 +1303,16 @@ impl Library {
                     // Arguments travel as a stack buffer of references;
                     // owned values materialize only at a boundary that
                     // demands them (a handwritten checker, the
-                    // interpreter fallback, the parity loop's `check`
-                    // entry).
+                    // interpreter fallback).
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
                     let r = if PAR {
                         // Premise cost attribution: gated on arming, and
                         // scoped to the call alone.
-                        let mut vals = frames.take_argv();
-                        vals.extend(refs.iter().map(|&v| v.clone()));
                         let calls_before =
                             self.probe_armed().then(|| self.inner.search_calls.get());
-                        let mut r = self.check(*rel, top, top, &vals);
+                        let mut r = self.cross_armed(*rel, refs, frames, meter, top);
                         if *negated {
                             r = cnot(r);
                         }
@@ -1314,10 +1326,9 @@ impl Library {
                                 failed: r == Some(false),
                             });
                         }
-                        frames.put_argv(vals);
                         r
                     } else {
-                        let mut r = self.check_unarmed(*rel, refs, frames, top);
+                        let mut r = self.check_premise::<false>(*rel, refs, frames, &None, top);
                         if *negated {
                             r = cnot(r);
                         }
@@ -1389,38 +1400,62 @@ impl Library {
         Some(true)
     }
 
-    /// [`Library::check`] for a premise when no meter, probe, or
-    /// verdict table is armed: the entry's charge and probe sites are
-    /// inert, so this is the call minus them. A compiled callee stays
-    /// inside the VM, reusing this scratch instead of crossing the
-    /// entry boundary again — and taking the reference buffer as-is,
-    /// no clones.
+    /// A `CheckRel` premise at the top fuel, as [`Library::check`] runs
+    /// it, except that a compiled callee is entered inside the VM, on
+    /// this scratch and with the reference buffer as-is. Unarmed
+    /// (`PAR = false`: no meter, probe or verdict table) that is the
+    /// callee's fast search. Armed it is the entry boundary's body
+    /// ([`Library::checker_entry`]) over the caller's cached meter — the
+    /// armed meter, which cannot change mid-call — around the callee's
+    /// parity search, so it charges, counts, tables and emits what
+    /// `Library::check` would. Handwritten callees charge the step, emit
+    /// `Enter` and get their arguments cloned onto the stack; an
+    /// uncompiled plan takes the owned entry
+    /// ([`Library::run_checker_entry`]).
     #[inline(always)]
-    fn check_unarmed(
+    fn check_premise<const PAR: bool>(
         &self,
         rel: RelId,
         refs: &[&Value],
         frames: &mut VmFrames,
+        meter: &Option<Meter>,
         top: u64,
     ) -> Option<bool> {
         let imp = self.require_checker(rel).unwrap_or_else(|e| panic!("{e}"));
         match imp {
-            CheckerImpl::Hand(f) => match refs {
-                // Small arities clone into a stack array — no pool
-                // round-trip.
-                [a] => f(top, top, &[(*a).clone()]),
-                [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
-                [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
-                _ => {
-                    let mut vals = frames.take_argv();
-                    vals.extend(refs.iter().map(|&v| v.clone()));
-                    let r = f(top, top, &vals);
-                    frames.put_argv(vals);
-                    r
+            CheckerImpl::Hand(f) => {
+                if PAR && !charge_step_cached(meter) {
+                    return None;
                 }
-            },
+                let _depth = if PAR {
+                    self.probe_enter(rel, ExecKind::Checker)
+                } else {
+                    None
+                };
+                match refs {
+                    // Small arities clone into a stack array — no pool
+                    // round-trip.
+                    [a] => f(top, top, &[(*a).clone()]),
+                    [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
+                    [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
+                    _ => {
+                        let mut vals = frames.take_argv();
+                        vals.extend(refs.iter().map(|&v| v.clone()));
+                        let r = f(top, top, &vals);
+                        frames.put_argv(vals);
+                        r
+                    }
+                }
+            }
             CheckerImpl::Plan(plan, compiled) => match &compiled.vm {
-                Some(p) => self.vm_search::<false>(compiled, p, &None, frames, top, top, refs),
+                Some(p) if !PAR => {
+                    self.vm_search::<false>(compiled, p, &None, frames, top, top, refs)
+                }
+                Some(p) => {
+                    self.checker_entry(compiled, top, top, refs, charge_step_cached(meter), || {
+                        self.vm_search::<true>(compiled, p, meter, frames, top, top, refs)
+                    })
+                }
                 None => {
                     let mut vals = frames.take_argv();
                     vals.extend(refs.iter().map(|&v| v.clone()));
@@ -1430,6 +1465,21 @@ impl Library {
                 }
             },
         }
+    }
+
+    /// The armed [`Library::check_premise`], out of line: inlined, its
+    /// table traffic would widen the parity loop's frame, which stays
+    /// live once per derivation level, and the producers' `vm_run`.
+    #[inline(never)]
+    fn cross_armed(
+        &self,
+        rel: RelId,
+        refs: &[&Value],
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        top: u64,
+    ) -> Option<bool> {
+        self.check_premise::<true>(rel, refs, frames, meter, top)
     }
 
     /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: binds each
@@ -2170,8 +2220,9 @@ impl Library {
     }
 
     /// A `CheckRel` premise inside a compiled producer. With a verdict
-    /// table attached it crosses the entry boundary exactly as the
-    /// interpreter's `check` call does, so the table sees the same
+    /// table attached it takes the parity loop's crossing (no meter is
+    /// armed here), which makes the entry step, lookup and insertion of
+    /// the interpreter's `check` call, so the table sees the same
     /// lookups and insertions; without one it is the fast loop's call.
     #[allow(clippy::too_many_arguments)]
     fn producer_check<A: Borrow<Value>>(
@@ -2188,13 +2239,9 @@ impl Library {
         let len = fill_refs(&mut refs, frame, args, srcs);
         let refs = &refs[..len];
         let r = if self.inner.memo.get().is_some() {
-            let mut vals = frames.take_argv();
-            vals.extend(refs.iter().map(|&v| v.clone()));
-            let r = self.check(rel, top, top, &vals);
-            frames.put_argv(vals);
-            r
+            self.cross_armed(rel, refs, frames, &None, top)
         } else {
-            self.check_unarmed(rel, refs, frames, top)
+            self.check_premise::<false>(rel, refs, frames, &None, top)
         };
         if negated {
             cnot(r)

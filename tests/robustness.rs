@@ -347,3 +347,61 @@ fn armed_producer_telemetry_survives_huge_outputs() {
     assert_eq!(stream.values(), Ok(vec![pair]));
     assert_eq!(stats.term_size_hist().max, u64::MAX);
 }
+
+/// `max_term_size(k)` is the same boundary at all four `try_*` entry
+/// points: an argument of size k is admitted and one of size k + 1 is
+/// refused with the same error. A budget with no such cap sizes
+/// nothing, so it admits even `nat(u64::MAX)`, the largest size there
+/// is.
+#[test]
+fn term_size_cap_is_one_boundary_for_every_try_entry_point() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        "rel tri : nat nat nat := | c : forall n, tri n n n .",
+    )
+    .unwrap();
+    let tri = env.rel_id("tri").unwrap();
+    let mode = Mode::producer(3, &[1, 2]);
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(tri).unwrap();
+    b.derive_producer(tri, mode.clone()).unwrap();
+    let lib = b.build();
+    let refused = ExecError::BudgetExhausted {
+        resource: Resource::TermSize,
+    };
+    let k = 7u64;
+    let capped = Budget::unlimited().with_max_term_size(k);
+    let step_only = Budget::unlimited().with_steps(1_000);
+    for (n, budget, admitted) in [
+        (k, capped, true),
+        (k + 1, capped, false),
+        (u64::MAX, step_only, true),
+    ] {
+        let n = Value::nat(n);
+        assert_eq!(n.size(), n.as_nat().unwrap());
+        let args = [n.clone(), n.clone(), n.clone()];
+        let pair = vec![n.clone(), n.clone()];
+        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(0);
+        let input = std::slice::from_ref(&n);
+        let checked = lib.try_check(tri, 3, 3, &args, budget);
+        let decided = lib.try_decide(tri, &args, 8, budget);
+        let enumerated = lib
+            .try_enumerate(tri, &mode, 3, 3, input, budget)
+            .and_then(|s| s.values());
+        let generated = lib.try_generate(tri, &mode, 3, 3, input, &mut rng, budget);
+        if admitted {
+            assert_eq!(checked, Ok(Some(true)), "try_check {n:?}");
+            assert_eq!(decided, Ok(Some(true)), "try_decide {n:?}");
+            assert_eq!(enumerated, Ok(vec![pair.clone()]), "try_enumerate {n:?}");
+            assert_eq!(generated, Ok(Some(pair)), "try_generate {n:?}");
+        } else {
+            assert_eq!(checked, Err(refused.clone()), "try_check {n:?}");
+            assert_eq!(decided, Err(refused.clone()), "try_decide {n:?}");
+            assert_eq!(enumerated, Err(refused.clone()), "try_enumerate {n:?}");
+            assert_eq!(generated, Err(refused.clone()), "try_generate {n:?}");
+        }
+    }
+}
