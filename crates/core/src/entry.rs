@@ -5,49 +5,49 @@
 //! `CheckRel` premise — passes through one body,
 //! [`Library::checker_entry`]: one budget step, then the session's
 //! verdict table, if it has one ([`crate::memo`]), and only then the
-//! search. A top-level call reaches it through
-//! [`Library::run_checker_entry`], whose search runs on the bytecode VM
-//! ([`crate::vm`]) when the plan compiled and on the plan interpreter
-//! ([`crate::exec`]) when it did not. A premise inside the VM's parity
+//! search, which runs on the bytecode VM ([`crate::vm`]): every derived
+//! checker compiles. A top-level call reaches it through
+//! [`Library::run_checker_entry`]; a premise inside the VM's parity
 //! loop calls it directly, with arguments borrowed from the calling
 //! frame and a search that stays in the VM. So tabling, shared serving
 //! and the `try_*` budget discipline behave the same however the call
-//! arrives and whichever executor answers.
+//! arrives.
 //!
 //! Recursive self-calls never come back here: the VM re-enters its own
-//! dispatch loop (`RecSelf`) and the interpreter its own plan walk.
+//! dispatch loop (`RecSelf`).
 //! They descend into strict subterms of a tuple that already missed at
 //! the entry, so per-level lookups would tax every recursion of a
 //! miss-heavy workload for reuse that entry-level hits capture anyway
 //! (measured: per-level tabling cost 3–5× overhead on distinct-input
 //! sweeps and bought no additional hits).
 
+use crate::error::DeriveError;
 use crate::index::DispatchIndex;
 use crate::library::Library;
 use crate::plan::Plan;
 use crate::vm::VmProgram;
 use indrel_producers::probe::Event;
+use indrel_rel::RelEnv;
 use indrel_term::{Pattern, RelId, Value};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// What a derived checker keeps next to its plan: the dispatch index
-/// and, when every handler compiled, the bytecode program.
+/// and the bytecode program every search below the entry boundary
+/// runs.
 pub(crate) struct CompiledChecker {
     pub(crate) rel: RelId,
     pub(crate) has_recursive: bool,
     /// First-argument discrimination index ([`crate::index`]); `None`
     /// when every input pattern is flexible.
     pub(crate) index: Option<DispatchIndex>,
-    /// The plan as a flat bytecode program. `None` is the per-relation
-    /// fallback: the entry boundary runs this relation on the plan
-    /// interpreter instead.
-    pub(crate) vm: Option<VmProgram>,
+    /// The plan as a flat bytecode program.
+    pub(crate) prog: VmProgram,
 }
 
-/// What a derived producer keeps next to its plan when the plan
-/// compiles: one bytecode program that both producer executors of
-/// [`crate::vm`] run, and the dispatch index only the enumerator uses.
+/// A derived producer: its plan, one bytecode program that both
+/// producer executors of [`crate::vm`] run, and the dispatch index only
+/// the enumerator uses.
 pub(crate) struct CompiledProducer {
     /// The plan it compiled, whose interpreted streams take over below
     /// the push-mode enumerator's depth limit (`vm::PUSH_DEPTH`).
@@ -71,30 +71,32 @@ fn dispatch_index(plan: &Plan) -> Option<DispatchIndex> {
 }
 
 /// Compiles a checker plan. Must only be called on plans whose mode is
-/// the all-input checker mode.
-pub(crate) fn compile_checker(plan: &Plan) -> CompiledChecker {
+/// the all-input checker mode. Errors only on a plan shape the deriver
+/// never emits ([`crate::vm::compile_vm`]).
+pub(crate) fn compile_checker(plan: &Plan, env: &RelEnv) -> Result<CompiledChecker, DeriveError> {
     debug_assert!(plan.mode.is_checker());
     let index = dispatch_index(plan);
     // The bytecode compiler sees the index so it can elide head guards
     // that indexed dispatch already proves can never fail.
-    let vm = crate::vm::compile_vm(plan, index.as_ref().map(DispatchIndex::pos));
-    CompiledChecker {
+    let prog = crate::vm::compile_vm(plan, index.as_ref().map(DispatchIndex::pos), env)?;
+    Ok(CompiledChecker {
         rel: plan.rel,
         has_recursive: plan.has_recursive_handlers(),
         index,
-        vm,
-    }
+        prog,
+    })
 }
 
-/// Compiles a producer plan; `None` when it does not compile. No head
-/// guard is elided, because the generator runs every handler's guards.
-pub(crate) fn compile_producer(plan: &Arc<Plan>) -> Option<CompiledProducer> {
+/// Compiles a producer plan, erring as [`compile_checker`] does. No
+/// head guard is elided, because the generator runs every handler's
+/// guards.
+pub(crate) fn compile_producer(plan: Plan, env: &RelEnv) -> Result<CompiledProducer, DeriveError> {
     debug_assert!(!plan.mode.is_checker());
-    Some(CompiledProducer {
-        plan: plan.clone(),
+    Ok(CompiledProducer {
+        prog: crate::vm::compile_vm(&plan, None, env)?,
         has_recursive: plan.has_recursive_handlers(),
-        index: dispatch_index(plan),
-        prog: crate::vm::compile_vm(plan, None)?,
+        index: dispatch_index(&plan),
+        plan: Arc::new(plan),
     })
 }
 
@@ -102,16 +104,19 @@ impl Library {
     /// Runs a derived checker at an entry boundary, mirroring
     /// `run_plan_check`'s fuel discipline exactly, with the session's
     /// verdict table ([`crate::memo`]) consulted on the way in.
+    //
+    // Out of line: every top-level call jumps here, and inlined into
+    // its one caller it would widen the handwritten checkers' path too.
+    #[inline(never)]
     pub(crate) fn run_checker_entry(
         &self,
-        plan: &Arc<Plan>,
         compiled: &CompiledChecker,
         size: u64,
         top: u64,
         args: &[Value],
     ) -> Option<bool> {
         self.checker_entry(compiled, size, top, args, self.charge_step(), || {
-            self.run_checker_search(plan, compiled, size, top, args)
+            self.run_vm_search(compiled, size, top, args)
         })
     }
 
@@ -176,32 +181,6 @@ impl Library {
             None => memo.note_none_skipped(),
         }
         result
-    }
-
-    /// The search below the entry boundary: the bytecode VM when the
-    /// plan compiled, the plan interpreter otherwise. The fallback
-    /// charges and emits exactly what a
-    /// [`Library::check_interpreted`] call does after its entry step,
-    /// and bumps `search_calls` per search like the VM, so the memo
-    /// cost gates see its work.
-    #[inline]
-    fn run_checker_search(
-        &self,
-        plan: &Arc<Plan>,
-        compiled: &CompiledChecker,
-        size: u64,
-        top: u64,
-        args: &[Value],
-    ) -> Option<bool> {
-        match &compiled.vm {
-            Some(prog) => self.run_vm_search(compiled, prog, size, top, args),
-            None => {
-                self.inner
-                    .vm_fallbacks
-                    .set(self.inner.vm_fallbacks.get() + 1);
-                self.plan_check_search(plan, size, top, args)
-            }
-        }
     }
 }
 

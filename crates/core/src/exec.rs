@@ -83,18 +83,18 @@ impl Library {
             }
             // The derived executors emit their own Enter, so no event
             // here.
-            CheckerImpl::Plan(plan, compiled) => {
-                self.run_checker_entry(plan, compiled, size, top_size, args)
+            CheckerImpl::Plan(_, compiled) => {
+                self.run_checker_entry(compiled, size, top_size, args)
             }
         }
     }
 
     /// Runs the checker for `rel` through the *interpreted* plan
     /// executor instead of the bytecode VM — the oracle every compiled
-    /// checker is held to, and the executor for plans that did not
-    /// compile. Unindexed and unmemoized at every level; verdicts are
-    /// identical to [`Library::check`], only the execution strategy
-    /// differs.
+    /// checker is held to. The relation's own recursion is unindexed
+    /// and unmemoized at every level (its external premises go through
+    /// [`Library::check`]); verdicts are identical to
+    /// [`Library::check`], only the execution strategy differs.
     ///
     /// # Panics
     ///
@@ -107,14 +107,8 @@ impl Library {
         args: &[Value],
     ) -> Option<bool> {
         match self.require_checker(rel).unwrap_or_else(|e| panic!("{e}")) {
-            CheckerImpl::Hand(f) => {
-                if !self.charge_step() {
-                    return None;
-                }
-                let _depth = self.probe_enter(rel, ExecKind::Checker);
-                f(size, top_size, args)
-            }
             CheckerImpl::Plan(plan, _) => self.run_plan_check(plan, size, top_size, args),
+            hand => self.run_checker_impl(rel, hand, size, top_size, args),
         }
     }
 
@@ -185,15 +179,10 @@ impl Library {
             f(size, top_size, inputs)
         } else {
             // Unreachable expect (panic audit): every `entry` comes from
-            // `require_producer`, which only returns entries where
-            // `hand_enum` or `plan` is present; with no handwritten
-            // instance, the plan is there by that guard.
-            let plan = entry
-                .plan
-                .as_ref()
-                .expect("require_producer checked")
-                .clone();
-            self.run_plan_enum(&plan, size, top_size, inputs)
+            // `require_producer`, which only returns entries with
+            // `hand_enum` or a derived producer.
+            let derived = entry.derived.as_ref().expect("require_producer checked");
+            self.run_plan_enum(&derived.plan, size, top_size, inputs)
         };
         // Report every tuple this instance delivers (probe snapshot at
         // stream-creation time, like the meter below).
@@ -219,11 +208,11 @@ impl Library {
     /// Randomly generates one output tuple for `(rel, mode)`, or `None`
     /// when generation failed (backtracking exhausted or out of fuel).
     ///
-    /// A derived generator whose plan compiled runs on the bytecode VM
-    /// when no meter and no probe is armed, and on the plan interpreter
-    /// otherwise; both make the same RNG draws in the same order, so
-    /// the output and the generator's state afterwards are the same
-    /// (see [`Library::generate_interpreted`]).
+    /// A derived generator runs on the bytecode VM when no meter and no
+    /// probe is armed, and on the plan interpreter otherwise; both make
+    /// the same RNG draws in the same order, so the output and the
+    /// generator's state afterwards are the same (see
+    /// [`Library::generate_interpreted`]).
     ///
     /// # Panics
     ///
@@ -267,9 +256,8 @@ impl Library {
         self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
     }
 
-    /// The generator entry gate: a derived generator's bytecode when it
-    /// compiled and no meter or probe is armed, otherwise
-    /// [`Library::run_gen_impl`].
+    /// The generator entry gate: a derived generator's bytecode when no
+    /// meter or probe is armed, otherwise [`Library::run_gen_impl`].
     fn run_gen_entry(
         &self,
         rel: RelId,
@@ -279,7 +267,7 @@ impl Library {
         inputs: &[Value],
         rng: &mut dyn rand::RngCore,
     ) -> Option<Vec<Value>> {
-        match (&entry.hand_gen, &entry.vm) {
+        match (&entry.hand_gen, &entry.derived) {
             (None, Some(cp)) if self.producers_unarmed() => {
                 self.run_vm_gen(cp, size, top_size, inputs, rng)
             }
@@ -306,14 +294,10 @@ impl Library {
             f(size, top_size, inputs, rng)
         } else {
             // Unreachable expect (panic audit): as in `run_enum_impl`,
-            // `require_producer` guarantees a plan when there is no
-            // handwritten generator.
-            let plan = entry
-                .plan
-                .as_ref()
-                .expect("require_producer checked")
-                .clone();
-            self.run_plan_gen(&plan, size, top_size, inputs, rng)
+            // `require_producer` guarantees a derived producer when
+            // there is no handwritten generator.
+            let derived = entry.derived.as_ref().expect("require_producer checked");
+            self.run_plan_gen(&derived.plan, size, top_size, inputs, rng)
         };
         if let Some(outs) = &out {
             self.probe(|| Event::TermProduced {
@@ -683,7 +667,7 @@ impl Library {
     // Checker execution
     // ------------------------------------------------------------------
 
-    pub(crate) fn run_plan_check(
+    fn run_plan_check(
         &self,
         plan: &Arc<Plan>,
         size: u64,
@@ -693,21 +677,8 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
-        self.plan_check_search(plan, size, top, args)
-    }
-
-    /// The search body of [`Library::run_plan_check`], without its
-    /// budget step: the entry boundary ([`crate::entry`]) runs plans
-    /// that did not compile to bytecode through here after charging
-    /// that step itself. Bumps `search_calls` once per search, like the
-    /// VM, so the memo cost gate sees interpreted work too.
-    pub(crate) fn plan_check_search(
-        &self,
-        plan: &Arc<Plan>,
-        size: u64,
-        top: u64,
-        args: &[Value],
-    ) -> Option<bool> {
+        // One `search_calls` bump per search, like the VM, so probe
+        // cost attribution reads the same across both executors.
         self.inner
             .search_calls
             .set(self.inner.search_calls.get() + 1);
@@ -1293,8 +1264,8 @@ impl Library {
                 } => {
                     // The callee stays on the interpreter too: this
                     // executor runs when a meter or probe is armed (the
-                    // callee would take it anyway), for a plan that did
-                    // not compile, or as `generate_interpreted`'s oracle.
+                    // callee would take it anyway), or as
+                    // `generate_interpreted`'s oracle.
                     let entry = self
                         .require_producer(*rel, mode, InstanceKind::Generator)
                         .unwrap_or_else(|e| panic!("{e}"));

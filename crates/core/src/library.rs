@@ -42,19 +42,21 @@ pub type HandGenFn =
 #[derive(Clone)]
 pub(crate) enum CheckerImpl {
     Hand(HandCheckFn),
-    /// A derived checker: the plan (for inspection, the interpreter
-    /// oracle, and the fallback when bytecode compilation fails) plus
-    /// its compiled form (dispatch index and bytecode program).
+    /// A derived checker: the plan (for inspection and the interpreter
+    /// oracle) plus its compiled form (dispatch index and the bytecode
+    /// program every call runs).
     Plan(Arc<Plan>, Arc<crate::entry::CompiledChecker>),
 }
 
+/// The instances of one `(rel, mode)`: a derived producer, handwritten
+/// halves, or both (a handwritten half shadows the derived one).
 #[derive(Clone, Default)]
 pub(crate) struct ProducerImpl {
-    pub(crate) plan: Option<Arc<Plan>>,
-    /// The plan compiled to bytecode, compiled when the plan is
-    /// derived. `None` without a plan, or when the plan did not
-    /// compile: both producer halves then run on the plan interpreter.
-    pub(crate) vm: Option<Arc<crate::entry::CompiledProducer>>,
+    /// The derived producer — its plan and bytecode program, compiled
+    /// when the plan is derived. Unarmed generation and push-mode
+    /// enumeration run the program; armed calls and the lazy public
+    /// `enumerate` run the plan on the interpreter.
+    pub(crate) derived: Option<Arc<crate::entry::CompiledProducer>>,
     pub(crate) hand_enum: Option<HandEnumFn>,
     pub(crate) hand_gen: Option<HandGenFn>,
 }
@@ -149,10 +151,6 @@ pub(crate) struct Inner {
     pub(crate) memo_hits: std::cell::Cell<u64>,
     /// This session's table misses; see `memo_hits`.
     pub(crate) memo_misses: std::cell::Cell<u64>,
-    /// Session-local count of checker entries that ran on the plan
-    /// interpreter because their plan did not compile to bytecode
-    /// ([`Library::vm_fallback_count`]).
-    pub(crate) vm_fallbacks: std::cell::Cell<u64>,
     /// Scratch frames for the bytecode VM ([`crate::vm`]), kept on the
     /// session so frame and argument vectors amortize across checks.
     /// Taken wholesale at each VM entry (never borrowed across the
@@ -175,7 +173,6 @@ impl Inner {
             search_calls: std::cell::Cell::new(0),
             memo_hits: std::cell::Cell::new(0),
             memo_misses: std::cell::Cell::new(0),
-            vm_fallbacks: std::cell::Cell::new(0),
             vm_frames: std::cell::RefCell::new(crate::vm::VmFrames::default()),
         }
     }
@@ -319,7 +316,8 @@ impl LibraryBuilder {
     pub fn producer_plan(&self, rel: RelId, mode: &Mode) -> Option<&Plan> {
         self.producers
             .get(&(rel, mode.clone()))
-            .and_then(|p| p.plan.as_deref())
+            .and_then(|p| p.derived.as_deref())
+            .map(|cp| &*cp.plan)
     }
 
     fn ensure(&mut self, key: Key) -> Result<(), DeriveError> {
@@ -327,7 +325,7 @@ impl LibraryBuilder {
             Key::Checker(rel) => self.checkers.contains_key(rel),
             Key::Producer(rel, mode) => {
                 self.producers.get(&(*rel, mode.clone())).is_some_and(|p| {
-                    p.plan.is_some() || (p.hand_enum.is_some() && p.hand_gen.is_some())
+                    p.derived.is_some() || (p.hand_enum.is_some() && p.hand_gen.is_some())
                 })
             }
         };
@@ -356,10 +354,11 @@ impl LibraryBuilder {
                     profile.as_deref(),
                     self,
                 )
-                .map(|plan| {
-                    let compiled = Arc::new(crate::entry::compile_checker(&plan));
+                .and_then(|plan| {
+                    let compiled = Arc::new(crate::entry::compile_checker(&plan, &self.env)?);
                     self.checkers
                         .insert(*rel, CheckerImpl::Plan(Arc::new(plan), compiled));
+                    Ok(())
                 })
             }
             Key::Producer(rel, mode) => compile_plan(
@@ -370,11 +369,11 @@ impl LibraryBuilder {
                 self.opts,
                 self,
             )
-            .map(|plan| {
+            .and_then(|plan| {
+                let derived = crate::entry::compile_producer(plan, &self.env)?;
                 let entry = self.producers.entry((*rel, mode.clone())).or_default();
-                let plan = Arc::new(plan);
-                entry.vm = crate::entry::compile_producer(&plan).map(Arc::new);
-                entry.plan = Some(plan);
+                entry.derived = Some(Arc::new(derived));
+                Ok(())
             }),
         };
         self.in_progress.pop();
@@ -404,14 +403,9 @@ impl LibraryBuilder {
     }
 }
 
-/// `explain()`'s backend line for a derived instance: the bytecode size
-/// and per-handler opcodes when its plan compiled, the interpreter
-/// fallback otherwise.
-fn explain_bytecode(out: &mut String, plan: &Plan, prog: Option<&crate::vm::VmProgram>) {
-    let Some(prog) = prog else {
-        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
-        return;
-    };
+/// `explain()`'s backend lines for a derived instance: the bytecode
+/// size and per-handler opcodes.
+fn explain_bytecode(out: &mut String, plan: &Plan, prog: &crate::vm::VmProgram) {
     let _ = writeln!(
         out,
         "  bytecode: {} instrs across {} handlers",
@@ -607,7 +601,7 @@ impl Library {
     pub fn has_enumerator(&self, rel: RelId, mode: &Mode) -> bool {
         self.inner
             .producer(rel, mode)
-            .is_some_and(|p| p.hand_enum.is_some() || p.plan.is_some())
+            .is_some_and(|p| p.hand_enum.is_some() || p.derived.is_some())
     }
 
     /// `true` when `(rel, mode)` can be randomly generated from — a
@@ -615,7 +609,7 @@ impl Library {
     pub fn has_generator(&self, rel: RelId, mode: &Mode) -> bool {
         self.inner
             .producer(rel, mode)
-            .is_some_and(|p| p.hand_gen.is_some() || p.plan.is_some())
+            .is_some_and(|p| p.hand_gen.is_some() || p.derived.is_some())
     }
 
     /// Looks up the checker for `rel`, borrowing straight out of the
@@ -649,8 +643,8 @@ impl Library {
         };
         let entry = self.inner.producer(rel, mode).ok_or_else(no_instance)?;
         let usable = match kind {
-            InstanceKind::Enumerator => entry.hand_enum.is_some() || entry.plan.is_some(),
-            InstanceKind::Generator => entry.hand_gen.is_some() || entry.plan.is_some(),
+            InstanceKind::Enumerator => entry.hand_enum.is_some() || entry.derived.is_some(),
+            InstanceKind::Generator => entry.hand_gen.is_some() || entry.derived.is_some(),
             InstanceKind::Checker => false,
         };
         if usable {
@@ -688,31 +682,23 @@ impl Library {
     }
 
     /// Returns the session unchanged: every derived checker runs on the
-    /// bytecode VM (or, when its plan did not compile, on the plan
-    /// interpreter), so there is nothing to enable.
+    /// bytecode VM, so there is nothing to enable.
     #[deprecated(note = "derived checkers always run on the bytecode VM; this is a no-op")]
     pub fn with_vm(self) -> Library {
         self
     }
 
-    /// `true` when `rel` has a derived checker whose plan compiled to
-    /// bytecode, i.e. [`Library::check`] runs it on the VM rather than
-    /// falling back to the plan interpreter. Handwritten checkers and
-    /// uncompilable plans report `false`.
+    /// `true` when `rel` has a derived checker, i.e. [`Library::check`]
+    /// runs its bytecode on the VM: every derived plan compiles.
+    /// Handwritten checkers report `false`.
     pub fn vm_compiled(&self, rel: RelId) -> bool {
         matches!(
-            self.inner.checkers.get(rel.index()).and_then(Option::as_ref),
-            Some(CheckerImpl::Plan(_, compiled)) if compiled.vm.is_some()
+            self.inner
+                .checkers
+                .get(rel.index())
+                .and_then(Option::as_ref),
+            Some(CheckerImpl::Plan(..))
         )
-    }
-
-    /// This session's cumulative count of checker entries that ran on
-    /// the plan interpreter because the relation's plan did not compile
-    /// to bytecode. Memo hits are not counted: they run nothing. The
-    /// serving layer exports the per-request delta as the `vm.fallback`
-    /// counter.
-    pub fn vm_fallback_count(&self) -> u64 {
-        self.inner.vm_fallbacks.get()
     }
 
     /// Attaches a concurrent verdict table — typically a
@@ -944,14 +930,14 @@ impl Library {
                     .map(move |(mode, imp)| ((RelId::new(rel), mode.clone()), imp.clone()))
             })
             .collect();
-        let mut targets: Vec<(RelId, Arc<Plan>)> = Vec::new();
+        let mut targets: Vec<(RelId, &Arc<Plan>, &CheckerImpl)> = Vec::new();
         let mut report = ReplanReport::default();
         for (idx, slot) in shared.checkers.iter().enumerate() {
             let Some(imp) = slot else { continue };
             let rel = RelId::new(idx);
             match imp {
                 CheckerImpl::Plan(plan, _) if diverged.contains(&idx) => {
-                    targets.push((rel, Arc::clone(plan)));
+                    targets.push((rel, plan, imp));
                 }
                 other => {
                     if matches!(other, CheckerImpl::Plan(..)) {
@@ -965,7 +951,7 @@ impl Library {
         //    BTreeSet order — deterministic). A target may already have
         //    been rebuilt as a dependency of an earlier one; `ensure`
         //    then returns without recompiling, which is what we want.
-        for (rel, old_plan) in targets {
+        for (rel, old_plan, old) in targets {
             match b.ensure(Key::Checker(rel)) {
                 Ok(()) => {
                     let new_plan = b.checker_plan(rel).expect("just derived");
@@ -976,11 +962,9 @@ impl Library {
                     }
                 }
                 Err(e) => {
-                    // Keep serving the old plan rather than losing the
-                    // relation mid-flight.
-                    let compiled = Arc::new(crate::entry::compile_checker(&old_plan));
-                    b.checkers
-                        .insert(rel, CheckerImpl::Plan(old_plan, compiled));
+                    // Keep serving the old, already compiled instance
+                    // rather than losing the relation mid-flight.
+                    b.checkers.insert(rel, old.clone());
                     report.errors.push((rel, e.to_string()));
                 }
             }
@@ -1011,7 +995,7 @@ impl Library {
                 let _ = writeln!(out, "checker (derived{guided}):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                explain_bytecode(&mut out, plan, compiled.vm.as_ref());
+                explain_bytecode(&mut out, plan, &compiled.prog);
                 if let Some(stats) = stats {
                     out.push_str(&Self::premise_cost_table(
                         plan,
@@ -1037,12 +1021,13 @@ impl Library {
             .collect();
         producers.sort_by(|a, b| a.0.cmp(&b.0));
         for (mode, imp) in producers {
-            match &imp.plan {
-                Some(plan) => {
+            match &imp.derived {
+                Some(cp) => {
+                    let plan = &cp.plan;
                     let _ = writeln!(out, "producer {mode} (derived):");
                     let _ = writeln!(out, "{}", plan.display(u, env));
                     let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                    explain_bytecode(&mut out, plan, imp.vm.as_ref().map(|cp| &cp.prog));
+                    explain_bytecode(&mut out, plan, &cp.prog);
                 }
                 None => {
                     let kinds = match (&imp.hand_enum, &imp.hand_gen) {

@@ -282,9 +282,6 @@ struct Telemetry {
     /// table itself does not count lookups (see [`crate::memo`]).
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
-    /// Checker entries that ran on the plan interpreter because their
-    /// plan did not compile to bytecode.
-    vm_fallback: Arc<Counter>,
     latency_ns: Arc<Log2Histogram>,
     /// Profile-guided replan passes run through [`Session::replan_hot`].
     replans: Arc<Counter>,
@@ -309,7 +306,6 @@ impl Telemetry {
             steps: registry.counter("serve.steps", det),
             memo_hits: registry.counter("memo.hits", det),
             memo_misses: registry.counter("memo.misses", det),
-            vm_fallback: registry.counter("vm.fallback", det),
             latency_ns: registry.histogram("serve.latency_ns", Determinism::WallClock),
             replans: registry.counter("plan.replans", det),
             relations_replanned: registry.counter("plan.relations_replanned", det),
@@ -643,9 +639,7 @@ impl Session {
     /// ([`Library::replan_from`]) without dropping any serving-layer
     /// attachment: the new session keeps the server's shared memo table
     /// (verdicts are fuel-monotone facts about the *relation*, so they
-    /// stay valid across plan changes). Relations whose replanned plan
-    /// no longer compiles to bytecode fall back to the plan interpreter
-    /// per relation, exactly as in a fresh [`Server::session`].
+    /// stay valid across plan changes).
     ///
     /// Only this session is swapped; other sessions keep their plans
     /// until they replan. Bumps the server's `plan.*` metrics
@@ -764,13 +758,8 @@ impl Session {
             }
         };
         let (hits_before, misses_before) = self.lib.shared_memo_counts();
-        let fallbacks_before = self.lib.vm_fallback_count();
         let (result, attempts, steps) = self.run_attempts(rel, size, args, seed, index);
         let (hits_after, misses_after) = self.lib.shared_memo_counts();
-        self.state
-            .tel
-            .vm_fallback
-            .add(self.lib.vm_fallback_count() - fallbacks_before);
         let outcome = match &result {
             Ok(Some(true)) => RequestOutcome::True,
             Ok(Some(false)) => RequestOutcome::False,

@@ -15,10 +15,9 @@
 //! the budget, telemetry, and replanning layers consume, so the
 //! parity loop (below) must keep them exactly.
 //!
-//! Compilation is total over the plans the deriver emits today;
-//! [`compile_vm`] still returns `None` (per-instance fallback to the
-//! plan interpreter) on any construct outside its register discipline,
-//! so new plan features degrade to the slow path instead of breaking.
+//! Compilation is total ([`compile_vm`]): every derived checker and
+//! producer has a program, wide relations and unmatchable patterns
+//! included.
 //!
 //! # Register discipline
 //!
@@ -83,21 +82,17 @@
 //! [`Env`]: indrel_term::Env
 
 use crate::entry::{CompiledChecker, CompiledProducer};
-use crate::error::InstanceKind;
-use crate::library::{CheckerImpl, Library};
+use crate::error::{DeriveError, InstanceKind};
+use crate::library::{CheckerImpl, HandCheckFn, Library};
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
 use indrel_producers::{bind_ec, cnot, EStream, Meter, Outcome};
+use indrel_rel::RelEnv;
 use indrel_term::random::random_value;
 use indrel_term::{CtorId, FunId, Pattern, RelId, TermExpr, TypeExpr, Value, VarId};
 use std::borrow::Borrow;
 use std::ops::ControlFlow;
-
-/// Hard ceiling on registers per compiled handler; plans wider than
-/// this fall back to the interpreter (`u16` operands stay valid and a
-/// pathological fuzz plan cannot make frames unbounded).
-const MAX_REGS: usize = 4096;
 
 /// Where an instruction reads a value from: the caller's argument tuple
 /// (input matching reads it in place, no copy into the frame), a
@@ -112,22 +107,22 @@ const MAX_REGS: usize = 4096;
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Src {
     /// Argument-tuple position.
-    Arg(u16),
+    Arg(u32),
     /// Frame register.
-    Reg(u16),
+    Reg(u32),
     /// Constructor field `.1` of argument `.0` (guarded by a prior
     /// `Destruct` on the same base).
-    ArgField(u16, u16),
+    ArgField(u32, u32),
     /// Constructor field `.1` of frame register `.0` (guarded by a
     /// prior `Destruct` on the same base).
-    RegField(u16, u16),
+    RegField(u32, u32),
 }
 
-/// Premise-arity ceiling for the stack-allocated argument-reference
-/// buffers the executor uses ([`Library::vm_exec`]); plans with wider
-/// relations fall back to the interpreter. Kept small on purpose: the
-/// buffers are zero-initialized per premise, and every realistic
-/// relation is far below this.
+/// Capacity of the stack-allocated argument-reference buffers the
+/// executors fill per call ([`Library::vm_exec`]); a wider call takes
+/// the heap path ([`wide_refs`]). Kept small on purpose: the buffers
+/// are zero-initialized per premise, and every realistic relation is
+/// far below this.
 const MAX_PREMISE_ARITY: usize = 8;
 
 /// Placeholder the argument-reference buffers start from.
@@ -147,19 +142,19 @@ pub(crate) enum Instr {
         /// Source location.
         src: Src,
         /// Destination register.
-        dst: u16,
+        dst: u32,
     },
     /// `dst ← Nat(lit)`.
     LoadNat {
         /// Destination register.
-        dst: u16,
+        dst: u32,
         /// The literal.
         lit: u64,
     },
     /// `dst ← Bool(lit)`.
     LoadBool {
         /// Destination register.
-        dst: u16,
+        dst: u32,
         /// The literal.
         lit: bool,
     },
@@ -170,7 +165,7 @@ pub(crate) enum Instr {
         /// Source location (must hold a `Nat`).
         src: Src,
         /// Destination register.
-        dst: u16,
+        dst: u32,
     },
     /// `dst ← ctor(srcs…)`.
     MkCtor {
@@ -179,7 +174,7 @@ pub(crate) enum Instr {
         /// Argument locations, in declaration order.
         srcs: Box<[Src]>,
         /// Destination register.
-        dst: u16,
+        dst: u32,
     },
     /// `dst ← fun(srcs…)` — a registered total function.
     CallFun {
@@ -188,7 +183,7 @@ pub(crate) enum Instr {
         /// Argument locations.
         srcs: Box<[Src]>,
         /// Destination register.
-        dst: u16,
+        dst: u32,
     },
     /// Fail the handler (`UnifyFail` at `site`, verdict `Some(false)`)
     /// unless the value is exactly `Nat(lit)`.
@@ -227,7 +222,7 @@ pub(crate) enum Instr {
         /// Successor depth (≥ 1).
         k: u64,
         /// Register receiving the predecessor.
-        dst: u16,
+        dst: u32,
         /// Probe attribution on failure.
         site: FailSite,
     },
@@ -253,7 +248,7 @@ pub(crate) enum Instr {
         /// Required constructor.
         ctor: CtorId,
         /// Per-field destination registers.
-        dsts: Box<[Option<u16>]>,
+        dsts: Box<[Option<u32>]>,
         /// Probe attribution on failure.
         site: FailSite,
     },
@@ -290,7 +285,7 @@ pub(crate) enum Instr {
         /// Input-argument locations.
         srcs: Box<[Src]>,
         /// Registers receiving the produced outputs.
-        outs: Box<[u16]>,
+        outs: Box<[u32]>,
         /// Plan step index, for `Premise` attribution.
         step: u32,
     },
@@ -301,7 +296,7 @@ pub(crate) enum Instr {
         /// The instantiated type.
         ty: TypeExpr,
         /// Register receiving each candidate.
-        dst: u16,
+        dst: u32,
         /// Plan step index, for `Premise` attribution.
         step: u32,
     },
@@ -312,7 +307,7 @@ pub(crate) enum Instr {
         /// Input-argument locations.
         srcs: Box<[Src]>,
         /// Registers receiving the produced outputs.
-        outs: Box<[u16]>,
+        outs: Box<[u32]>,
     },
     /// The handler's output tuple (producer programs only; every
     /// producer handler ends with exactly one).
@@ -385,28 +380,47 @@ impl VmProgram {
 // Compilation
 // ---------------------------------------------------------------------
 
-/// Compiles a checker or producer plan to bytecode. Returns `None` —
-/// the signal for the per-instance interpreter fallback — when any
-/// handler uses a construct outside the register discipline (see the
-/// DESIGN.md compilability rules): a step of the other plan kind
-/// (`ProduceRec` in a checker, `RecCheck` in a producer; never emitted,
-/// kept as defensive gates), a register written twice, a read of a
-/// never-written register, a pattern that cannot match any value, or a
-/// frame or tuple wider than its ceiling.
+/// Compiles a checker or producer plan to bytecode: total over the
+/// plans the deriver emits, at any arity and frame width. A plan shape
+/// outside the register discipline — a step of the other plan kind
+/// (`ProduceRec` in a checker, `RecCheck` in a producer), a variable
+/// bound twice, a read before its write — is never emitted; it is a
+/// [`DeriveError::UnschedulablePremise`] naming the rule.
 ///
 /// `elide_pos` is the position indexed dispatch discriminates on, when
 /// every call dispatches through an index: a head guard there that
 /// merely restates the bucket's head class can never fail, so the
 /// compiler drops it (see [`head_guard_subsumed`]).
-pub(crate) fn compile_vm(plan: &Plan, elide_pos: Option<usize>) -> Option<VmProgram> {
+pub(crate) fn compile_vm(
+    plan: &Plan,
+    elide_pos: Option<usize>,
+    env: &RelEnv,
+) -> Result<VmProgram, DeriveError> {
     let producer = !plan.mode.is_checker();
     let handlers = plan
         .handlers
         .iter()
-        .map(|h| compile_handler(h, elide_pos, producer))
-        .collect::<Option<Vec<_>>>()?;
+        .map(|h| {
+            compile_handler(h, elide_pos, producer).map_err(|reason| {
+                DeriveError::UnschedulablePremise {
+                    rel: env.relation(plan.rel).name().to_string(),
+                    rule: h.name.clone(),
+                    reason: format!("the plan does not compile to bytecode: {reason}"),
+                }
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let all = (0..handlers.len() as u32).collect();
-    Some(VmProgram { handlers, all })
+    Ok(VmProgram { handlers, all })
+}
+
+/// A compilation step's result: the error names the broken invariant.
+type Compiled<T> = Result<T, &'static str>;
+
+/// An index as an instruction operand: it counts something the plan
+/// holds in memory (a slot, a field, an emitted temporary).
+fn operand(i: usize) -> u32 {
+    u32::try_from(i).expect("plan invariant: operand index beyond u32")
 }
 
 /// Per-handler compiler state: the emitted code plus the single-
@@ -422,7 +436,6 @@ struct Compiler {
     /// Compiling a producer plan: `ProduceRec` is legal, `RecCheck` is
     /// not, and the handler ends with `Emit`.
     producer: bool,
-    nslots: usize,
     nregs: usize,
     /// Frame width actually needed at run time: one past the highest
     /// register any instruction *writes*. Aliased variables consume no
@@ -433,34 +446,24 @@ struct Compiler {
     loc: Vec<Option<Src>>,
 }
 
-fn compile_handler(h: &Handler, elide_pos: Option<usize>, producer: bool) -> Option<VmHandler> {
-    if h.nslots > MAX_REGS
-        || h.input_pats.len() > MAX_PREMISE_ARITY
-        || h.outputs.len() > MAX_PREMISE_ARITY
-    {
-        return None;
-    }
+fn compile_handler(h: &Handler, elide_pos: Option<usize>, producer: bool) -> Compiled<VmHandler> {
     let mut c = Compiler {
         code: Vec::new(),
         producer,
-        nslots: h.nslots,
         nregs: h.nslots,
         frame_len: 0,
         loc: vec![None; h.nslots],
     };
     for (i, pat) in h.input_pats.iter().enumerate() {
-        let arg = u16::try_from(i).ok()?;
+        let arg = operand(i);
         if elide_pos == Some(i) && head_guard_subsumed(pat) {
             // Indexed dispatch already proved the scrutinee's head
             // here; only the sub-structure (if any) needs matching.
             // Field reads below lean on the same dispatch invariant
             // the elided guard would have re-checked.
             if let Pattern::Ctor(_, pats) = pat {
-                if pats.len() > u16::MAX as usize {
-                    return None;
-                }
                 for (j, p) in pats.iter().enumerate() {
-                    c.pattern(Src::ArgField(arg, j as u16), p, FailSite::Inputs)?;
+                    c.pattern(Src::ArgField(arg, operand(j)), p, FailSite::Inputs)?;
                 }
             }
             continue;
@@ -474,7 +477,7 @@ fn compile_handler(h: &Handler, elide_pos: Option<usize>, producer: bool) -> Opt
         let srcs = c.expr_list(&h.outputs)?;
         c.code.push(Instr::Emit { srcs });
     }
-    Some(VmHandler {
+    Ok(VmHandler {
         recursive: h.recursive,
         nregs: c.frame_len,
         code: c.code.into_boxed_slice(),
@@ -502,49 +505,45 @@ fn head_guard_subsumed(pat: &Pattern) -> bool {
 impl Compiler {
     /// Records that an instruction writes register `r`, growing the
     /// run-time frame to cover it.
-    fn note_write(&mut self, r: u16) {
+    fn note_write(&mut self, r: u32) {
         self.frame_len = self.frame_len.max(r as usize + 1);
     }
 
     /// Allocates a fresh temporary. Temporaries are born bound: the
     /// instruction emitted immediately after allocation writes them.
-    fn temp(&mut self) -> Option<u16> {
-        if self.nregs >= MAX_REGS {
-            return None;
-        }
-        let r = self.nregs;
+    fn temp(&mut self) -> u32 {
+        let r = operand(self.nregs);
         self.nregs += 1;
-        let r = u16::try_from(r).ok()?;
         self.note_write(r);
-        Some(r)
+        r
     }
 
     /// A plan variable for reading: its location, once bound.
-    fn read_var(&self, var: VarId) -> Option<Src> {
-        self.loc.get(var.index()).copied().flatten()
+    fn read_var(&self, var: VarId) -> Compiled<Src> {
+        self.loc
+            .get(var.index())
+            .copied()
+            .flatten()
+            .ok_or("a variable is read before it is bound")
+    }
+
+    /// Binds an unbound plan variable at `src` (single assignment).
+    fn bind_at(&mut self, var: VarId, src: Src) -> Compiled<()> {
+        let Some(slot @ None) = self.loc.get_mut(var.index()) else {
+            return Err("a variable is bound twice, or has no slot");
+        };
+        *slot = Some(src);
+        Ok(())
     }
 
     /// A plan variable for writing by an instruction (`Destruct`
     /// fields, `GuardSucc`, producer outputs): its own frame register.
     /// Must be unbound (single assignment); marks it bound.
-    fn bind_var(&mut self, var: VarId) -> Option<u16> {
-        if var.index() >= self.nslots || self.loc[var.index()].is_some() {
-            return None;
-        }
-        let r = u16::try_from(var.index()).ok()?;
-        self.loc[var.index()] = Some(Src::Reg(r));
+    fn bind_var(&mut self, var: VarId) -> Compiled<u32> {
+        let r = operand(var.index());
+        self.bind_at(var, Src::Reg(r))?;
         self.note_write(r);
-        Some(r)
-    }
-
-    /// Binds a plan variable by aliasing: subsequent reads compile to
-    /// `src` directly — no `Copy` instruction, no register write.
-    fn alias_var(&mut self, var: VarId, src: Src) -> Option<()> {
-        if var.index() >= self.nslots || self.loc[var.index()].is_some() {
-            return None;
-        }
-        self.loc[var.index()] = Some(src);
-        Some(())
+        Ok(r)
     }
 
     fn is_bound(&self, var: VarId) -> bool {
@@ -554,13 +553,13 @@ impl Compiler {
     /// Compiles a pattern match of `src` into guard instructions.
     /// Already-bound variables become equality guards (the non-linear
     /// reconciliation `Pattern::matches` performs against its `Env`).
-    fn pattern(&mut self, src: Src, pat: &Pattern, site: FailSite) -> Option<()> {
+    fn pattern(&mut self, src: Src, pat: &Pattern, site: FailSite) -> Compiled<()> {
         match pat {
             Pattern::Wild => {}
             Pattern::Var(x) => match self.read_var(*x) {
                 // Non-linear occurrence: the reconciliation
                 // `Pattern::matches` performs against its `Env`.
-                Some(b) => self.code.push(Instr::GuardEq {
+                Ok(b) => self.code.push(Instr::GuardEq {
                     a: src,
                     b,
                     negated: false,
@@ -568,7 +567,7 @@ impl Compiler {
                 }),
                 // First occurrence: a bare variable always matches, so
                 // binding is pure aliasing — zero instructions.
-                None => self.alias_var(*x, src)?,
+                Err(_) => self.bind_at(*x, src)?,
             },
             Pattern::NatLit(n) => self.code.push(Instr::GuardNat { src, lit: *n, site }),
             Pattern::BoolLit(b) => self.code.push(Instr::GuardBool { src, lit: *b, site }),
@@ -578,22 +577,19 @@ impl Compiler {
                 let mut k = 1u64;
                 let mut core: &Pattern = inner;
                 while let Pattern::Succ(next) = core {
-                    k = k.checked_add(1)?;
+                    k += 1;
                     core = next;
                 }
                 match core {
                     Pattern::Wild => self.code.push(Instr::GuardNatGe { src, min: k, site }),
-                    Pattern::NatLit(m) => self.code.push(Instr::GuardNat {
-                        src,
-                        // `n − k == m` ⇔ `n == m + k`; on overflow no
-                        // nat satisfies it — fall back (None) rather
-                        // than encode an unmatchable guard.
-                        lit: m.checked_add(k)?,
-                        site,
-                    }),
+                    // `n − k == m` ⇔ `n == m + k`.
+                    Pattern::NatLit(m) if *m <= u64::MAX - k => {
+                        let lit = m + k;
+                        self.code.push(Instr::GuardNat { src, lit, site })
+                    }
                     Pattern::Var(x) => {
-                        if let Some(b) = self.read_var(*x) {
-                            let t = self.temp()?;
+                        if let Ok(b) = self.read_var(*x) {
+                            let t = self.temp();
                             self.code.push(Instr::GuardSucc {
                                 src,
                                 k,
@@ -611,9 +607,17 @@ impl Compiler {
                             self.code.push(Instr::GuardSucc { src, k, dst, site });
                         }
                     }
-                    // A boolean or constructor under a successor can
-                    // never match a nat — unmatchable, fall back.
-                    _ => return None,
+                    // No value matches: no nat exceeds `u64::MAX`, and a
+                    // boolean or constructor under a successor never
+                    // matches a nat (the parser's type check rejects it).
+                    // A guard that always fails: no value differs from
+                    // itself.
+                    _ => self.code.push(Instr::GuardEq {
+                        a: src,
+                        b: src,
+                        negated: true,
+                        site,
+                    }),
                 }
             }
             Pattern::Ctor(ctor, pats) => {
@@ -626,17 +630,14 @@ impl Compiler {
                 // further, so its fields copy into registers first.
                 let fields = match src {
                     Src::Arg(i) => (0..pats.len())
-                        .map(|j| Src::ArgField(i, j as u16))
+                        .map(|j| Src::ArgField(i, operand(j)))
                         .collect(),
                     Src::Reg(r) => (0..pats.len())
-                        .map(|j| Src::RegField(r, j as u16))
+                        .map(|j| Src::RegField(r, operand(j)))
                         .collect(),
                     Src::ArgField(..) | Src::RegField(..) => Vec::new(),
                 };
                 if !fields.is_empty() {
-                    if pats.len() > u16::MAX as usize {
-                        return None;
-                    }
                     self.code.push(Instr::Destruct {
                         src,
                         ctor: *ctor,
@@ -648,7 +649,7 @@ impl Compiler {
                     }
                 } else {
                     let mut dsts = Vec::with_capacity(pats.len());
-                    let mut deferred: Vec<(u16, &Pattern)> = Vec::new();
+                    let mut deferred: Vec<(u32, &Pattern)> = Vec::new();
                     for p in pats {
                         match p {
                             Pattern::Wild => dsts.push(None),
@@ -656,7 +657,7 @@ impl Compiler {
                                 dsts.push(Some(self.bind_var(*x)?));
                             }
                             _ => {
-                                let t = self.temp()?;
+                                let t = self.temp();
                                 dsts.push(Some(t));
                                 deferred.push((t, p));
                             }
@@ -674,24 +675,24 @@ impl Compiler {
                 }
             }
         }
-        Some(())
+        Ok(())
     }
 
     /// Compiles an expression, returning the location holding its
     /// value. Variables compile to their bound location (no copy);
     /// compound expressions build into fresh temporaries.
-    fn expr(&mut self, e: &TermExpr) -> Option<Src> {
+    fn expr(&mut self, e: &TermExpr) -> Compiled<Src> {
         if let TermExpr::Var(x) = e {
             return self.read_var(*x);
         }
-        let dst = self.temp()?;
+        let dst = self.temp();
         self.expr_into(e, dst)?;
-        Some(Src::Reg(dst))
+        Ok(Src::Reg(dst))
     }
 
     /// Compiles an expression directly into `dst` (used by `EqBind`,
     /// where `dst` is the bound variable's own register).
-    fn expr_into(&mut self, e: &TermExpr, dst: u16) -> Option<()> {
+    fn expr_into(&mut self, e: &TermExpr, dst: u32) -> Compiled<()> {
         match e {
             TermExpr::Var(x) => {
                 let src = self.read_var(*x)?;
@@ -716,18 +717,20 @@ impl Compiler {
                 self.code.push(Instr::CallFun { fun: *f, srcs, dst });
             }
         }
-        Some(())
+        Ok(())
     }
 
-    fn expr_list(&mut self, args: &[TermExpr]) -> Option<Box<[Src]>> {
-        args.iter()
-            .map(|a| self.expr(a))
-            .collect::<Option<Vec<_>>>()
-            .map(Vec::into_boxed_slice)
+    fn expr_list(&mut self, args: &[TermExpr]) -> Compiled<Box<[Src]>> {
+        args.iter().map(|a| self.expr(a)).collect()
+    }
+
+    /// Registers receiving a producer call's outputs, bound in order.
+    fn out_list(&mut self, out_slots: &[VarId]) -> Compiled<Box<[u32]>> {
+        out_slots.iter().map(|v| self.bind_var(*v)).collect()
     }
 
     /// Compiles one scheduled plan step.
-    fn step(&mut self, idx: u32, step: &Step) -> Option<()> {
+    fn step(&mut self, idx: u32, step: &Step) -> Compiled<()> {
         let site = FailSite::Step(idx);
         match step {
             Step::EqCheck { lhs, rhs, negated } => {
@@ -746,18 +749,13 @@ impl Compiler {
                 // The defining expression is compiled while `var` is
                 // still unbound, so a (malformed) self-reference fails
                 // compilation instead of reading garbage.
-                if var.index() >= self.nslots || self.is_bound(*var) {
-                    return None;
-                }
                 if let TermExpr::Var(y) = expr {
                     // Variable-to-variable binding is pure aliasing.
                     let src = self.read_var(*y)?;
-                    self.loc[var.index()] = Some(src);
+                    self.bind_at(*var, src)?;
                 } else {
-                    let dst = u16::try_from(var.index()).ok()?;
-                    self.note_write(dst);
-                    self.expr_into(expr, dst)?;
-                    self.loc[var.index()] = Some(Src::Reg(dst));
+                    self.expr_into(expr, operand(var.index()))?;
+                    self.bind_var(*var)?;
                 }
             }
             Step::MatchExpr { scrutinee, pattern } => {
@@ -765,9 +763,6 @@ impl Compiler {
                 self.pattern(s, pattern, site)?;
             }
             Step::CheckRel { rel, args, negated } => {
-                if args.len() > MAX_PREMISE_ARITY {
-                    return None;
-                }
                 let srcs = self.expr_list(args)?;
                 self.code.push(Instr::CheckRel {
                     rel: *rel,
@@ -777,8 +772,8 @@ impl Compiler {
                 });
             }
             Step::RecCheck { args } => {
-                if self.producer || args.len() > MAX_PREMISE_ARITY {
-                    return None;
+                if self.producer {
+                    return Err("a checker's recursive premise in a producer plan");
                 }
                 let srcs = self.expr_list(args)?;
                 self.code.push(Instr::RecSelf { srcs, step: idx });
@@ -790,11 +785,7 @@ impl Compiler {
                 out_slots,
             } => {
                 let srcs = self.expr_list(in_args)?;
-                let outs = out_slots
-                    .iter()
-                    .map(|v| self.bind_var(*v))
-                    .collect::<Option<Vec<_>>>()?
-                    .into_boxed_slice();
+                let outs = self.out_list(out_slots)?;
                 self.code.push(Instr::ProduceExt {
                     rel: *rel,
                     mode: mode.clone(),
@@ -804,18 +795,11 @@ impl Compiler {
                 });
             }
             Step::ProduceRec { in_args, out_slots } => {
-                // Checker plans never contain ProduceRec; treat it as
-                // uncompilable rather than unreachable so a future plan
-                // change degrades to the interpreter.
-                if !self.producer || in_args.len() > MAX_PREMISE_ARITY {
-                    return None;
+                if !self.producer {
+                    return Err("a producer's recursive premise in a checker plan");
                 }
                 let srcs = self.expr_list(in_args)?;
-                let outs = out_slots
-                    .iter()
-                    .map(|v| self.bind_var(*v))
-                    .collect::<Option<Vec<_>>>()?
-                    .into_boxed_slice();
+                let outs = self.out_list(out_slots)?;
                 self.code.push(Instr::ProduceRec { srcs, outs });
             }
             Step::Unconstrained { var, ty } => {
@@ -827,7 +811,7 @@ impl Compiler {
                 });
             }
         }
-        Some(())
+        Ok(())
     }
 }
 
@@ -912,9 +896,10 @@ fn charge_backtrack_cached(meter: &Option<Meter>) -> bool {
 
 /// Reads a source. Checker arguments arrive by reference (`A =
 /// &Value`); a producer level's are values it owns (`A = Value`).
+/// `src` is borrowed from its instruction, so no call copies it.
 #[inline]
-fn read<'a, A: Borrow<Value>>(frame: &'a [Value], args: &'a [A], src: Src) -> &'a Value {
-    match src {
+fn read<'a, A: Borrow<Value>>(frame: &'a [Value], args: &'a [A], src: &Src) -> &'a Value {
+    match *src {
         Src::Arg(i) => args[i as usize].borrow(),
         Src::Reg(r) => &frame[r as usize],
         Src::ArgField(i, j) => field(args[i as usize].borrow(), j),
@@ -926,7 +911,7 @@ fn read<'a, A: Borrow<Value>>(frame: &'a [Value], args: &'a [A], src: Src) -> &'
 /// sources behind a `Destruct` guard on the same base, so the base is
 /// always a constructor of sufficient arity here.
 #[inline]
-fn field(base: &Value, j: u16) -> &Value {
+fn field(base: &Value, j: u32) -> &Value {
     match base {
         Value::Ctor(_, fields) => &fields[j as usize],
         _ => unreachable!("plan invariant: field source on a non-constructor"),
@@ -945,62 +930,62 @@ macro_rules! match_instr {
     (
         $instr:expr, $lib:expr, $frame:ident, $frames:ident, $args:ident,
         |$site:pat_param| $fail:expr;
-        $($pat:pat => $arm:expr,)+
+        $($pat:pat $(if $guard:expr)? => $arm:expr,)+
     ) => {
         match $instr {
             Instr::Copy { src, dst } => {
-                let v = read($frame, $args, *src).clone();
+                let v = read($frame, $args, src).clone();
                 $frame[*dst as usize] = v;
             }
             Instr::LoadNat { dst, lit } => $frame[*dst as usize] = Value::Nat(*lit),
             Instr::LoadBool { dst, lit } => $frame[*dst as usize] = Value::Bool(*lit),
             Instr::MkSucc { src, dst } => {
-                let n = read($frame, $args, *src)
+                let n = read($frame, $args, src)
                     .as_nat()
                     .expect("plan invariant: successor of a non-nat");
                 $frame[*dst as usize] = Value::Nat(n.saturating_add(1));
             }
             Instr::MkCtor { ctor, srcs, dst } => {
-                let vals = srcs.iter().map(|&s| read($frame, $args, s).clone()).collect();
+                let vals = srcs.iter().map(|s| read($frame, $args, s).clone()).collect();
                 $frame[*dst as usize] = Value::ctor(*ctor, vals);
             }
             Instr::CallFun { fun, srcs, dst } => {
                 let mut vals = $frames.take_argv();
-                vals.extend(srcs.iter().map(|&s| read($frame, $args, s).clone()));
+                vals.extend(srcs.iter().map(|s| read($frame, $args, s).clone()));
                 let v = $lib.universe().fun(*fun).apply(&vals);
                 $frames.put_argv(vals);
                 $frame[*dst as usize] = v;
             }
             Instr::GuardNat { src, lit, site: $site } => {
-                if read($frame, $args, *src).as_nat() != Some(*lit) {
+                if read($frame, $args, src).as_nat() != Some(*lit) {
                     $fail
                 }
             }
             Instr::GuardNatGe { src, min, site: $site } => {
-                if read($frame, $args, *src).as_nat().is_none_or(|n| n < *min) {
+                if read($frame, $args, src).as_nat().is_none_or(|n| n < *min) {
                     $fail
                 }
             }
             Instr::GuardBool { src, lit, site: $site } => {
-                if read($frame, $args, *src).as_bool() != Some(*lit) {
+                if read($frame, $args, src).as_bool() != Some(*lit) {
                     $fail
                 }
             }
             Instr::GuardSucc { src, k, dst, site: $site } => {
-                match read($frame, $args, *src).as_nat() {
+                match read($frame, $args, src).as_nat() {
                     Some(n) if n >= *k => $frame[*dst as usize] = Value::Nat(n - *k),
                     _ => $fail,
                 }
             }
             Instr::GuardEq { a, b, negated, site: $site } => {
-                let l = read($frame, $args, *a);
-                let r = read($frame, $args, *b);
+                let l = read($frame, $args, a);
+                let r = read($frame, $args, b);
                 if (l == r) == *negated {
                     $fail
                 }
             }
             Instr::Destruct { src, ctor, dsts, site: $site } => {
-                let fields = match read($frame, $args, *src) {
+                let fields = match read($frame, $args, src) {
                     Value::Ctor(c, fields) if c == ctor && fields.len() == dsts.len() => {
                         // Pure guard (every field read through a path
                         // source): no copies at all. Otherwise an O(1)
@@ -1022,7 +1007,7 @@ macro_rules! match_instr {
                     }
                 }
             }
-            $($pat => $arm,)+
+            $($pat $(if $guard)? => $arm,)+
         }
     };
 }
@@ -1038,7 +1023,7 @@ fn fill_refs<'a, A: Borrow<Value>>(
     args: &'a [A],
     srcs: &[Src],
 ) -> usize {
-    match *srcs {
+    match srcs {
         [a] => {
             buf[0] = read(frame, args, a);
         }
@@ -1052,12 +1037,69 @@ fn fill_refs<'a, A: Borrow<Value>>(
             buf[2] = read(frame, args, c);
         }
         _ => {
-            for (slot, &s) in buf.iter_mut().zip(srcs) {
+            for (slot, s) in buf.iter_mut().zip(srcs) {
                 *slot = read(frame, args, s);
             }
         }
     }
     srcs.len()
+}
+
+/// The path of every call wider than the stack reference buffers
+/// (`MAX_PREMISE_ARITY`): `k` runs on a heap vector of the references.
+/// Outlined, so no hot frame holds the vector or the captures of `k`.
+#[cold]
+#[inline(never)]
+fn wide_refs<'a, R>(refs: impl Iterator<Item = &'a Value>, k: impl FnOnce(&[&'a Value]) -> R) -> R {
+    let refs: Vec<&'a Value> = refs.collect();
+    k(&refs)
+}
+
+/// Calls `k` on owned values as references: from a stack buffer up to
+/// `MAX_PREMISE_ARITY` values, through [`wide_refs`] past it.
+#[inline(always)]
+fn with_refs<'a, R>(vals: &'a [Value], k: impl FnOnce(&[&'a Value]) -> R) -> R {
+    if vals.len() > MAX_PREMISE_ARITY {
+        return wide_refs(vals.iter(), k);
+    }
+    let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+    for (slot, v) in buf.iter_mut().zip(vals) {
+        *slot = v;
+    }
+    k(&buf[..vals.len()])
+}
+
+/// A handwritten checker on borrowed arguments, cloned for it.
+/// Optimized builds inline it into the fast loop: a call costs BST
+/// checks about 4%. Debug builds keep every local of an inlined body in
+/// the loop's frame, so there it is a call, which keeps deep
+/// recursions (`sorted` at 400) within a 2 MiB test thread.
+#[cfg_attr(debug_assertions, inline(never))]
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn call_hand(f: &HandCheckFn, refs: &[&Value], frames: &mut VmFrames, top: u64) -> Option<bool> {
+    match refs {
+        // Small arities clone into a stack array — no pool round-trip.
+        [a] => f(top, top, &[(*a).clone()]),
+        [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
+        [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
+        _ => call_hand_pooled(f, refs, frames, top),
+    }
+}
+
+/// [`call_hand`] past three arguments, cloned into a pooled vector.
+/// Out of line: inlined, it widened the fast loop's frame.
+#[inline(never)]
+fn call_hand_pooled(
+    f: &HandCheckFn,
+    refs: &[&Value],
+    frames: &mut VmFrames,
+    top: u64,
+) -> Option<bool> {
+    let mut vals = frames.take_argv();
+    vals.extend(refs.iter().map(|&v| v.clone()));
+    let r = f(top, top, &vals);
+    frames.put_argv(vals);
+    r
 }
 
 impl Library {
@@ -1089,9 +1131,9 @@ impl Library {
         }
     }
 
-    /// The search below a checker entry boundary for a relation whose
-    /// plan compiled: rule dispatch and the fuel discipline, with
-    /// handler bodies executed by [`Library::vm_exec`].
+    /// The search below a derived checker's entry boundary: rule
+    /// dispatch and the fuel discipline, with handler bodies executed
+    /// by [`Library::vm_exec`].
     ///
     /// This boundary decides, once per entry, which of the two
     /// monomorphized dispatch loops runs (the `PAR` const parameter of
@@ -1116,41 +1158,32 @@ impl Library {
     pub(crate) fn run_vm_search(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         size: u64,
         top: u64,
         args: &[Value],
     ) -> Option<bool> {
         // The executor passes arguments by reference all the way down
         // (premises build `&[&Value]` buffers instead of cloning into
-        // owned vectors), so the owned entry tuple converts to a
-        // reference buffer once here. Compilation gates every argument
-        // read below `MAX_PREMISE_ARITY`, so the truncation `take`
-        // can never drop a readable position.
-        debug_assert!(args.len() <= MAX_PREMISE_ARITY);
-        let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
-        for (slot, v) in buf.iter_mut().zip(args.iter().take(MAX_PREMISE_ARITY)) {
-            *slot = v;
-        }
-        let refs = &buf[..args.len().min(MAX_PREMISE_ARITY)];
-        let mut frames = self.take_vm_frames();
-        let meter = self.active_meter();
-        let fast = meter.is_none() && !self.probe_armed() && self.inner.memo.get().is_none();
-        let r = if fast {
-            self.vm_search::<false>(chk, prog, &None, &mut frames, size, top, refs)
-        } else {
-            self.vm_search::<true>(chk, prog, &meter, &mut frames, size, top, refs)
-        };
-        self.put_vm_frames(frames);
-        r
+        // owned vectors), so the owned entry tuple converts to
+        // references once here.
+        with_refs(args, |refs| {
+            let mut frames = self.take_vm_frames();
+            let meter = self.active_meter();
+            let fast = meter.is_none() && !self.probe_armed() && self.inner.memo.get().is_none();
+            let r = if fast {
+                self.vm_search::<false>(chk, &None, &mut frames, size, top, refs)
+            } else {
+                self.vm_search::<true>(chk, &meter, &mut frames, size, top, refs)
+            };
+            self.put_vm_frames(frames);
+            r
+        })
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn vm_search<const PAR: bool>(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         meter: &Option<Meter>,
         frames: &mut VmFrames,
         size: u64,
@@ -1186,10 +1219,10 @@ impl Library {
                 }
                 bucket
             }
-            None => &prog.all,
+            None => &chk.prog.all,
         };
         for &i in candidates {
-            let h = &prog.handlers[i as usize];
+            let h = &chk.prog.handlers[i as usize];
             if size == 0 && h.recursive {
                 continue;
             }
@@ -1205,7 +1238,7 @@ impl Library {
             let r = if h.code.is_empty() {
                 Some(true)
             } else {
-                self.vm_handler::<PAR>(chk, prog, h, i, meter, frames, size_rem, top, args)
+                self.vm_handler::<PAR>(chk, h, i, meter, frames, size_rem, top, args)
             };
             match r {
                 Some(true) => {
@@ -1242,7 +1275,6 @@ impl Library {
     fn vm_handler<const PAR: bool>(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
         meter: &Option<Meter>,
@@ -1256,12 +1288,12 @@ impl Library {
         if h.nregs == 0 {
             let mut frame = Vec::new();
             return self.vm_exec::<PAR>(
-                chk, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+                chk, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
             );
         }
         let mut frame = frames.take(h.nregs);
         let r = self.vm_exec::<PAR>(
-            chk, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+            chk, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
         );
         frames.put(frame);
         r
@@ -1278,7 +1310,6 @@ impl Library {
     fn vm_exec<const PAR: bool>(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
         pc0: usize,
@@ -1294,84 +1325,39 @@ impl Library {
             match_instr! {
                 instr, self, frame, frames, args,
                 |site| return self.vm_fail::<PAR>(chk.rel, h_idx, *site);
-                Instr::CheckRel {
-                    rel,
-                    srcs,
-                    negated,
-                    step,
-                } => {
+                // Wider than the stack reference buffer: out of line, like
+                // the fan-out instructions below, running the rest too.
+                Instr::CheckRel { srcs, .. } | Instr::RecSelf { srcs, .. }
+                    if srcs.len() > MAX_PREMISE_ARITY =>
+                {
+                    return self.vm_wide_premise::<PAR>(
+                        chk, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                    );
+                },
+                Instr::CheckRel { srcs, .. } => {
                     // Arguments travel as a stack buffer of references;
                     // owned values materialize only at a boundary that
-                    // demands them (a handwritten checker, the
-                    // interpreter fallback).
+                    // demands them (a handwritten checker).
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
-                    let r = if PAR {
-                        // Premise cost attribution: gated on arming, and
-                        // scoped to the call alone.
-                        let calls_before =
-                            self.probe_armed().then(|| self.inner.search_calls.get());
-                        let mut r = self.cross_armed(*rel, refs, frames, meter, top);
-                        if *negated {
-                            r = cnot(r);
-                        }
-                        if let Some(before) = calls_before {
-                            let cost = self.inner.search_calls.get() - before;
-                            self.probe(|| Event::Premise {
-                                rel: chk.rel,
-                                rule: h_idx,
-                                step: *step,
-                                cost,
-                                failed: r == Some(false),
-                            });
-                        }
-                        r
-                    } else {
-                        let mut r = self.check_premise::<false>(*rel, refs, frames, &None, top);
-                        if *negated {
-                            r = cnot(r);
-                        }
-                        r
-                    };
-                    match r {
+                    match self.vm_premise::<PAR>(
+                        chk, h_idx, instr, refs, frames, meter, size_rem, top,
+                    ) {
                         Some(true) => {}
                         other => return other,
                     }
                 },
-                Instr::RecSelf { srcs, step } => {
+                Instr::RecSelf { srcs, .. } => {
                     // The recursive call never leaves the VM, so its
                     // arguments never materialize: a stack buffer of
                     // references is the whole calling convention.
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
-                    let r = if PAR {
-                        let calls_before =
-                            self.probe_armed().then(|| self.inner.search_calls.get());
-                        // One budget step, then the search at the
-                        // decremented fuel — staying inside the VM,
-                        // reusing this scratch.
-                        let r = if charge_step_cached(meter) {
-                            self.vm_search::<true>(chk, prog, meter, frames, size_rem, top, refs)
-                        } else {
-                            None
-                        };
-                        if let Some(before) = calls_before {
-                            let cost = self.inner.search_calls.get() - before;
-                            self.probe(|| Event::Premise {
-                                rel: chk.rel,
-                                rule: h_idx,
-                                step: *step,
-                                cost,
-                                failed: r == Some(false),
-                            });
-                        }
-                        r
-                    } else {
-                        self.vm_search::<false>(chk, prog, &None, frames, size_rem, top, refs)
-                    };
-                    match r {
+                    match self.vm_premise::<PAR>(
+                        chk, h_idx, instr, refs, frames, meter, size_rem, top,
+                    ) {
                         Some(true) => {}
                         other => return other,
                     }
@@ -1383,12 +1369,12 @@ impl Library {
                 // prologue/epilogue runs once per search step.
                 Instr::ProduceExt { .. } => {
                     return self.vm_produce_ext::<PAR>(
-                        chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                        chk, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 },
                 Instr::Unconstrained { .. } => {
                     return self.vm_unconstrained::<PAR>(
-                        chk, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                        chk, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 },
                 Instr::ProduceRec { .. } | Instr::Emit { .. } => {
@@ -1400,6 +1386,96 @@ impl Library {
         Some(true)
     }
 
+    /// A `CheckRel` or `RecSelf` premise of [`Library::vm_exec`] over
+    /// its resolved arguments, with the parity loop's `Premise`
+    /// attribution around the call. A recursive premise charges one
+    /// budget step and re-enters this search on this scratch.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn vm_premise<const PAR: bool>(
+        &self,
+        chk: &CompiledChecker,
+        h_idx: u32,
+        instr: &Instr,
+        refs: &[&Value],
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        size_rem: u64,
+        top: u64,
+    ) -> Option<bool> {
+        // Premise cost attribution: gated on arming, and scoped to the
+        // call alone.
+        let calls_before = (PAR && self.probe_armed()).then(|| self.inner.search_calls.get());
+        let (r, step) = match instr {
+            Instr::CheckRel {
+                rel, negated, step, ..
+            } => {
+                let r = if PAR {
+                    self.cross_armed(*rel, refs, frames, meter, top)
+                } else {
+                    self.check_premise::<false>(*rel, refs, frames, meter, top)
+                };
+                (if *negated { cnot(r) } else { r }, step)
+            }
+            Instr::RecSelf { step, .. } => {
+                let r = if !PAR {
+                    self.vm_search::<false>(chk, meter, frames, size_rem, top, refs)
+                } else if charge_step_cached(meter) {
+                    self.vm_search::<true>(chk, meter, frames, size_rem, top, refs)
+                } else {
+                    None
+                };
+                (r, step)
+            }
+            _ => unreachable!("vm_premise on a non-premise instruction"),
+        };
+        if let Some(before) = calls_before {
+            let cost = self.inner.search_calls.get() - before;
+            self.probe(|| Event::Premise {
+                rel: chk.rel,
+                rule: h_idx,
+                step: *step,
+                cost,
+                failed: r == Some(false),
+            });
+        }
+        r
+    }
+
+    /// A [`Library::vm_exec`] premise wider than the stack reference
+    /// buffer ([`wide_refs`]), then on success the rest of the handler:
+    /// outlined and in tail position, like the fan-out arms.
+    #[cold]
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn vm_wide_premise<const PAR: bool>(
+        &self,
+        chk: &CompiledChecker,
+        h: &VmHandler,
+        h_idx: u32,
+        pc: usize,
+        frame: &mut Vec<Value>,
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+    ) -> Option<bool> {
+        let instr = &h.code[pc];
+        let (Instr::CheckRel { srcs, .. } | Instr::RecSelf { srcs, .. }) = instr else {
+            unreachable!("vm_wide_premise entered on a non-premise pc");
+        };
+        let refs = srcs.iter().map(|s| read(frame, args, s));
+        let r = wide_refs(refs, |refs| {
+            self.vm_premise::<PAR>(chk, h_idx, instr, refs, frames, meter, size_rem, top)
+        });
+        if r != Some(true) {
+            return r;
+        }
+        let pc = pc + 1;
+        self.vm_exec::<PAR>(chk, h, h_idx, pc, frame, frames, meter, size_rem, top, args)
+    }
+
     /// A `CheckRel` premise at the top fuel, as [`Library::check`] runs
     /// it, except that a compiled callee is entered inside the VM, on
     /// this scratch and with the reference buffer as-is. Unarmed
@@ -1409,9 +1485,7 @@ impl Library {
     /// armed meter, which cannot change mid-call — around the callee's
     /// parity search, so it charges, counts, tables and emits what
     /// `Library::check` would. Handwritten callees charge the step, emit
-    /// `Enter` and get their arguments cloned onto the stack; an
-    /// uncompiled plan takes the owned entry
-    /// ([`Library::run_checker_entry`]).
+    /// `Enter` and get their arguments cloned.
     #[inline(always)]
     fn check_premise<const PAR: bool>(
         &self,
@@ -1432,38 +1506,17 @@ impl Library {
                 } else {
                     None
                 };
-                match refs {
-                    // Small arities clone into a stack array — no pool
-                    // round-trip.
-                    [a] => f(top, top, &[(*a).clone()]),
-                    [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
-                    [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
-                    _ => {
-                        let mut vals = frames.take_argv();
-                        vals.extend(refs.iter().map(|&v| v.clone()));
-                        let r = f(top, top, &vals);
-                        frames.put_argv(vals);
-                        r
-                    }
-                }
+                call_hand(f, refs, frames, top)
             }
-            CheckerImpl::Plan(plan, compiled) => match &compiled.vm {
-                Some(p) if !PAR => {
-                    self.vm_search::<false>(compiled, p, &None, frames, top, top, refs)
-                }
-                Some(p) => {
+            CheckerImpl::Plan(_, compiled) => {
+                if !PAR {
+                    self.vm_search::<false>(compiled, meter, frames, top, top, refs)
+                } else {
                     self.checker_entry(compiled, top, top, refs, charge_step_cached(meter), || {
-                        self.vm_search::<true>(compiled, p, meter, frames, top, top, refs)
+                        self.vm_search::<true>(compiled, meter, frames, top, top, refs)
                     })
                 }
-                None => {
-                    let mut vals = frames.take_argv();
-                    vals.extend(refs.iter().map(|&v| v.clone()));
-                    let r = self.run_checker_entry(plan, compiled, top, top, &vals);
-                    frames.put_argv(vals);
-                    r
-                }
-            },
+            }
         }
     }
 
@@ -1501,7 +1554,6 @@ impl Library {
     fn vm_produce_ext<const PAR: bool>(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
         pc: usize,
@@ -1523,7 +1575,7 @@ impl Library {
             unreachable!("vm_produce_ext entered on a non-ProduceExt pc");
         };
         let mut in_vals = frames.take_argv();
-        in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+        in_vals.extend(srcs.iter().map(|s| read(frame, args, s).clone()));
         if !PAR || (meter.is_none() && !self.probe_armed()) {
             let mut needs_fuel = false;
             let flow = self.enum_push(*rel, mode, top, &in_vals, 0, frames, &mut |frames, o| {
@@ -1534,7 +1586,6 @@ impl Library {
                 bind_outs(frame, outs, vals);
                 match self.vm_exec::<PAR>(
                     chk,
-                    prog,
                     h,
                     h_idx,
                     pc + 1,
@@ -1571,7 +1622,6 @@ impl Library {
             }
             self.vm_exec::<PAR>(
                 chk,
-                prog,
                 h,
                 h_idx,
                 pc + 1,
@@ -1604,7 +1654,6 @@ impl Library {
     fn vm_unconstrained<const PAR: bool>(
         &self,
         chk: &CompiledChecker,
-        prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
         pc: usize,
@@ -1627,7 +1676,6 @@ impl Library {
             frame[*dst as usize] = candidates[i].clone();
             match self.vm_exec::<PAR>(
                 chk,
-                prog,
                 h,
                 h_idx,
                 pc + 1,
@@ -1699,7 +1747,7 @@ impl<'a> Tuple<'a> {
     /// The `j`-th output.
     fn get(self, j: usize) -> &'a Value {
         match self {
-            Tuple::Emitted { srcs, frame, args } => read(frame, args, srcs[j]),
+            Tuple::Emitted { srcs, frame, args } => read(frame, args, &srcs[j]),
             Tuple::Owned(vals) => &vals[j],
         }
     }
@@ -1707,22 +1755,10 @@ impl<'a> Tuple<'a> {
 
 /// Writes a pushed tuple into a consumer's output registers.
 #[inline(never)]
-fn bind_outs(frame: &mut [Value], outs: &[u16], vals: Tuple<'_>) {
+fn bind_outs(frame: &mut [Value], outs: &[u32], vals: Tuple<'_>) {
     for (j, &o) in outs.iter().enumerate() {
         frame[o as usize] = vals.get(j).clone();
     }
-}
-
-/// A compiled generator's inputs as a reference buffer. Compilation
-/// caps every producer's input arity at `MAX_PREMISE_ARITY`, so a tuple
-/// that reaches a compiled program always fits.
-fn ref_buf(vals: &[Value]) -> ([&Value; MAX_PREMISE_ARITY], usize) {
-    debug_assert!(vals.len() <= MAX_PREMISE_ARITY);
-    let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
-    for (slot, v) in buf.iter_mut().zip(vals) {
-        *slot = v;
-    }
-    (buf, vals.len().min(MAX_PREMISE_ARITY))
 }
 
 /// The consumer of a push-mode enumeration: called once per outcome, in
@@ -1796,8 +1832,8 @@ impl Library {
     }
 
     /// An enumerator premise in push mode (no meter or probe armed):
-    /// `rel`'s compiled program when it has one, otherwise its
-    /// handwritten or interpreted stream drained into `sink`. Outlined:
+    /// `rel`'s compiled program when it is derived, otherwise its
+    /// handwritten stream drained into `sink`. Outlined:
     /// its stream-draining path would otherwise widen every frame that
     /// stays live under the consumer.
     #[inline(never)]
@@ -1815,7 +1851,7 @@ impl Library {
         let entry = self
             .require_producer(rel, mode, InstanceKind::Enumerator)
             .unwrap_or_else(|e| panic!("{e}"));
-        if let (None, Some(cp)) = (&entry.hand_enum, &entry.vm) {
+        if let (None, Some(cp)) = (&entry.hand_enum, &entry.derived) {
             return self.vm_enum_search(cp, top, top, inputs, depth, frames, sink);
         }
         drain(
@@ -1950,10 +1986,19 @@ impl Library {
                 |_| return Run::Failed;
                 Instr::CheckRel {
                     rel, srcs, negated, ..
-                } => match self.producer_check(*rel, srcs, *negated, frame, args, frames, top) {
-                    Some(true) => {}
-                    Some(false) => return Run::Failed,
-                    None => return Run::OutOfFuel,
+                } => {
+                    let r = if srcs.len() <= MAX_PREMISE_ARITY {
+                        let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                        let len = fill_refs(&mut refs, frame, args, srcs);
+                        self.producer_check(*rel, *negated, &refs[..len], frames, top)
+                    } else {
+                        self.vm_run_wide(&h.code[pc], frame, frames, top, args)
+                    };
+                    match r {
+                        Some(true) => {}
+                        Some(false) => return Run::Failed,
+                        None => return Run::OutOfFuel,
+                    }
                 },
                 Instr::ProduceRec { .. }
                 | Instr::ProduceExt { .. }
@@ -1963,6 +2008,31 @@ impl Library {
             }
             pc += 1;
         }
+    }
+
+    /// [`Library::vm_run`]'s `CheckRel` premise wider than the stack
+    /// reference buffer ([`wide_refs`]). No more arguments than the
+    /// loop's other calls take, so its frame holds nothing for this.
+    #[cold]
+    #[inline(never)]
+    fn vm_run_wide<A: Borrow<Value>>(
+        &self,
+        instr: &Instr,
+        frame: &[Value],
+        frames: &mut VmFrames,
+        top: u64,
+        args: &[A],
+    ) -> Option<bool> {
+        let Instr::CheckRel {
+            rel, srcs, negated, ..
+        } = instr
+        else {
+            unreachable!("vm_run_wide entered on a non-CheckRel instruction");
+        };
+        let refs = srcs.iter().map(|s| read(frame, args, s));
+        wide_refs(refs, |refs| {
+            self.producer_check(*rel, *negated, refs, frames, top)
+        })
     }
 
     /// Outlined `Unconstrained` arm of the enumerator: the suffix per
@@ -2009,7 +2079,7 @@ impl Library {
         // The suffix rewrites this frame while the callee still reads
         // its inputs, so the inputs leave the frame first.
         let mut in_vals = frames.take_argv();
-        in_vals.extend(srcs.iter().map(|&s| read(run.frame, run.args, s).clone()));
+        in_vals.extend(srcs.iter().map(|s| read(run.frame, run.args, s).clone()));
         let mut bind = |frames: &mut VmFrames, o: Outcome<Tuple<'_>>| match o {
             Outcome::Val(vals) => {
                 bind_outs(run.frame, outs, vals);
@@ -2038,8 +2108,9 @@ impl Library {
     ) -> Option<Vec<Value>> {
         let mut frames = self.take_vm_frames();
         let mut out = Vec::new();
-        let (refs, len) = ref_buf(inputs);
-        let ok = self.vm_gen_search(cp, size, top, &refs[..len], &mut frames, rng, &mut out);
+        let ok = with_refs(inputs, |refs| {
+            self.vm_gen_search(cp, size, top, refs, &mut frames, rng, &mut out)
+        });
         self.put_vm_frames(frames);
         ok.then_some(out)
     }
@@ -2125,7 +2196,7 @@ impl Library {
             };
             match &h.code[at] {
                 Instr::Emit { srcs } => {
-                    out.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                    out.extend(srcs.iter().map(|s| read(frame, args, s).clone()));
                     return true;
                 }
                 Instr::Unconstrained { ty, dst, .. } => {
@@ -2161,9 +2232,15 @@ impl Library {
             // The callee only reads its inputs while this frame waits,
             // so they travel by reference.
             Instr::ProduceRec { srcs, outs } => {
-                let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
-                let len = fill_refs(&mut refs, frame, args, srcs);
-                let ok = self.vm_gen_search(cp, size_rem, top, &refs[..len], frames, rng, &mut res);
+                let ok = if srcs.len() <= MAX_PREMISE_ARITY {
+                    let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                    let len = fill_refs(&mut refs, frame, args, srcs);
+                    self.vm_gen_search(cp, size_rem, top, &refs[..len], frames, rng, &mut res)
+                } else {
+                    wide_refs(srcs.iter().map(|s| read(frame, args, s)), |refs| {
+                        self.vm_gen_search(cp, size_rem, top, refs, frames, rng, &mut res)
+                    })
+                };
                 (ok, outs)
             }
             Instr::ProduceExt {
@@ -2174,7 +2251,7 @@ impl Library {
                 ..
             } => {
                 let mut in_vals = frames.take_argv();
-                in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                in_vals.extend(srcs.iter().map(|s| read(frame, args, s).clone()));
                 let ok = self.gen_ext(*rel, mode, top, &in_vals, frames, rng, &mut res);
                 frames.put_argv(in_vals);
                 (ok, outs)
@@ -2191,7 +2268,7 @@ impl Library {
     }
 
     /// An external generator premise: `rel`'s compiled program when it
-    /// has one, otherwise its handwritten or interpreted generator.
+    /// is derived, otherwise its handwritten generator.
     #[allow(clippy::too_many_arguments)]
     fn gen_ext(
         &self,
@@ -2206,9 +2283,10 @@ impl Library {
         let entry = self
             .require_producer(rel, mode, InstanceKind::Generator)
             .unwrap_or_else(|e| panic!("{e}"));
-        if let (None, Some(cp)) = (&entry.hand_gen, &entry.vm) {
-            let (refs, len) = ref_buf(inputs);
-            return self.vm_gen_search(cp, top, top, &refs[..len], frames, rng, out);
+        if let (None, Some(cp)) = (&entry.hand_gen, &entry.derived) {
+            return with_refs(inputs, |refs| {
+                self.vm_gen_search(cp, top, top, refs, frames, rng, out)
+            });
         }
         match self.run_gen_impl(rel, entry, top, top, inputs, rng) {
             Some(vals) => {
@@ -2219,25 +2297,21 @@ impl Library {
         }
     }
 
-    /// A `CheckRel` premise inside a compiled producer. With a verdict
-    /// table attached it takes the parity loop's crossing (no meter is
-    /// armed here), which makes the entry step, lookup and insertion of
-    /// the interpreter's `check` call, so the table sees the same
-    /// lookups and insertions; without one it is the fast loop's call.
-    #[allow(clippy::too_many_arguments)]
-    fn producer_check<A: Borrow<Value>>(
+    /// A `CheckRel` premise inside a compiled producer, over resolved
+    /// arguments. With a verdict table attached it takes the parity
+    /// loop's crossing (no meter is armed here), which makes the entry
+    /// step, lookup and insertion of the interpreter's `check` call, so
+    /// the table sees the same lookups and insertions; without one it
+    /// is the fast loop's call.
+    #[inline(always)]
+    fn producer_check(
         &self,
         rel: RelId,
-        srcs: &[Src],
         negated: bool,
-        frame: &[Value],
-        args: &[A],
+        refs: &[&Value],
         frames: &mut VmFrames,
         top: u64,
     ) -> Option<bool> {
-        let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
-        let len = fill_refs(&mut refs, frame, args, srcs);
-        let refs = &refs[..len];
         let r = if self.inner.memo.get().is_some() {
             self.cross_armed(rel, refs, frames, &None, top)
         } else {
@@ -2317,7 +2391,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(lib.vm_fallback_count(), 0, "every demo relation compiles");
     }
 
     /// The compiled enumerator's outcomes for one call, in push order,
@@ -2333,7 +2406,7 @@ mod tests {
         let entry = lib
             .require_producer(rel, mode, InstanceKind::Enumerator)
             .unwrap();
-        let cp = entry.vm.as_ref().expect("every derived producer compiles");
+        let cp = entry.derived.as_ref().expect("a derived producer");
         let arity = mode.out_positions().len();
         let mut out = Vec::new();
         let mut frames = VmFrames::default();
@@ -2357,8 +2430,7 @@ mod tests {
         let mut covered = 0;
         for (rel_idx, modes) in lib.inner.producers.iter().enumerate() {
             let rel = RelId::new(rel_idx);
-            for (mode, imp) in modes.iter().filter(|(_, imp)| imp.plan.is_some()) {
-                assert!(imp.vm.is_some(), "{rel:?} {mode} should compile");
+            for (mode, _) in modes.iter().filter(|(_, imp)| imp.derived.is_some()) {
                 let tys: Vec<TypeExpr> = mode
                     .in_positions()
                     .into_iter()
@@ -2444,6 +2516,84 @@ mod tests {
             &[("le", &[1]), ("ev", &[0]), ("in_list", &[0])],
         );
         assert_eq!(assert_enumerators_agree(&corpus, 6, 400), 3);
+    }
+
+    #[test]
+    fn wide_enumerators_push_the_interpreters_outcomes() {
+        // Nine inputs: `wider`'s recursive call and its premise on
+        // `wide` are wider than the stack argument buffers.
+        let mut u = Universe::new();
+        let mut env = RelEnv::new();
+        parse_program(
+            &mut u,
+            &mut env,
+            r"
+            rel le : nat nat :=
+            | le_n : forall n, le n n
+            | le_S : forall n m, le n m -> le n (S m)
+            .
+            rel wide : nat nat nat nat nat nat nat nat nat :=
+            | w_base : forall a b c d e f g h, le a b -> wide 0 a b c d e f g h
+            | w_step : forall n a b c d e f g h,
+                wide n a b c d e f g h -> wide (S n) a b c d e f g h
+            .
+            rel wider : nat nat nat nat nat nat nat nat nat nat :=
+            | v_base : forall a b c d e f g h, wide 1 a b c d e f g h -> wider 0 a b c d e f g h b
+            | v_step : forall n a b c d e f g h m,
+                wider n a b c d e f g h m -> wider (S n) a b c d e f g h (S m)
+            .",
+        )
+        .unwrap();
+        let wide = derive(u, env, &["wider"], &[("wider", &[9])]);
+        assert_eq!(assert_enumerators_agree(&wide, 1, 200), 1);
+    }
+
+    #[test]
+    fn plan_shapes_outside_the_register_discipline_are_derive_errors() {
+        let (_, env, lib, rels) = demo_lib();
+        let Some(CheckerImpl::Plan(plan, _)) = &lib.inner.checkers[rels[0].index()] else {
+            panic!("le is derived");
+        };
+        let fails = |edit: &dyn Fn(&mut Handler)| {
+            let mut bad = Plan::clone(plan);
+            edit(&mut bad.handlers[1]);
+            match compile_vm(&bad, None, &env) {
+                Err(DeriveError::UnschedulablePremise { rel, rule, .. }) => {
+                    assert_eq!((rel.as_str(), rule.as_str()), ("le", "le_S"));
+                }
+                other => panic!("expected a derive error, got {:?}", other.map(|_| ())),
+            }
+        };
+        // A producer's recursive premise in a checker plan.
+        fails(&|h| {
+            h.steps.push(Step::ProduceRec {
+                in_args: Vec::new(),
+                out_slots: Vec::new(),
+            })
+        });
+        // A variable bound twice, and one read before it is bound.
+        let x = VarId::new(0);
+        fails(&|h| {
+            h.steps.push(Step::Unconstrained {
+                var: x,
+                ty: TypeExpr::Nat,
+            })
+        });
+        let fresh = VarId::new(plan.handlers[1].nslots);
+        fails(&|h| {
+            h.nslots += 1;
+            h.steps.push(Step::CheckRel {
+                rel: plan.rel,
+                args: vec![TermExpr::Var(fresh), TermExpr::Var(fresh)],
+                negated: false,
+            })
+        });
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn instructions_stay_one_cache_line() {
+        assert!(std::mem::size_of::<Instr>() <= 64);
     }
 
     #[test]

@@ -44,8 +44,7 @@ use std::fmt;
 pub enum Oracle {
     /// `parse(pretty(p))` is structurally equal to `parse(p)`.
     Roundtrip,
-    /// [`Library::check`] (the bytecode VM, or the interpreter fallback
-    /// for plans that did not compile) returns the same budgeted
+    /// [`Library::check`] (the bytecode VM) returns the same budgeted
     /// `Result` on a repeated run, and every decided verdict — budgeted,
     /// and unbudgeted with compiled enumerators folded into `bindEC` —
     /// equals [`Library::check_interpreted`], across the domain and a

@@ -229,7 +229,7 @@ fn verdicts_decided_after_the_meter_runs_out_are_never_tabled() {
     SESSION.with(|s| s.borrow_mut().take());
 }
 
-const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":86,"memo.insertions":345,"memo.misses":420,"memo.none_skipped":0,"plan.relations_kept":0,"plan.relations_replanned":0,"plan.replans":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1263,"vm.fallback":0},"gauges":{"memo.degraded_shards":0,"memo.entries":345,"serve.inflight":0},"histograms":{}}}"#;
+const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":86,"memo.insertions":345,"memo.misses":420,"memo.none_skipped":0,"plan.relations_kept":0,"plan.relations_replanned":0,"plan.replans":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1263},"gauges":{"memo.degraded_shards":0,"memo.entries":345,"serve.inflight":0},"histograms":{}}}"#;
 
 const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTssssFFsssTTFTFssFFsFsssFssTsssTFsTTssTTTTFFssTFsFFsTFs|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTsTFTTTTTTTTTFFTTTFTFFsTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|";
 

@@ -1,10 +1,10 @@
 //! Parity of the bytecode VM against the plan interpreter.
 //!
-//! Every derived checker runs on the register VM; a relation whose plan
-//! does not compile runs on the plan interpreter, which is also the
-//! oracle the VM is held to ([`Library::check_interpreted`]). These
+//! Every derived checker runs on the register VM, held to the plan
+//! interpreter as its oracle ([`Library::check_interpreted`]). These
 //! tests pin that contract on the three paper case studies — BST, STLC
-//! typing, and IFC indistinguishability:
+//! typing, and IFC indistinguishability — and on a relation wider than
+//! the VM's stack argument buffers:
 //!
 //! * VM and interpreter verdicts agree over a fuel ladder, and budgeted
 //!   runs cut off (or decide) identically when repeated;
@@ -16,8 +16,9 @@
 //!   the same seed, and leave the RNG in the same state;
 //! * deep compiled derivations fit the 2 MiB stack of a test thread.
 //!
-//! A relation wider than the VM's premise-arity ceiling pins the
-//! interpreter fallback itself.
+//! The shapes that once had no bytecode — arities past the stack
+//! buffers, frames past 4,096 registers, a pattern no value matches —
+//! compile and match the interpreter too.
 
 use indrel::bst::Bst;
 use indrel::core::ExecKind;
@@ -124,8 +125,64 @@ fn ifc_corpus() -> Corpus {
     }
 }
 
-fn all_corpora() -> [Corpus; 3] {
-    [bst_corpus(), stlc_corpus(), ifc_corpus()]
+/// Nine and ten arguments: wider than the VM's stack argument buffers,
+/// so every call of `wide` and `wider` takes the heap path — the
+/// entries, `wide`'s recursive premise, `wider`'s premise on `wide`,
+/// and `wider`'s generator (nine inputs) with its recursive call.
+const WIDE: &str = r"
+rel le : nat nat :=
+| le_n : forall n, le n n
+| le_S : forall n m, le n m -> le n (S m)
+.
+rel wide : nat nat nat nat nat nat nat nat nat :=
+| w_base : forall a b c d e f g h, le a b -> wide 0 a b c d e f g h
+| w_step : forall n a b c d e f g h, wide n a b c d e f g h -> wide (S n) a b c d e f g h
+.
+rel wider : nat nat nat nat nat nat nat nat nat nat :=
+| v_base : forall a b c d e f g h, wide 1 a b c d e f g h -> wider 0 a b c d e f g h b
+| v_step : forall n a b c d e f g h m,
+    wider n a b c d e f g h m -> wider (S n) a b c d e f g h (S m)
+.";
+
+/// `wider`'s generator mode: the first nine arguments in, the last out.
+fn wider_mode() -> Mode {
+    Mode::producer(10, &[9])
+}
+
+/// The library over [`WIDE`]: `wide`'s and `wider`'s checkers and
+/// `wider`'s generator.
+fn wide_library() -> Library {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(&mut u, &mut env, WIDE).unwrap();
+    let (wide, wider) = (env.rel_id("wide").unwrap(), env.rel_id("wider").unwrap());
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(wide).unwrap();
+    b.derive_checker(wider).unwrap();
+    b.derive_producer(wider, wider_mode()).unwrap();
+    b.build()
+}
+
+fn wide_corpus() -> Corpus {
+    let lib = wide_library();
+    let tuples = (0..4u64)
+        .flat_map(|n| (0..3u64).flat_map(move |a| (0..3u64).map(move |b| (n, a, b))))
+        .map(|(n, a, b)| {
+            let mut args = vec![Value::nat(n), Value::nat(a), Value::nat(b)];
+            args.extend((0..6u64).map(Value::nat));
+            args
+        })
+        .collect();
+    Corpus {
+        rel: lib.env().rel_id("wide").unwrap(),
+        lib,
+        tuples,
+        fuels: (0..8).collect(),
+    }
+}
+
+fn all_corpora() -> [Corpus; 4] {
+    [bst_corpus(), stlc_corpus(), ifc_corpus(), wide_corpus()]
 }
 
 /// Checks every tuple at every fuel on `lib`, in a fixed order.
@@ -139,8 +196,8 @@ fn sweep(c: &Corpus, lib: &Library) -> Vec<Option<bool>> {
     out
 }
 
-/// VM verdicts equal the interpreter's at every fuel, and the relation
-/// never left the VM. Returns the verdict histogram
+/// The relation compiled, and its VM verdicts equal the interpreter's
+/// at every fuel. Returns the verdict histogram
 /// `[Some(true), Some(false), None]`.
 fn assert_vm_matches_interpreter(c: &Corpus) -> [usize; 3] {
     assert!(c.lib.vm_compiled(c.rel), "the plan should compile");
@@ -157,7 +214,6 @@ fn assert_vm_matches_interpreter(c: &Corpus) -> [usize; 3] {
             }] += 1;
         }
     }
-    assert_eq!(c.lib.vm_fallback_count(), 0, "no entry may fall back");
     verdicts
 }
 
@@ -362,7 +418,6 @@ fn memoized_sessions_match_plain_sessions() {
             m.entries as u64 <= m.insertions && m.insertions <= m.misses,
             "{m:?}"
         );
-        assert_eq!(memo.vm_fallback_count(), 0);
     }
 }
 
@@ -395,7 +450,6 @@ fn shared_serving_sessions_agree_across_backends() {
         let hits = server.stats().hits;
         assert_eq!(session.check_batch(c.rel, fuel, &c.tuples), want);
         assert!(server.stats().hits > hits, "the warm pass should hit");
-        assert_eq!(server.snapshot().counter("vm.fallback"), Some(0));
     }
 }
 
@@ -419,75 +473,25 @@ fn fast_loop_matches_parity_loop() {
     }
 }
 
-/// Nine arguments: over the VM's premise-arity ceiling, so `wide`'s
-/// plan does not compile and every entry runs on the interpreter. Its
-/// base case calls the compiled `le`, so the fallback crosses back into
-/// the VM.
-const WIDE: &str = r"
-rel le : nat nat :=
-| le_n : forall n, le n n
-| le_S : forall n m, le n m -> le n (S m)
-.
-rel wide : nat nat nat nat nat nat nat nat nat :=
-| w_base : forall a b c d e f g h, le a b -> wide 0 a b c d e f g h
-| w_step : forall n a b c d e f g h, wide n a b c d e f g h -> wide (S n) a b c d e f g h
-.";
-
 #[test]
-fn uncompilable_relation_falls_back_to_the_interpreter() {
-    let mut u = Universe::new();
-    let mut env = RelEnv::new();
-    parse_program(&mut u, &mut env, WIDE).unwrap();
-    let (le, wide) = (env.rel_id("le").unwrap(), env.rel_id("wide").unwrap());
-    let mut b = LibraryBuilder::new(u, env);
-    b.derive_checker(wide).unwrap();
-    let lib = b.build();
-    assert!(!lib.vm_compiled(wide), "arity 9 must not compile");
-    assert!(lib.vm_compiled(le));
-    assert!(lib.explain(wide).contains("interpreter fallback"));
-    let tuples: Vec<Vec<Value>> = (0..4u64)
-        .flat_map(|n| (0..3u64).flat_map(move |a| (0..3u64).map(move |b| (n, a, b))))
-        .map(|(n, a, b)| {
-            let mut args = vec![Value::nat(n), Value::nat(a), Value::nat(b)];
-            args.extend((0..6u64).map(Value::nat));
-            args
-        })
-        .collect();
-
-    // Verdicts equal the interpreter's over a fuel ladder, and the
-    // fallback's probe events are exactly a `check_interpreted` call's.
-    for fuel in 0..8u64 {
-        for args in &tuples {
-            assert_eq!(
-                lib.check(wide, fuel, fuel, args),
-                lib.check_interpreted(wide, fuel, fuel, args),
-                "fuel {fuel} on {args:?}"
-            );
-        }
-    }
-    assert!(lib.vm_fallback_count() > 0);
-    let (checked, interpreted) = (SearchStats::new(), SearchStats::new());
-    for (session, stats, interp) in [
-        (lib.fork(), &checked, false),
-        (lib.fork(), &interpreted, true),
-    ] {
-        let _probe = session.arm_probe(ExecProbe::stats(stats));
-        for args in &tuples {
-            if interp {
-                session.check_interpreted(wide, 6, 6, args);
-            } else {
-                session.check(wide, 6, 6, args);
-            }
-        }
-    }
-    assert_eq!(
-        checked.snapshot().deterministic_json(),
-        interpreted.snapshot().deterministic_json()
+fn wide_relations_compile_and_match_the_interpreter() {
+    let c = wide_corpus();
+    let wide = c.rel;
+    let lib = &c.lib;
+    assert!(lib.vm_compiled(lib.env().rel_id("wider").unwrap()));
+    assert!(lib.explain(wide).contains("instrs across"));
+    let verdicts = assert_vm_matches_interpreter(&c);
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "corpus should hit Some(true)/Some(false)/None: {verdicts:?}"
     );
-    // Budget charges match too: one step per checker search, so a
-    // budget of exactly as many steps as `check_interpreted` entered
-    // searches is just enough.
-    for args in &tuples {
+    assert_budget_ladder_is_deterministic(&c);
+    let tuples = &c.tuples;
+
+    // Budget charges match the interpreter's: one step per checker
+    // search, so a budget of exactly as many steps as
+    // `check_interpreted` entered searches is just enough.
+    for args in tuples {
         let (session, stats) = (lib.fork(), SearchStats::new());
         let want = {
             let _probe = session.arm_probe(ExecProbe::stats(&stats));
@@ -499,23 +503,135 @@ fn uncompilable_relation_falls_back_to_the_interpreter() {
         assert!(lib.try_check(wide, 6, 6, args, budget(steps - 1)).is_err());
     }
 
-    // A memoized session caches the fallback's verdicts: the second
-    // sweep answers every entry from the table and runs nothing.
+    // A memoized session caches the wide verdicts: the second sweep
+    // answers every entry from the table.
     let memo = lib.fork().with_memo();
     let first: Vec<_> = tuples.iter().map(|a| memo.check(wide, 6, 6, a)).collect();
-    let (hits, fallbacks) = (memo.memo_stats().hits, memo.vm_fallback_count());
+    let hits = memo.memo_stats().hits;
     let second: Vec<_> = tuples.iter().map(|a| memo.check(wide, 6, 6, a)).collect();
     assert_eq!(first, second);
     assert!(memo.memo_stats().entries > 0);
     assert_eq!(memo.memo_stats().hits - hits, tuples.len() as u64);
-    assert_eq!(memo.vm_fallback_count(), fallbacks, "hits run nothing");
 
-    // A served request on the fallback relation bumps `vm.fallback`.
+    // A served batch answers the same.
     let server = Server::new(lib.shared(), ServeConfig::default(), Budget::unlimited());
-    let served = server.session().check_batch(wide, 6, &tuples);
+    let served = server.session().check_batch(wide, 6, tuples);
     let want: Vec<_> = first.into_iter().map(Ok).collect();
     assert_eq!(served, want);
-    assert!(server.snapshot().counter("vm.fallback").unwrap() > 0);
+}
+
+#[test]
+fn wide_generators_compile_and_replay_the_interpreters_draws() {
+    let lib = wide_library();
+    let wider = lib.env().rel_id("wider").unwrap();
+    // The checker, whose base case calls the nine-argument `wide`.
+    let c = Corpus {
+        rel: wider,
+        tuples: (0..3u64)
+            .flat_map(|n| (0..3u64).flat_map(move |a| (0..6u64).map(move |m| (n, a, m))))
+            .map(|(n, a, m)| {
+                let mut args = vec![Value::nat(n), Value::nat(a), Value::nat(a + 1)];
+                args.extend((0..6u64).map(Value::nat));
+                args.push(Value::nat(m));
+                args
+            })
+            .collect(),
+        fuels: (0..6).collect(),
+        lib: lib.fork(),
+    };
+    let verdicts = assert_vm_matches_interpreter(&c);
+    assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+    // The generator, nine inputs and one output, has bytecode too.
+    let explain = lib.explain(wider);
+    assert_eq!(explain.matches("instrs across").count(), 2, "{explain}");
+    let produced = assert_generator_matches_interpreter(&lib, wider, &wider_mode(), 200, |rng| {
+        let mut ins: Vec<Value> = (0..3).map(|_| Value::nat(rng.gen_range(0..4u64))).collect();
+        ins.extend((0..6u64).map(Value::nat));
+        ins
+    });
+    assert!(produced > 0);
+}
+
+#[test]
+fn unmatchable_conclusion_compiles_to_a_failing_guard() {
+    // `S 18446744073709551615` would need a nat past `u64::MAX`, so no
+    // value matches `h_max`'s conclusion; the other rules decide.
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"
+        rel huge : nat :=
+        | h_max : huge (S 18446744073709551615)
+        | h_two : huge 2
+        | h_step : forall n, huge n -> huge (S (S (S n)))
+        .",
+    )
+    .unwrap();
+    let huge = env.rel_id("huge").unwrap();
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(huge).unwrap();
+    let lib = b.build();
+    let c = Corpus {
+        rel: huge,
+        tuples: [0, 1, 2, 3, 5, 8, u64::MAX]
+            .into_iter()
+            .map(|n| vec![Value::nat(n)])
+            .collect(),
+        fuels: vec![0, 1, 2, 3, 64],
+        lib,
+    };
+    let verdicts = assert_vm_matches_interpreter(&c);
+    assert!(verdicts.iter().all(|&n| n > 0), "{verdicts:?}");
+    assert_budget_ladder_is_deterministic(&c);
+}
+
+#[test]
+fn wide_frames_compile_and_match_the_interpreter() {
+    // A premise argument of 5,000 nested `S` needs over 5,000 frame
+    // registers. Parsing and deriving it recurse once per `S`, which
+    // outgrows a default test thread, so this runs on a large stack.
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let depth = 5_000u64;
+            let arg = format!(
+                "{}n{}",
+                "(S ".repeat(depth as usize),
+                ")".repeat(depth as usize)
+            );
+            let src = format!(
+                r"
+                rel same : nat nat :=
+                | same_n : forall n, same n n
+                .
+                rel far : nat nat :=
+                | far_r : forall n m, same {arg} m -> far n m
+                ."
+            );
+            let mut u = Universe::new();
+            let mut env = RelEnv::new();
+            parse_program(&mut u, &mut env, &src).unwrap();
+            let far = env.rel_id("far").unwrap();
+            let mut b = LibraryBuilder::new(u, env);
+            b.derive_checker(far).unwrap();
+            let lib = b.build();
+            let c = Corpus {
+                rel: far,
+                tuples: (0..4u64)
+                    .flat_map(|n| [0, depth - 1, depth, depth + 1].map(|m| (n, n + m)))
+                    .map(|(n, m)| vec![Value::nat(n), Value::nat(m)])
+                    .collect(),
+                fuels: vec![0, 1, 5],
+                lib,
+            };
+            let verdicts = assert_vm_matches_interpreter(&c);
+            assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+        })
+        .unwrap()
+        .join()
+        .unwrap();
 }
 
 #[test]
