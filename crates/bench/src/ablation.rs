@@ -11,7 +11,8 @@
 //!    query with many solutions (`le ?n 10`).
 //! 3. **Bytecode compilation vs plan interpretation**: derived checkers
 //!    execute on the bytecode VM, with the step interpreter kept as
-//!    the oracle and baseline (BENCH_vm.json records the gap).
+//!    the oracle and baseline (perfbench's `exec.interp_check_ns` and
+//!    `vm.check_ns` rungs record the gap).
 //! 4. **Produce-and-match vs check for known recursive premises**
 //!    (`DeriveOptions::check_known_recursive`): exercised as a unit
 //!    test — switching the strategy must not change checker verdicts.

@@ -1,7 +1,6 @@
-//! The observability smoke benchmark: one mixed serving run with a
-//! stats probe armed on every worker, exported as an
-//! `indrel.metrics/1` snapshot and cross-checked for counter
-//! coherence (see `indrel_bench::obs`).
+//! The observability smoke benchmark: one serving run with a stats
+//! probe armed, exported as an `indrel.metrics/1` snapshot and
+//! cross-checked for counter coherence (see `indrel_bench::obs`).
 //!
 //! ```text
 //! cargo run -p indrel-bench --release --bin obs
@@ -11,17 +10,16 @@
 //! `--json` writes the snapshot as one `indrel.metrics/1` document
 //! (default path `BENCH_obs.json`); without it, the Prometheus text
 //! exposition is printed. Either way the process exits non-zero if the
-//! schema or counter-coherence checks fail — this is the CI gate.
+//! schema or counter-coherence checks fail.
 //!
-//! Environment: `OBS_REQUESTS` (default 512), `OBS_THREADS`
-//! (default 2).
+//! The run is fixed at 512 requests on one worker thread, where the
+//! snapshot's `deterministic` section repeats byte for byte (at more
+//! threads the shared table's interleaving moves the memo and search
+//! counters). CI compares that section with the committed
+//! `BENCH_obs.json`.
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
+const REQUESTS: usize = 512;
+const THREADS: usize = 1;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -36,9 +34,7 @@ fn main() {
             json_path = Some(path);
         }
     }
-    let requests = env_usize("OBS_REQUESTS", 512);
-    let threads = env_usize("OBS_THREADS", 2).max(1);
-    let (snap, stats) = indrel_bench::obs::run(requests, threads);
+    let (snap, stats) = indrel_bench::obs::run(REQUESTS, THREADS);
     let mut errors = indrel_bench::obs::schema_errors(&snap);
     errors.extend(indrel_bench::obs::coherence_errors(&snap, &stats));
     if let Some(path) = &json_path {
@@ -46,7 +42,7 @@ fn main() {
         println!("wrote {path}");
     } else {
         println!(
-            "Observability smoke: {requests} requests at {threads} threads\n\n{}",
+            "Observability smoke: {REQUESTS} requests at {THREADS} thread\n\n{}",
             snap.to_prometheus()
         );
     }

@@ -3,35 +3,28 @@
 //!
 //! Each module implements one experiment; the binaries in `src/bin/`
 //! print the corresponding table, and the Criterion benches in
-//! `benches/` measure the same workloads under a statistics-grade
-//! harness:
+//! `benches/` measure the reflection study and the DESIGN.md ablations
+//! under a statistics-grade harness. Every other timing lives in
+//! perfbench (`perfbench/`):
 //!
 //! | Paper artifact | Module | Binary | Bench |
 //! |---|---|---|---|
 //! | Table 1 | [`table1`] | `table1` | — |
-//! | Figure 3 (left: checkers) | [`fig3`] | `fig3 checkers` | `fig3_checkers` |
-//! | Figure 3 (right: generators) | [`fig3`] | `fig3 generators` | `fig3_generators` |
+//! | Figure 3 (left: checkers) | [`fig3`] | `fig3 checkers` | — |
+//! | Figure 3 (right: generators) | [`fig3`] | `fig3 generators` | — |
 //! | §6.2 mutation study | [`mutation`] | `mutation` | — |
 //! | §6.3 reflection | [`reflection`] | `reflection` | `reflection` |
 //! | DESIGN.md ablations | [`ablation`] | — | `ablation` |
-//! | EXPERIMENTS.md parallel scaling | [`par`] | `par_throughput` | — |
 //! | EXPERIMENTS.md tabling speedups | [`memo`] | `memo` | — |
-//! | EXPERIMENTS.md compiled backend | [`vm`] | `vm` | — |
-//! | EXPERIMENTS.md concurrent serving | [`serve`] | `serve` | — |
-//! | EXPERIMENTS.md observability smoke | [`obs`] | `obs` | `probe_overhead` |
-//! | EXPERIMENTS.md query planner | [`plan`] | `plan` | — |
+//! | EXPERIMENTS.md observability smoke | [`obs`] | `obs` | — |
 
 pub mod ablation;
 pub mod fig3;
 pub mod memo;
 pub mod mutation;
 pub mod obs;
-pub mod par;
-pub mod plan;
 pub mod reflection;
-pub mod serve;
 pub mod table1;
-pub mod vm;
 
 /// Formats a signed percentage delta the way Figure 3 annotates bars.
 pub fn delta_pct(handwritten: f64, derived: f64) -> f64 {

@@ -2,9 +2,9 @@
 //! telemetry surface enabled, exported as a metrics snapshot
 //! (`indrel.metrics/1`) and cross-checked for counter coherence.
 //!
-//! This is not a timing benchmark — `probe_overhead` (Criterion) owns
-//! the ≤5% unarmed-overhead bar. This harness answers two different
-//! questions the CI smoke job asks:
+//! This is not a timing benchmark — perfbench (`perfbench/`) owns
+//! every timing, unarmed probe overhead included. This harness
+//! answers three questions the CI smoke job asks:
 //!
 //! 1. **Schema sanity** — the snapshot renders as a well-formed
 //!    `indrel.metrics/1` document with the deterministic and
@@ -13,15 +13,49 @@
 //!    agree exactly with the [`MemoStats`] the server reports; the two
 //!    renderings share one source of truth, so any drift is a bug in
 //!    the booking, not the workload.
+//! 3. **Exact counts** — at one worker thread the deterministic
+//!    section repeats byte for byte, so CI compares it with the
+//!    committed `BENCH_obs.json`: a change that moves a step charge, a
+//!    table lookup or a rule attempt shows there.
 //!
-//! The workload reuses the serving benchmark's BST corpus (seeded, so
-//! reruns serve the identical request list) with a [`SearchStats`]
-//! probe armed on every worker, so the exported snapshot also carries
-//! the per-rule and per-premise attribution series.
+//! The workload is the derived BST checker over a seeded corpus of
+//! random in-bounds trees (so reruns serve the identical request list)
+//! with a [`SearchStats`] probe armed on every worker, so the exported
+//! snapshot also carries the per-rule and per-premise attribution
+//! series.
 
-use crate::serve::{request_corpus, BST_FUEL};
-use indrel_core::{Budget, MemoStats, ServeConfig, Server};
+use crate::memo::{derived_bst, gen_tree};
+use indrel_core::{Budget, MemoStats, ServeConfig, Server, SharedLibrary};
 use indrel_producers::{ExecProbe, MetricsSnapshot, SearchStats};
+use indrel_term::{RelId, Value};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+const BST_FUEL: u64 = 64;
+/// Distinct trees in the corpus; requests cycle through it, so smaller
+/// values mean more memo reuse.
+const DISTINCT_TREES: usize = 256;
+
+/// The request corpus: `requests` single-tuple queries cycling through
+/// `DISTINCT_TREES` random in-bounds trees (seeded, so every run
+/// serves the identical request list).
+fn request_corpus(requests: usize) -> (SharedLibrary, RelId, Vec<Vec<Value>>) {
+    let (lib, bst, leaf, node) = derived_bst();
+    let mut rng = SmallRng::seed_from_u64(21);
+    let trees: Vec<Value> = (0..DISTINCT_TREES)
+        .map(|_| gen_tree(leaf, node, 0, 16, 6, &mut rng))
+        .collect();
+    let corpus: Vec<Vec<Value>> = (0..requests)
+        .map(|i| {
+            vec![
+                Value::nat(0),
+                Value::nat(16),
+                trees[i % trees.len()].clone(),
+            ]
+        })
+        .collect();
+    (lib.shared(), bst, corpus)
+}
 
 /// One observability run: `requests` single-tuple checks served at
 /// `threads` workers, each with a shared stats probe armed. Returns
@@ -130,11 +164,16 @@ mod tests {
         assert_eq!(coherence_errors(&snap, &stats), Vec::<String>::new());
         assert_eq!(schema_errors(&snap), Vec::<String>::new());
         assert_eq!(snap.counter("serve.requests"), Some(64));
+        assert_eq!((stats.shed, stats.degraded_shards), (0, 0), "a clean run");
+        assert!(stats.hits + stats.misses > 0, "the table is consulted");
         assert!(
             snap.counter("rule.bst.1.attempts").unwrap_or(0) > 0
                 || snap.counter("rule.bst.0.attempts").unwrap_or(0) > 0,
             "attribution series present:\n{snap}"
         );
-        assert!(snap.histogram("serve.latency_ns").unwrap().count >= 64);
+        let lat = snap.histogram("serve.latency_ns").unwrap();
+        assert_eq!(lat.count, 64, "one latency sample per request");
+        assert!(lat.quantile(0.5) > 0.0, "sub-microsecond latency resolves");
+        assert!(lat.quantile(0.99) >= lat.quantile(0.5));
     }
 }

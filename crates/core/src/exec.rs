@@ -361,33 +361,20 @@ impl Library {
     // Mirrors the meter's arming discipline, but tuned for the emission
     // sites being pervasive: the armed check is one `Cell` load (no
     // `RefCell` borrow), events are built lazily inside closures that
-    // never run unarmed, and the `no-probe` cargo feature compiles the
-    // sites out entirely (the baseline for the probe_overhead bench).
+    // never run unarmed.
     // ------------------------------------------------------------------
 
-    /// `true` when a probe is armed (always `false` under `no-probe`).
+    /// `true` when a probe is armed.
     #[inline]
     pub(crate) fn probe_armed(&self) -> bool {
-        #[cfg(not(feature = "no-probe"))]
-        {
-            self.inner.probe_armed.get()
-        }
-        #[cfg(feature = "no-probe")]
-        {
-            false
-        }
+        self.inner.probe_armed.get()
     }
 
     /// Emits `f()` to the armed probe, if any.
     #[inline]
     pub(crate) fn probe(&self, f: impl FnOnce() -> Event) {
-        #[cfg(not(feature = "no-probe"))]
         if self.inner.probe_armed.get() {
             self.inner.probe.borrow().record(f());
-        }
-        #[cfg(feature = "no-probe")]
-        {
-            let _ = f;
         }
     }
 
@@ -398,7 +385,6 @@ impl Library {
     /// immediately.
     #[inline]
     pub(crate) fn probe_enter(&self, rel: RelId, kind: ExecKind) -> Option<DepthGuard<'_>> {
-        #[cfg(not(feature = "no-probe"))]
         if self.inner.probe_armed.get() {
             let depth = self.inner.depth.get();
             self.inner
@@ -408,7 +394,6 @@ impl Library {
             self.inner.depth.set(depth + 1);
             return Some(DepthGuard { lib: self, depth });
         }
-        let _ = (rel, kind);
         None
     }
 

@@ -1286,8 +1286,6 @@ mod tests {
         assert!(server.take_auto_dumps().is_empty(), "take drains");
     }
 
-    // Attribution needs the emission sites, which `no-probe` removes.
-    #[cfg(not(feature = "no-probe"))]
     #[test]
     fn snapshot_with_stats_folds_in_rule_attribution() {
         let (shared, even) = shared_even();
