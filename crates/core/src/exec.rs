@@ -43,7 +43,7 @@ use indrel_producers::{
 use indrel_term::{
     enumerate::{finite_size_bound, values_up_to},
     random::random_value,
-    Env, Pattern, RelId, TermExpr, Value,
+    Env, RelId, TermExpr, Value,
 };
 use std::rc::Rc;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ impl Library {
         self.run_checker_impl(rel, imp, size, top_size, args)
     }
 
-    fn run_checker_impl(
+    pub(crate) fn run_checker_impl(
         &self,
         rel: RelId,
         imp: &CheckerImpl,
@@ -113,7 +113,8 @@ impl Library {
     }
 
     /// Iterative-deepening driver over the checker: doubles the fuel
-    /// until a definite verdict or until `max_fuel` is exceeded.
+    /// until a definite verdict, until `max_fuel` is exceeded, or until
+    /// an armed budget ([`Library::try_decide`]) runs out.
     ///
     /// §8 of the paper discusses deriving *decision* procedures by
     /// dropping the fuel; this driver keeps the fuel discipline (and
@@ -131,7 +132,7 @@ impl Library {
             if let Some(b) = self.check(rel, fuel, fuel, args) {
                 return Some(b);
             }
-            if fuel >= max_fuel {
+            if fuel >= max_fuel || !self.meter_intact() {
                 return None;
             }
             fuel = (fuel.saturating_mul(2)).min(max_fuel);
@@ -436,51 +437,33 @@ impl Library {
         if budget.is_unlimited() {
             return Ok(self.run_checker_impl(rel, imp, size, top_size, args));
         }
-        let meter = Meter::new(budget);
-        admit_terms(budget, &meter, args)?;
-        let result = {
-            let _armed = self.arm_meter(meter.clone());
+        self.metered(budget, args, || {
             self.run_checker_impl(rel, imp, size, top_size, args)
-        };
-        match meter.exhaustion() {
-            Some(e) => Err(e.into()),
-            None => Ok(result),
-        }
+        })
+        .0
     }
 
-    /// [`Library::try_check`] plus the meter's step usage — the serving
-    /// layer ([`crate::serve`]) draws per-request step allotments from
-    /// a shared [`BudgetPool`](indrel_producers::BudgetPool) and must
-    /// hand back what a request leaves unspent, which requires seeing
-    /// the armed meter's account (always a fresh meter here, even for
-    /// unlimited budgets, so the count is exact).
-    pub(crate) fn try_check_usage(
+    /// The body every metered call shares: admits `args` under the
+    /// budget's `max_term_size`, runs `run` with a fresh meter for
+    /// `budget` armed, and reports the meter's exhaustion as an
+    /// [`ExecError`] in place of `run`'s value. Also returns the steps
+    /// the meter charged: the serving layer ([`crate::serve`]) hands
+    /// back to its shared pool what a request leaves unspent.
+    pub(crate) fn metered<T>(
         &self,
-        rel: RelId,
-        size: u64,
-        top_size: u64,
-        args: &[Value],
         budget: Budget,
-    ) -> (Result<Option<bool>, ExecError>, u64) {
-        let imp = match self.require_checker(rel) {
-            Ok(imp) => imp,
-            Err(e) => return (Err(e), 0),
-        };
-        if let Err(e) = self.require_count(rel, self.inner.env.relation(rel).arity(), args.len()) {
-            return (Err(e), 0);
-        }
+        args: &[Value],
+        run: impl FnOnce() -> T,
+    ) -> (Result<T, ExecError>, u64) {
         let meter = Meter::new(budget);
-        if let Err(e) = admit_terms(budget, &meter, args) {
-            return (Err(e), meter.steps_used());
-        }
-        let result = {
-            let _armed = self.arm_meter(meter.clone());
-            self.run_checker_impl(rel, imp, size, top_size, args)
-        };
-        match meter.exhaustion() {
-            Some(e) => (Err(e.into()), meter.steps_used()),
-            None => (Ok(result), meter.steps_used()),
-        }
+        let result = admit_terms(budget, &meter, args).and_then(|()| {
+            let value = {
+                let _armed = self.arm_meter(meter.clone());
+                run()
+            };
+            meter.exhaustion().map_or(Ok(value), |e| Err(e.into()))
+        });
+        (result, meter.steps_used())
     }
 
     /// [`Library::decide`] under a budget: iterative deepening that
@@ -497,25 +480,13 @@ impl Library {
         max_fuel: u64,
         budget: Budget,
     ) -> Result<Option<bool>, ExecError> {
-        let imp = self.require_checker(rel)?;
+        self.require_checker(rel)?;
         self.require_count(rel, self.inner.env.relation(rel).arity(), args.len())?;
-        let meter = Meter::new(budget);
-        admit_terms(budget, &meter, args)?;
-        let _armed = (!budget.is_unlimited()).then(|| self.arm_meter(meter.clone()));
-        let mut fuel = 1u64;
-        loop {
-            let r = self.run_checker_impl(rel, imp, fuel, fuel, args);
-            if let Some(e) = meter.exhaustion() {
-                return Err(e.into());
-            }
-            if let Some(b) = r {
-                return Ok(Some(b));
-            }
-            if fuel >= max_fuel {
-                return Ok(None);
-            }
-            fuel = (fuel.saturating_mul(2)).min(max_fuel);
+        if budget.is_unlimited() {
+            return Ok(self.decide(rel, args, max_fuel));
         }
+        self.metered(budget, args, || self.decide(rel, args, max_fuel))
+            .0
     }
 
     /// [`Library::enumerate`] without panics: validates up front, then
@@ -575,16 +546,10 @@ impl Library {
         if budget.is_unlimited() {
             return Ok(self.run_gen_entry(rel, entry, size, top_size, inputs, rng));
         }
-        let meter = Meter::new(budget);
-        admit_terms(budget, &meter, inputs)?;
-        let result = {
-            let _armed = self.arm_meter(meter.clone());
+        self.metered(budget, inputs, || {
             self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
-        };
-        match meter.exhaustion() {
-            Some(e) => Err(e.into()),
-            None => Ok(result),
-        }
+        })
+        .0
     }
 
     // ------------------------------------------------------------------
@@ -1405,10 +1370,6 @@ fn eval(e: &TermExpr, env: &Env, lib: &Library) -> Value {
 fn eval_args(args: &[TermExpr], env: &Env, lib: &Library) -> Vec<Value> {
     args.iter().map(|a| eval(a, env, lib)).collect()
 }
-
-/// Silences an unused-import lint when debug assertions are disabled.
-#[allow(unused)]
-fn _pattern_marker(_: &Pattern) {}
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@ use crate::memo::{MemoStats, SharedMemo};
 use crate::mode::Mode;
 use crate::plan::Plan;
 use crate::DeriveOptions;
-use indrel_producers::{EStream, Event, ExecProbe, Meter, NameTable, PremiseStats, SearchStats};
+use indrel_producers::{EStream, ExecProbe, Meter, NameTable, PremiseStats, SearchStats};
 use indrel_rel::RelEnv;
 use indrel_term::{Interner, RelId, Universe, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -435,16 +435,20 @@ impl Drop for ProbeGuard<'_> {
     }
 }
 
-/// What one [`Library::replan_from`] pass did, relation by relation.
+/// What one [`Library::replan_from`] pass did, relation by relation —
+/// the record of a replan ([`Session::replan_hot`] also counts it in
+/// the server's `plan.*` series).
 ///
 /// Replans are deterministic: this report — like the plans themselves —
 /// is a pure function of the frozen core and the stats snapshot, so two
 /// replans from byte-identical snapshots agree exactly.
+///
+/// [`Session::replan_hot`]: crate::serve::Session::replan_hot
 #[derive(Clone, Debug, Default)]
 pub struct ReplanReport {
-    /// Relations recompiled into a *different* premise schedule. Only
-    /// these emit [`Event::Replanned`]; probe streams and budget
-    /// charges may differ from the old core for them.
+    /// Relations recompiled into a *different* premise schedule; probe
+    /// streams and budget charges may differ from the old core for
+    /// them.
     pub replanned: Vec<RelId>,
     /// Relations whose observed costs diverged enough to recompile but
     /// whose profile-guided schedule reproduced the existing plan (the
@@ -849,8 +853,8 @@ impl Library {
     ///
     /// The replan is a **deterministic function of the stats
     /// snapshot**: byte-identical snapshots produce byte-identical
-    /// plans. [`Event::Replanned`] is emitted through this session's
-    /// armed probe for each relation whose plan actually changed.
+    /// plans. It emits no probe event; [`Library::replan_from_report`]
+    /// says which plans changed.
     ///
     /// The returned session starts fresh (no memo) — re-enable per
     /// session, or use
@@ -968,9 +972,6 @@ impl Library {
                     report.errors.push((rel, e.to_string()));
                 }
             }
-        }
-        for rel in report.replanned.clone() {
-            self.probe(|| Event::Replanned { rel });
         }
         (b.build(), report)
     }

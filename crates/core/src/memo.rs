@@ -195,10 +195,9 @@ pub struct SharedMemo {
     none_skipped: AtomicU64,
     full_skipped: AtomicU64,
     degraded_shards: AtomicU64,
-    /// Shard indices degraded since the last drain, for sessions to
-    /// report as [`Event::ShardDegraded`](indrel_producers::Event)
-    /// probe events (probes are session-local, so the table itself
-    /// cannot emit).
+    /// Shard indices degraded since the last drain, which name the
+    /// retired shards in a serving session's automatic flight-recorder
+    /// dump (the count alone is `degraded_shards`).
     degraded_events: Mutex<Vec<u32>>,
 }
 
@@ -249,8 +248,8 @@ impl SharedMemo {
         self.degraded_shards.load(Ordering::Relaxed)
     }
 
-    /// Retires a shard: flips its degraded flag (once) and queues the
-    /// probe event. Every later lookup in the shard is a miss and every
+    /// Retires a shard: flips its degraded flag (once) and queues its
+    /// index for the next drain. Every later lookup in the shard is a miss and every
     /// insert a no-op, so the table degrades instead of propagating the
     /// panic that poisoned the lock.
     fn mark_degraded(&self, idx: usize) {
@@ -263,13 +262,14 @@ impl SharedMemo {
         }
     }
 
-    /// Shard indices degraded since the last call — the session layer
-    /// drains this after each request and reports each as an
-    /// [`Event::ShardDegraded`](indrel_producers::Event).
+    /// Shard indices degraded since the last call — a serving session
+    /// drains this after each request, and a non-empty drain triggers
+    /// an automatic flight-recorder dump whose reason names the shards
+    /// (`shard_degraded:[i,…]`). That dump is all the queue feeds.
     ///
     /// A healthy table answers without the lock every worker shares:
-    /// `mark_degraded` counts a shard before it queues the event, so a
-    /// zero read racing a retirement only defers that event to a later
+    /// `mark_degraded` counts a shard before it queues its index, so a
+    /// zero read racing a retirement only defers that index to a later
     /// drain (the queue itself is read under its lock).
     pub fn drain_degraded_events(&self) -> Vec<u32> {
         if self.degraded_count() == 0 {

@@ -17,16 +17,15 @@
 //!   purely from `(seed, request index)` — reports stay byte-identical
 //!   across runs and any single request can be replayed exactly with
 //!   [`Session::check_replay`].
-//! * **Observability** — every request is booked three ways: into the
-//!   server's [`MetricsRegistry`] (deterministic `serve.*` counters and
-//!   the `memo.hits`/`memo.misses` its table lookups made, one
-//!   wall-clock `serve.latency_ns` histogram, snapshot with
-//!   [`Server::snapshot`]), as a wall-clock-free [`RequestSpan`] in the
-//!   worker's bounded [`FlightRecorder`] ring (dumped on shard
-//!   degradation or explicitly with [`Server::dump_flight_recorder`]),
-//!   and — only when a probe is armed — as an
-//!   [`Event::Request`](indrel_producers::Event) probe event, keeping
-//!   the unarmed fast path cheap.
+//! * **Observability** — every request is booked twice, whether or not
+//!   a probe is armed: into the server's [`MetricsRegistry`]
+//!   (deterministic `serve.*` counters and the `memo.hits`/`memo.misses`
+//!   its table lookups made, one wall-clock `serve.latency_ns`
+//!   histogram, snapshot with [`Server::snapshot`]), and as a
+//!   wall-clock-free [`RequestSpan`] in the worker's bounded
+//!   [`FlightRecorder`] ring (dumped on shard degradation or explicitly
+//!   with [`Server::dump_flight_recorder`]). A probe armed on a session
+//!   ([`Library::arm_probe`]) records only the search its requests ran.
 //!
 //! # Example
 //!
@@ -59,13 +58,12 @@
 //! ```
 
 use crate::error::ExecError;
-use crate::library::{Library, ReplanReport, SharedLibrary};
+use crate::library::{CheckerImpl, Library, ReplanReport, SharedLibrary};
 use crate::memo::MemoStats;
 pub use crate::memo::SharedMemo;
-use indrel_producers::probe::Event;
 use indrel_producers::{
     json_escape, Budget, BudgetPool, Counter, Determinism, Log2Histogram, MetricsRegistry,
-    MetricsSnapshot, NameTable, RequestOutcome, SearchStats,
+    MetricsSnapshot, NameTable, Resource, SearchStats,
 };
 use indrel_term::{RelId, Value};
 use rand::rngs::SmallRng;
@@ -82,6 +80,40 @@ const _: fn() = || {
     assert_send_sync::<Server>();
     assert_send_sync::<Permit>();
 };
+
+/// How a serving-layer request ended, as its [`RequestSpan`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum RequestOutcome {
+    /// Decided: the relation holds.
+    True,
+    /// Decided: the relation does not hold.
+    False,
+    /// Undecided within fuel (`Ok(None)`).
+    Unknown,
+    /// Rejected by admission control before any search ran.
+    Shed,
+    /// Failed with a structured `ExecError` after all retries.
+    Failed,
+}
+
+impl RequestOutcome {
+    /// Lower-case label, used in output.
+    pub fn label(self) -> &'static str {
+        match self {
+            RequestOutcome::True => "true",
+            RequestOutcome::False => "false",
+            RequestOutcome::Unknown => "unknown",
+            RequestOutcome::Shed => "shed",
+            RequestOutcome::Failed => "failed",
+        }
+    }
+}
+
+impl std::fmt::Display for RequestOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// The completed-request record the serving layer keeps for every
 /// request: the `(seed, index)` repro token, what was asked, how it
@@ -332,6 +364,9 @@ impl Telemetry {
 struct ServerState {
     memo: Arc<SharedMemo>,
     pool: BudgetPool,
+    /// The server budget's argument cap, which each request's own
+    /// meter applies (the pool meters steps and the deadline only).
+    max_term_size: Option<u64>,
     config: ServeConfig,
     inflight: AtomicUsize,
     tel: Telemetry,
@@ -436,9 +471,14 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// A server over `shared`, with `budget` pooled across all requests
-    /// (use [`Budget::unlimited`] for no global cap — per-request step
-    /// allotments still apply).
+    /// A server over `shared` under `budget`. Its `steps` and
+    /// `deadline` are metered across all requests by the shared
+    /// [`BudgetPool`] each request draws its step allotments from (use
+    /// [`Budget::unlimited`] for no global cap — per-request allotments
+    /// still apply); its `max_term_size` caps the arguments of each
+    /// request, as it does for [`Library::try_check`]. The serving
+    /// layer does not meter backtracks, so `budget.backtracks` is
+    /// ignored.
     pub fn new(shared: SharedLibrary, config: ServeConfig, budget: Budget) -> Server {
         // Snapshot names up front: sessions (which own a `Library`) are
         // not `Send`, but the server and its dumps are.
@@ -448,6 +488,7 @@ impl Server {
             state: Arc::new(ServerState {
                 memo: Arc::new(SharedMemo::new(config.shards, config.shard_capacity)),
                 pool: BudgetPool::new(budget),
+                max_term_size: budget.max_term_size,
                 config,
                 inflight: AtomicUsize::new(0),
                 tel: Telemetry::new(),
@@ -663,8 +704,9 @@ impl Session {
     /// server is at capacity — shed requests cost nothing and are not
     /// retried), then up to `1 + max_retries` attempts, each under a
     /// step allotment drawn from the shared pool (doubling per retry,
-    /// plus deterministic jitter from `(retry_seed, index)`); unspent
-    /// steps are returned to the pool. Instance and arity validation is
+    /// plus deterministic jitter from `(retry_seed, index)`) and the
+    /// server budget's `max_term_size`; unspent steps are returned to
+    /// the pool. Only a step cut-off is retried. Instance and arity validation is
     /// amortized: resolved once for the batch, not per tuple.
     pub fn check_batch(
         &self,
@@ -675,18 +717,19 @@ impl Session {
         let mut out = Vec::with_capacity(batch.len());
         // Amortized validation: one instance lookup and arity check for
         // the whole batch (all tuples address the same checker).
-        let precheck = self.lib.require_checker(rel).map(|_| ());
+        let precheck = self.lib.require_checker(rel);
         let arity = self.lib.env().relation(rel).arity();
+        let seed = self.state.config.retry_seed;
         for (index, args) in batch.iter().enumerate() {
             let r = match &precheck {
                 Err(e) => Err(e.clone()),
-                Ok(()) if args.len() != arity => {
+                Ok(_) if args.len() != arity => {
                     Err(self.lib.require_count(rel, arity, args.len()).unwrap_err())
                 }
-                Ok(()) => self.check_one(rel, size, args, index as u64),
+                Ok(imp) => self.check_one(rel, imp, size, args, seed, index as u64),
             };
             out.push(r);
-            self.report_degraded(rel);
+            self.report_degraded();
         }
         out
     }
@@ -706,28 +749,20 @@ impl Session {
         seed: u64,
         index: u64,
     ) -> Result<Option<bool>, ExecError> {
-        self.lib.require_checker(rel)?;
+        let imp = self.lib.require_checker(rel)?;
         self.lib
             .require_count(rel, self.lib.env().relation(rel).arity(), args.len())?;
-        let r = self.check_one_seeded(rel, size, args, seed, index);
-        self.report_degraded(rel);
+        let r = self.check_one(rel, imp, size, args, seed, index);
+        self.report_degraded();
         r
     }
 
-    /// One admitted, budgeted, retried request.
+    /// One admitted, budgeted, retried request of `imp`, the validated
+    /// checker of `rel`, under the repro token `(seed, index)`.
     fn check_one(
         &self,
         rel: RelId,
-        size: u64,
-        args: &[Value],
-        index: u64,
-    ) -> Result<Option<bool>, ExecError> {
-        self.check_one_seeded(rel, size, args, self.state.config.retry_seed, index)
-    }
-
-    fn check_one_seeded(
-        &self,
-        rel: RelId,
+        imp: &CheckerImpl,
         size: u64,
         args: &[Value],
         seed: u64,
@@ -737,7 +772,6 @@ impl Session {
         let _permit = match self.state.try_admit() {
             Ok(p) => p,
             Err(e) => {
-                self.lib.probe(|| Event::Shed { rel });
                 // `try_admit` already counted the shed; the span and
                 // `serve.requests` still record the request itself.
                 self.finish(
@@ -758,7 +792,7 @@ impl Session {
             }
         };
         let (hits_before, misses_before) = self.lib.shared_memo_counts();
-        let (result, attempts, steps) = self.run_attempts(rel, size, args, seed, index);
+        let (result, attempts, steps) = self.run_attempts(rel, imp, size, args, seed, index);
         let (hits_after, misses_after) = self.lib.shared_memo_counts();
         let outcome = match &result {
             Ok(Some(true)) => RequestOutcome::True,
@@ -790,6 +824,7 @@ impl Session {
     fn run_attempts(
         &self,
         rel: RelId,
+        imp: &CheckerImpl,
         size: u64,
         args: &[Value],
         seed: u64,
@@ -824,29 +859,35 @@ impl Session {
                     .map_or(ExecError::Deadline, ExecError::from);
                 return (Err(e), attempt + 1, spent);
             }
-            let mut budget = Budget::unlimited().with_steps(got);
-            if let Some(d) = config.deadline {
-                budget = budget.with_deadline(d);
-            }
-            let (result, used) = self.lib.try_check_usage(rel, size, size, args, budget);
+            let budget = Budget {
+                steps: Some(got),
+                deadline: config.deadline,
+                max_term_size: self.state.max_term_size,
+                ..Budget::unlimited()
+            };
+            let (result, used) = self.lib.metered(budget, args, || {
+                self.lib.run_checker_impl(rel, imp, size, size, args)
+            });
             pool.return_steps(got.saturating_sub(used));
             spent += used;
             match result {
-                Err(ExecError::BudgetExhausted { .. }) if attempt < config.max_retries => {
+                // Steps are the only resource a retry raises, so only a
+                // step cut-off is worth another attempt.
+                Err(ExecError::BudgetExhausted {
+                    resource: Resource::Steps,
+                }) if attempt < config.max_retries => {
                     attempt += 1;
                     self.state.tel.retries.inc();
-                    self.lib.probe(|| Event::Retry { rel, attempt });
                 }
                 other => return (other, attempt + 1, spent),
             }
         }
     }
 
-    /// Books one completed request everywhere it is observed: the
-    /// deterministic registry counters (its memo lookups included), the
-    /// wall-clock latency
-    /// histogram, this worker's flight-recorder ring, and (when a probe
-    /// is armed) an [`Event::Request`].
+    /// Books one completed request in both of its records: the
+    /// registry (the deterministic counters, its memo lookups included,
+    /// and the wall-clock latency histogram) and this worker's
+    /// flight-recorder ring.
     fn finish(&self, span: RequestSpan, started: Instant) {
         let tel = &self.state.tel;
         tel.requests.inc();
@@ -861,25 +902,15 @@ impl Session {
         tel.latency_ns
             .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         self.recorder.push(span);
-        self.lib.probe(|| Event::Request {
-            rel: span.rel,
-            index: span.index,
-            outcome: span.outcome,
-            attempts: span.attempts,
-            steps: span.steps,
-        });
     }
 
-    /// Drains shard-degradation notices from the shared table into this
-    /// session's probe, and triggers an automatic flight-recorder dump
-    /// for each batch of retirements.
-    fn report_degraded(&self, _rel: RelId) {
+    /// Drains shard-retirement notices from the shared table and
+    /// triggers an automatic flight-recorder dump for each batch of
+    /// retirements, its reason naming the retired shards.
+    fn report_degraded(&self) {
         let shards = self.state.memo.drain_degraded_events();
         if shards.is_empty() {
             return;
-        }
-        for &shard in &shards {
-            self.lib.probe(|| Event::ShardDegraded { shard });
         }
         let reason = format!(
             "shard_degraded:[{}]",
@@ -1093,17 +1124,17 @@ mod tests {
         };
         let server = Server::new(shared, config, Budget::unlimited());
         let session = server.session();
-        let stats = SearchStats::new();
         let args = vec![vec![Value::nat(6)]];
-        let got = {
-            let _probe = session.library().arm_probe(ExecProbe::stats(&stats));
-            session.check_batch(twin, 10, &args)
-        };
+        let got = session.check_batch(twin, 10, &args);
         // 8 steps cannot check twin 6 (2^6 leaves); retries escalated
         // until the doubled budget sufficed.
         assert_eq!(got[0], Ok(Some(true)));
-        assert!(stats.retries() > 0, "tight first budget must retry");
-        assert_eq!(server.stats().retries, stats.retries());
+        let retries = server.stats().retries;
+        assert!(retries > 0, "tight first budget must retry");
+        assert_eq!(
+            u64::from(session.recorder().spans()[0].attempts),
+            1 + retries
+        );
         // The (seed, index) token replays the same escalation path.
         let replay = session.check_replay(twin, 10, &args[0], 42, 0);
         assert_eq!(replay, got[0].clone());
@@ -1308,7 +1339,6 @@ mod tests {
         // Request-level counters came along from the base snapshot, and
         // the probe's own totals from the stats snapshot.
         assert_eq!(snap.counter("serve.requests"), Some(1));
-        assert_eq!(snap.counter("search.requests"), Some(1));
         assert_eq!(
             snap.counter("search.events"),
             Some(stats.events()),

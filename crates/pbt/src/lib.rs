@@ -345,7 +345,6 @@ pub struct MeanTestsToFailure {
 pub struct Runner {
     seed: u64,
     size: u64,
-    max_discards: usize,
     budget: Budget,
     parallelism: Parallelism,
 }
@@ -358,7 +357,6 @@ impl Runner {
         Runner {
             seed,
             size: 10,
-            max_discards: 0,
             budget: Budget::unlimited(),
             parallelism: Parallelism::Off,
         }
@@ -424,12 +422,7 @@ impl Runner {
         let mut labels = Labels::default();
         let mut label_totals: BTreeMap<String, u64> = BTreeMap::new();
         let mut input_sizes = HistogramSnapshot::default();
-        let max_discards = if self.max_discards == 0 {
-            10 * n
-        } else {
-            self.max_discards
-        };
-        while passed + crashed < n && discarded < max_discards {
+        while passed + crashed < n && discarded < 10 * n {
             // One step per attempted test. The deadline poll rides on
             // charge_step's own once-per-DEADLINE_POLL_PERIOD check —
             // no extra Instant::now() on the per-test hot path.
@@ -556,10 +549,7 @@ impl Runner {
                     .seed
                     .wrapping_add(trial as u64)
                     .wrapping_mul(0x9E3779B9),
-                size: self.size,
-                max_discards: self.max_discards,
-                budget: self.budget,
-                parallelism: self.parallelism,
+                ..*self
             };
             let report = runner.run(budget, &mut generate, &mut property);
             match report.failed {

@@ -296,18 +296,16 @@ impl Meter {
 const EXH_NONE: u8 = 0;
 const EXH_STEPS: u8 = 1;
 const EXH_BACKTRACKS: u8 = 2;
-const EXH_TERM_SIZE: u8 = 3;
-const EXH_DEADLINE: u8 = 4;
+const EXH_DEADLINE: u8 = 3;
 
 fn decode_exhaustion(code: u8) -> Option<Exhaustion> {
     match code {
         EXH_NONE => None,
         EXH_STEPS => Some(Exhaustion::Budget(Resource::Steps)),
         EXH_BACKTRACKS => Some(Exhaustion::Budget(Resource::Backtracks)),
-        EXH_TERM_SIZE => Some(Exhaustion::Budget(Resource::TermSize)),
         EXH_DEADLINE => Some(Exhaustion::Deadline),
         // Unreachable (panic audit): the exhaustion cell is private and
-        // only ever stored with the four `EXH_*` codes above.
+        // only ever stored with the three `EXH_*` codes above.
         _ => unreachable!("invalid exhaustion code {code}"),
     }
 }
@@ -319,7 +317,6 @@ struct PoolState {
     backtracks_left: AtomicU64,
     steps_used: AtomicU64,
     backtracks_used: AtomicU64,
-    max_term_size: u64,
     deadline: Option<Instant>,
     // First-wins: set once by whichever worker hits a limit first.
     exhaustion: AtomicU8,
@@ -337,6 +334,8 @@ struct PoolState {
 /// [`BudgetPool::steps_used`] totals are exact even though draws are
 /// batched. The wall-clock deadline is polled per chunk refill
 /// ([`BudgetPool::check_deadline`]), never on the per-unit hot path.
+/// A budget's `max_term_size` is not pooled: it caps the arguments of
+/// one call, so each call's own [`Meter`] applies it.
 ///
 /// Like a meter, a pool is *poisoned* by the first failed draw (or
 /// missed deadline): later draws return 0 immediately, and
@@ -367,7 +366,6 @@ impl BudgetPool {
                 backtracks_left: AtomicU64::new(budget.backtracks.unwrap_or(u64::MAX)),
                 steps_used: AtomicU64::new(0),
                 backtracks_used: AtomicU64::new(0),
-                max_term_size: budget.max_term_size.unwrap_or(u64::MAX),
                 deadline: budget.deadline.map(|d| Instant::now() + d),
                 exhaustion: AtomicU8::new(EXH_NONE),
             }),
@@ -450,18 +448,6 @@ impl BudgetPool {
     pub fn return_backtracks(&self, unused: u64) {
         let s = &*self.state;
         self.ret(&s.backtracks_left, &s.backtracks_used, unused);
-    }
-
-    /// Admits or rejects an argument term of `size` constructor nodes.
-    pub fn admit_term_size(&self, size: u64) -> bool {
-        if self.is_exhausted() {
-            return false;
-        }
-        if size > self.state.max_term_size {
-            self.poison(EXH_TERM_SIZE);
-            return false;
-        }
-        true
     }
 
     /// Polls the wall clock if a deadline is set; returns `false` (and
@@ -621,24 +607,15 @@ mod tests {
         assert_eq!(pool.steps_used(), 1 << 40);
         assert_eq!(pool.backtracks_used(), 4);
         assert!(pool.check_deadline());
-        assert!(pool.admit_term_size(u64::MAX));
         assert_eq!(pool.exhaustion(), None);
     }
 
     #[test]
-    fn pool_deadline_and_term_size_poison() {
+    fn pool_deadline_poisons() {
         let pool = BudgetPool::new(Budget::unlimited().with_deadline(Duration::ZERO));
         assert!(!pool.check_deadline());
         assert_eq!(pool.exhaustion(), Some(Exhaustion::Deadline));
         assert_eq!(pool.draw_steps(1), 0);
-
-        let pool = BudgetPool::new(Budget::unlimited().with_max_term_size(5));
-        assert!(pool.admit_term_size(5));
-        assert!(!pool.admit_term_size(6));
-        assert_eq!(
-            pool.exhaustion(),
-            Some(Exhaustion::Budget(Resource::TermSize))
-        );
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use metrics::{
     Counter, Determinism, Gauge, HistogramSnapshot, Log2Histogram, MetricsRegistry, MetricsSnapshot,
 };
 pub use probe::{
-    json_escape, Event, ExecKind, ExecProbe, FailSite, NameTable, PremiseStats, RequestOutcome,
-    RuleStats, SearchStats, TraceProbe,
+    json_escape, Event, ExecKind, ExecProbe, FailSite, NameTable, PremiseStats, RuleStats,
+    SearchStats, TraceProbe,
 };
 
 /// Sequences a checker before an enumerator continuation (`bind_ce`).

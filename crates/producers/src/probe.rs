@@ -150,42 +150,6 @@ pub enum Event {
         /// Rules pruned (their input patterns provably cannot match).
         skipped: u32,
     },
-    /// Admission control rejected a serving-layer request instead of
-    /// queueing it (load shedding).
-    Shed {
-        /// The relation the rejected request targeted.
-        rel: RelId,
-    },
-    /// A budget-exhausted serving-layer request was retried with an
-    /// escalated budget.
-    Retry {
-        /// The relation the retried request targets.
-        rel: RelId,
-        /// 1-based retry attempt number.
-        attempt: u32,
-    },
-    /// A shard of the concurrent memo table was retired after a writer
-    /// panic; queries for it fall back to the unmemoized search.
-    ShardDegraded {
-        /// The retired shard's index.
-        shard: u32,
-    },
-    /// A serving-layer request completed (decided, failed, or shed).
-    /// Carries the same `(seed, index)`-style repro coordinates the
-    /// request span records; emitted once per request when armed.
-    Request {
-        /// The relation the request queried.
-        rel: RelId,
-        /// The request's index within its session's stream — with the
-        /// server's retry seed this reproduces the exact retry jitter.
-        index: u64,
-        /// How the request ended.
-        outcome: RequestOutcome,
-        /// Budget-escalation attempts consumed (1 = first try decided).
-        attempts: u32,
-        /// Budget steps actually spent across all attempts.
-        steps: u64,
-    },
     /// One premise (plan step) of one rule was evaluated — the cost
     /// attribution signal the profile-guided replanner consumes.
     Premise {
@@ -201,48 +165,6 @@ pub enum Event {
         /// `true` when the premise conclusively failed.
         failed: bool,
     },
-    /// The profile-guided replanner recompiled one relation's checker
-    /// into a *different* premise schedule (relations whose recompile
-    /// reproduced the old plan do not emit this).
-    Replanned {
-        /// The relation whose plan changed.
-        rel: RelId,
-    },
-}
-
-/// How a serving-layer request ended, as carried by
-/// [`Event::Request`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RequestOutcome {
-    /// Decided: the relation holds.
-    True,
-    /// Decided: the relation does not hold.
-    False,
-    /// Undecided within fuel (`Ok(None)`).
-    Unknown,
-    /// Rejected by admission control before any search ran.
-    Shed,
-    /// Failed with a structured `ExecError` after all retries.
-    Failed,
-}
-
-impl RequestOutcome {
-    /// Lower-case label, used in output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestOutcome::True => "true",
-            RequestOutcome::False => "false",
-            RequestOutcome::Unknown => "unknown",
-            RequestOutcome::Shed => "shed",
-            RequestOutcome::Failed => "failed",
-        }
-    }
-}
-
-impl fmt::Display for RequestOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Maps [`RelId`]s and rule indices to source names, for display and
@@ -349,7 +271,7 @@ impl PremiseStats {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct StatsState {
     names: NameTable,
     /// Keyed by `(rel index, rule index)` — `BTreeMap` so iteration
@@ -368,16 +290,6 @@ struct StatsState {
     memo_misses: u64,
     /// Total rules pruned by the dispatch index (sum of `skipped`).
     index_skipped: u64,
-    /// Serving-layer requests rejected by admission control.
-    shed: u64,
-    /// Serving-layer retries after budget exhaustion.
-    retries: u64,
-    /// Concurrent-memo shards retired after writer panics.
-    shards_degraded: u64,
-    /// Serving-layer requests completed (any outcome).
-    requests: u64,
-    /// Relations recompiled into a different plan by the replanner.
-    replans: u64,
 }
 
 /// An aggregating probe: counters and histograms over the whole search,
@@ -440,10 +352,6 @@ impl SearchStats {
             Event::MemoHit { .. } => s.memo_hits += 1,
             Event::MemoMiss { .. } => s.memo_misses += 1,
             Event::IndexSkip { skipped, .. } => s.index_skipped += u64::from(skipped),
-            Event::Shed { .. } => s.shed += 1,
-            Event::Retry { .. } => s.retries += 1,
-            Event::ShardDegraded { .. } => s.shards_degraded += 1,
-            Event::Request { .. } => s.requests += 1,
             Event::Premise {
                 rel,
                 rule,
@@ -459,7 +367,6 @@ impl SearchStats {
                 p.cost += cost;
                 p.failures += u64::from(failed);
             }
-            Event::Replanned { .. } => s.replans += 1,
         }
     }
 
@@ -469,53 +376,34 @@ impl SearchStats {
     /// independent of worker scheduling and merge order. The name table
     /// of `self` is kept (`other`'s is ignored).
     pub fn merge_from(&self, other: &SearchStats) {
-        // Take a snapshot first so merging a stats handle into itself
-        // (or a clone sharing its state) cannot deadlock.
-        let snap = {
-            let o = lock(&other.state);
-            (
-                o.rules.clone(),
-                o.fails.clone(),
-                o.enters,
-                o.depths.clone(),
-                o.term_sizes.clone(),
-                o.events,
-                (o.memo_hits, o.memo_misses, o.index_skipped),
-                (o.shed, o.retries, o.shards_degraded, o.requests),
-                o.premises.clone(),
-                o.replans,
-            )
-        };
+        // Take a copy first so merging a stats handle into itself (or a
+        // clone sharing its state) cannot deadlock.
+        let o = lock(&other.state).clone();
         let mut s = lock(&self.state);
-        for (key, r) in snap.0 {
+        for (key, r) in o.rules {
             let dst = s.rules.entry(key).or_default();
             dst.attempts += r.attempts;
             dst.successes += r.successes;
             dst.backtracks += r.backtracks;
         }
-        for (key, count) in snap.1 {
+        for (key, count) in o.fails {
             *s.fails.entry(key).or_default() += count;
         }
-        for (dst, src) in s.enters.iter_mut().zip(snap.2) {
+        for (dst, src) in s.enters.iter_mut().zip(o.enters) {
             *dst += src;
         }
-        s.depths.merge(&snap.3);
-        s.term_sizes.merge(&snap.4);
-        s.events += snap.5;
-        s.memo_hits += snap.6 .0;
-        s.memo_misses += snap.6 .1;
-        s.index_skipped += snap.6 .2;
-        s.shed += snap.7 .0;
-        s.retries += snap.7 .1;
-        s.shards_degraded += snap.7 .2;
-        s.requests += snap.7 .3;
-        for (key, p) in snap.8 {
+        s.depths.merge(&o.depths);
+        s.term_sizes.merge(&o.term_sizes);
+        s.events += o.events;
+        s.memo_hits += o.memo_hits;
+        s.memo_misses += o.memo_misses;
+        s.index_skipped += o.index_skipped;
+        for (key, p) in o.premises {
             let dst = s.premises.entry(key).or_default();
             dst.evals += p.evals;
             dst.cost += p.cost;
             dst.failures += p.failures;
         }
-        s.replans += snap.9;
     }
 
     /// Total events recorded.
@@ -569,31 +457,6 @@ impl SearchStats {
     /// checker entries).
     pub fn index_skipped(&self) -> u64 {
         lock(&self.state).index_skipped
-    }
-
-    /// Serving-layer requests rejected by admission control.
-    pub fn shed(&self) -> u64 {
-        lock(&self.state).shed
-    }
-
-    /// Serving-layer retries after budget exhaustion.
-    pub fn retries(&self) -> u64 {
-        lock(&self.state).retries
-    }
-
-    /// Concurrent-memo shards retired after writer panics.
-    pub fn shards_degraded(&self) -> u64 {
-        lock(&self.state).shards_degraded
-    }
-
-    /// Serving-layer requests completed (any outcome).
-    pub fn requests(&self) -> u64 {
-        lock(&self.state).requests
-    }
-
-    /// Relations the replanner recompiled into a different plan.
-    pub fn replans(&self) -> u64 {
-        lock(&self.state).replans
     }
 
     /// Premise cost attribution for one relation, as
@@ -675,8 +538,8 @@ impl SearchStats {
     /// handler index:
     ///
     /// * `search.events`, `search.enters.{checker,enumerator,generator}`
-    ///   and `search.{memo_hits,memo_misses,index_skipped,requests,shed,
-    ///   retries,shards_degraded,replans}`, present even when 0;
+    ///   and `search.{memo_hits,memo_misses,index_skipped}`, present
+    ///   even when 0;
     /// * `rule.<rel>.<i>.{attempts,successes,backtracks}`;
     /// * `premise.<rel>.<i>.<step>.{evals,cost,failures}`;
     /// * `unify_fail.<rel>.<i>.<site>`, `site` being `inputs` or `stepN`;
@@ -697,11 +560,6 @@ impl SearchStats {
             ("memo_hits", s.memo_hits),
             ("memo_misses", s.memo_misses),
             ("index_skipped", s.index_skipped),
-            ("requests", s.requests),
-            ("shed", s.shed),
-            ("retries", s.retries),
-            ("shards_degraded", s.shards_degraded),
-            ("replans", s.replans),
         ] {
             counter(format!("search.{name}"), v);
         }
@@ -760,16 +618,6 @@ impl fmt::Display for SearchStats {
                 "  memo: {} hits / {} misses; index pruned {} rules",
                 s.memo_hits, s.memo_misses, s.index_skipped
             )?;
-        }
-        if s.requests + s.shed + s.retries + s.shards_degraded > 0 {
-            writeln!(
-                f,
-                "  serve: {} requests / {} shed / {} retries / {} degraded shard(s)",
-                s.requests, s.shed, s.retries, s.shards_degraded
-            )?;
-        }
-        if s.replans > 0 {
-            writeln!(f, "  plan: {} relation(s) replanned", s.replans)?;
         }
         if !s.premises.is_empty() {
             writeln!(
@@ -952,27 +800,6 @@ fn event_json(seq: u64, e: &Event, names: &NameTable) -> String {
             r#"{{"seq":{seq},"event":"index_skip","rel":"{}","skipped":{skipped}}}"#,
             json_escape(&names.rel(*rel))
         ),
-        Event::Shed { rel } => format!(
-            r#"{{"seq":{seq},"event":"shed","rel":"{}"}}"#,
-            json_escape(&names.rel(*rel))
-        ),
-        Event::Retry { rel, attempt } => format!(
-            r#"{{"seq":{seq},"event":"retry","rel":"{}","attempt":{attempt}}}"#,
-            json_escape(&names.rel(*rel))
-        ),
-        Event::ShardDegraded { shard } => {
-            format!(r#"{{"seq":{seq},"event":"shard_degraded","shard":{shard}}}"#)
-        }
-        Event::Request {
-            rel,
-            index,
-            outcome,
-            attempts,
-            steps,
-        } => format!(
-            r#"{{"seq":{seq},"event":"request","rel":"{}","index":{index},"outcome":"{outcome}","attempts":{attempts},"steps":{steps}}}"#,
-            json_escape(&names.rel(*rel))
-        ),
         Event::Premise {
             rel,
             rule,
@@ -983,10 +810,6 @@ fn event_json(seq: u64, e: &Event, names: &NameTable) -> String {
             r#"{{"seq":{seq},"event":"premise","rel":"{}","rule":"{}","step":{step},"cost":{cost},"failed":{failed}}}"#,
             json_escape(&names.rel(*rel)),
             json_escape(&names.rule(*rel, *rule))
-        ),
-        Event::Replanned { rel } => format!(
-            r#"{{"seq":{seq},"event":"replanned","rel":"{}"}}"#,
-            json_escape(&names.rel(*rel))
         ),
     }
 }
@@ -1171,16 +994,6 @@ mod tests {
             Event::MemoHit { rel },
             Event::MemoHit { rel },
             Event::IndexSkip { rel, skipped: 3 },
-            Event::Shed { rel },
-            Event::Retry { rel, attempt: 1 },
-            Event::ShardDegraded { shard: 5 },
-            Event::Request {
-                rel,
-                index: 3,
-                outcome: RequestOutcome::True,
-                attempts: 1,
-                steps: 40,
-            },
             Event::Premise {
                 rel,
                 rule: 1,
@@ -1195,7 +1008,6 @@ mod tests {
                 cost: 7,
                 failed: true,
             },
-            Event::Replanned { rel },
         ]
     }
 
@@ -1207,13 +1019,11 @@ mod tests {
             stats.record(e);
         }
         let want = "\
-search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
+search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
   rule                       attempts  successes backtracks
   bst.bst_leaf                      1          0          1
   bst.bst_node                      1          1          0
   memo: 2 hits / 1 misses; index pruned 3 rules
-  serve: 1 requests / 1 shed / 1 retries / 1 degraded shard(s)
-  plan: 1 relation(s) replanned
   premise                           evals       cost      mean    fail%
   bst.bst_node[step2]                   2         12       6.0    50.0%
   top unification failures:
@@ -1227,11 +1037,20 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
     #[test]
     fn snapshot_carries_every_counter() {
         let det = |snap: &MetricsSnapshot| snap.deterministic_json();
-        // Scalar series are present even when nothing was recorded.
-        let empty = SearchStats::new().snapshot();
-        assert_eq!(empty.counter("search.shards_degraded"), Some(0));
-        assert_eq!(empty.counter("search.enters.generator"), Some(0));
-        assert_eq!(empty.histogram("search.depth").map(|h| h.count), Some(0));
+        // Scalar series are present even when nothing was recorded, and
+        // they are all search series.
+        assert_eq!(
+            det(&SearchStats::new().snapshot()),
+            concat!(
+                r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"#,
+                r#""search.enters.checker":0,"search.enters.enumerator":0,"#,
+                r#""search.enters.generator":0,"search.events":0,"#,
+                r#""search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0},"#,
+                r#""gauges":{},"histograms":{"#,
+                r#""search.depth":{"count":0,"sum":0,"max":0,"buckets":[]},"#,
+                r#""search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#
+            )
+        );
 
         let stats = SearchStats::new();
         stats.set_names(names());
@@ -1253,11 +1072,6 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
         assert_eq!(c("search.memo_hits"), stats.memo_hits());
         assert_eq!(c("search.memo_misses"), stats.memo_misses());
         assert_eq!(c("search.index_skipped"), stats.index_skipped());
-        assert_eq!(c("search.requests"), stats.requests());
-        assert_eq!(c("search.shed"), stats.shed());
-        assert_eq!(c("search.retries"), stats.retries());
-        assert_eq!(c("search.shards_degraded"), stats.shards_degraded());
-        assert_eq!(c("search.replans"), stats.replans());
         let rel = RelId::new(0);
         let mut totals = RuleStats::default();
         for rule in 0..2 {
@@ -1403,54 +1217,10 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
     }
 
     #[test]
-    fn serve_events_count_and_export() {
+    fn premise_events_accumulate_and_export() {
         let stats = SearchStats::new();
         stats.set_names(names());
         let rel = RelId::new(0);
-        stats.record(Event::Shed { rel });
-        stats.record(Event::Shed { rel });
-        stats.record(Event::Retry { rel, attempt: 1 });
-        stats.record(Event::ShardDegraded { shard: 5 });
-        assert_eq!(stats.shed(), 2);
-        assert_eq!(stats.retries(), 1);
-        assert_eq!(stats.shards_degraded(), 1);
-        let snap = stats.snapshot();
-        assert_eq!(snap.counter("search.requests"), Some(0));
-        assert_eq!(snap.counter("search.retries"), Some(1));
-        assert_eq!(snap.counter("search.shards_degraded"), Some(1));
-        assert_eq!(snap.counter("search.shed"), Some(2));
-        assert!(stats
-            .to_string()
-            .contains("serve: 0 requests / 2 shed / 1 retries"));
-        // Merging folds the serve counters like every other counter.
-        let other = SearchStats::new();
-        other.record(Event::Retry { rel, attempt: 2 });
-        stats.merge_from(&other);
-        assert_eq!(stats.retries(), 2);
-        // Trace export renders each variant.
-        let trace = TraceProbe::new(8);
-        trace.set_names(names());
-        trace.record(Event::Shed { rel });
-        trace.record(Event::Retry { rel, attempt: 3 });
-        trace.record(Event::ShardDegraded { shard: 7 });
-        let lines = trace.to_json_lines();
-        assert!(lines.contains(r#""event":"shed","rel":"bst""#), "{lines}");
-        assert!(lines.contains(r#""event":"retry","rel":"bst","attempt":3"#));
-        assert!(lines.contains(r#""event":"shard_degraded","shard":7"#));
-    }
-
-    #[test]
-    fn request_and_premise_events_accumulate_and_export() {
-        let stats = SearchStats::new();
-        stats.set_names(names());
-        let rel = RelId::new(0);
-        stats.record(Event::Request {
-            rel,
-            index: 3,
-            outcome: RequestOutcome::True,
-            attempts: 1,
-            steps: 40,
-        });
         stats.record(Event::Premise {
             rel,
             rule: 1,
@@ -1465,7 +1235,6 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
             cost: 7,
             failed: true,
         });
-        assert_eq!(stats.requests(), 1);
         let ps = stats.premise_stats(rel);
         assert_eq!(
             ps,
@@ -1483,15 +1252,11 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
         assert_eq!(ps[0].2.mean_cost(), 6.0);
         assert_eq!(ps[0].2.failure_rate(), 0.5);
         let snap = stats.snapshot();
-        assert_eq!(snap.counter("search.requests"), Some(1));
-        assert_eq!(snap.counter("search.retries"), Some(0));
-        assert_eq!(snap.counter("search.shards_degraded"), Some(0));
-        assert_eq!(snap.counter("search.shed"), Some(0));
         assert_eq!(snap.counter("premise.bst.1.2.evals"), Some(2));
         assert_eq!(snap.counter("premise.bst.1.2.cost"), Some(12));
         assert_eq!(snap.counter("premise.bst.1.2.failures"), Some(1));
         assert!(stats.to_string().contains("bst.bst_node[step2]"), "{stats}");
-        // Merging folds premises and requests like every other counter.
+        // Merging folds premises like every other counter.
         let other = SearchStats::new();
         other.record(Event::Premise {
             rel,
@@ -1500,26 +1265,11 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
             cost: 3,
             failed: false,
         });
-        other.record(Event::Request {
-            rel,
-            index: 4,
-            outcome: RequestOutcome::Shed,
-            attempts: 0,
-            steps: 0,
-        });
         stats.merge_from(&other);
-        assert_eq!(stats.requests(), 2);
         assert_eq!(stats.premise_stats(rel)[0].2.cost, 15);
-        // Trace export renders both variants.
+        // Trace export renders the variant.
         let trace = TraceProbe::new(8);
         trace.set_names(names());
-        trace.record(Event::Request {
-            rel,
-            index: 9,
-            outcome: RequestOutcome::Failed,
-            attempts: 3,
-            steps: 123,
-        });
         trace.record(Event::Premise {
             rel,
             rule: 0,
@@ -1528,12 +1278,6 @@ search stats: 24 events (2 checker / 1 enumerator / 1 generator entries)
             failed: true,
         });
         let lines = trace.to_json_lines();
-        assert!(
-            lines.contains(
-                r#""event":"request","rel":"bst","index":9,"outcome":"failed","attempts":3,"steps":123"#
-            ),
-            "{lines}"
-        );
         assert!(
             lines.contains(
                 r#""event":"premise","rel":"bst","rule":"bst_leaf","step":1,"cost":2,"failed":true"#

@@ -73,6 +73,7 @@ pub use indrel_validate as validate;
 
 /// The common imports for working with the framework.
 pub mod prelude {
+    pub use indrel_core::serve::RequestOutcome;
     pub use indrel_core::{
         Budget, BudgetPool, BudgetedStream, CostProfile, DeriveError, DeriveOptions, ExecError,
         ExecProbe, Exhaustion, FlightRecorder, InstanceKind, Library, LibraryBuilder, MemoStats,
@@ -82,7 +83,7 @@ pub mod prelude {
     pub use indrel_pbt::{Labels, Parallelism, RunReport, Runner, TestOutcome};
     pub use indrel_producers::{
         backtracking, bind_ec, cand, cnot, Counter, Determinism, EStream, Gauge, HistogramSnapshot,
-        Log2Histogram, MetricsRegistry, MetricsSnapshot, Outcome, RequestOutcome,
+        Log2Histogram, MetricsRegistry, MetricsSnapshot, Outcome,
     };
     pub use indrel_rel::parse::{parse_program, parse_relation};
     pub use indrel_rel::{Premise, RelEnv, Relation, Rule, RuleBuilder};

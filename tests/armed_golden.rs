@@ -235,4 +235,4 @@ const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTsssssss
 
 const LADDER_MEMO_STATS: &str = "MemoStats { hits: 541, misses: 803, insertions: 345, none_skipped: 347, full_skipped: 0, entries: 345, degraded_shards: 0, shed: 0, retries: 0 }";
 
-const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":434,"premise.bst.1.0.evals":185,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":486,"premise.bst.1.1.evals":180,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1162,"premise.bst.1.2.evals":173,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1229,"premise.bst.1.3.evals":150,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":1994,"premise.le'.1.0.evals":520,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":718,"premise.lt'.0.0.evals":202,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":170,"rule.bst.0.backtracks":0,"rule.bst.0.successes":170,"rule.bst.1.attempts":185,"rule.bst.1.backtracks":53,"rule.bst.1.successes":132,"rule.le'.0.attempts":718,"rule.le'.0.backtracks":524,"rule.le'.0.successes":194,"rule.le'.1.attempts":520,"rule.le'.1.backtracks":25,"rule.le'.1.successes":495,"rule.lt'.0.attempts":202,"rule.lt'.0.backtracks":8,"rule.lt'.0.successes":194,"search.enters.checker":1275,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":7855,"search.index_skipped":359,"search.memo_hits":191,"search.memo_misses":438,"search.replans":0,"search.requests":56,"search.retries":12,"search.shards_degraded":0,"search.shed":0,"unify_fail.le'.0.step0":524},"gauges":{},"histograms":{"search.depth":{"count":1275,"sum":6023,"max":16,"buckets":[{"lo":0,"hi":0,"count":36},{"lo":1,"hi":1,"count":77},{"lo":2,"hi":3,"count":321},{"lo":4,"hi":7,"count":668},{"lo":8,"hi":15,"count":171},{"lo":16,"hi":31,"count":2}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
+const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":434,"premise.bst.1.0.evals":185,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":486,"premise.bst.1.1.evals":180,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1162,"premise.bst.1.2.evals":173,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1229,"premise.bst.1.3.evals":150,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":1994,"premise.le'.1.0.evals":520,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":718,"premise.lt'.0.0.evals":202,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":170,"rule.bst.0.backtracks":0,"rule.bst.0.successes":170,"rule.bst.1.attempts":185,"rule.bst.1.backtracks":53,"rule.bst.1.successes":132,"rule.le'.0.attempts":718,"rule.le'.0.backtracks":524,"rule.le'.0.successes":194,"rule.le'.1.attempts":520,"rule.le'.1.backtracks":25,"rule.le'.1.successes":495,"rule.lt'.0.attempts":202,"rule.lt'.0.backtracks":8,"rule.lt'.0.successes":194,"search.enters.checker":1275,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":7787,"search.index_skipped":359,"search.memo_hits":191,"search.memo_misses":438,"unify_fail.le'.0.step0":524},"gauges":{},"histograms":{"search.depth":{"count":1275,"sum":6023,"max":16,"buckets":[{"lo":0,"hi":0,"count":36},{"lo":1,"hi":1,"count":77},{"lo":2,"hi":3,"count":321},{"lo":4,"hi":7,"count":668},{"lo":8,"hi":15,"count":171},{"lo":16,"hi":31,"count":2}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;

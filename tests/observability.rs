@@ -282,7 +282,7 @@ fn serve_shared() -> (SharedLibrary, RelId) {
 /// single-threaded, optionally retire one shard, then serve the corpus
 /// at `threads` workers (optionally with a `SearchStats` probe armed on
 /// every session). Returns the per-request verdicts (corpus order), the
-/// deterministic metrics JSON, and the probe's request count.
+/// deterministic metrics JSON, and the events the probe recorded.
 fn serve_run(
     threads: usize,
     armed: bool,
@@ -331,7 +331,7 @@ fn serve_run(
     (
         verdicts,
         server.snapshot().deterministic_json(),
-        stats.requests(),
+        stats.events(),
     )
 }
 
@@ -350,7 +350,7 @@ fn serving_layer_probe_parity_across_threads_and_poison() {
         }
         for threads in [1usize, 2, 4] {
             let (unarmed_v, unarmed_json, _) = serve_run(threads, false, poison);
-            let (armed_v, armed_json, requests) = serve_run(threads, true, poison);
+            let (armed_v, armed_json, events) = serve_run(threads, true, poison);
             assert_eq!(unarmed_v, armed_v, "threads={threads} poison={poison}");
             assert_eq!(
                 unarmed_json, armed_json,
@@ -363,7 +363,71 @@ fn serving_layer_probe_parity_across_threads_and_poison() {
                 "deterministic counters must be byte-identical across \
                  thread counts (threads={threads} poison={poison})"
             );
-            assert_eq!(requests, 24, "every measured request probed");
+            assert!(events > 0, "the armed probe saw the search");
         }
     }
+}
+
+/// Every event kind a probe records: all of them come from the search.
+const SEARCH_EVENTS: [&str; 10] = [
+    "enter",
+    "rule_attempt",
+    "rule_success",
+    "unify_fail",
+    "backtrack",
+    "term_produced",
+    "memo_hit",
+    "memo_miss",
+    "index_skip",
+    "premise",
+];
+
+/// A served session's trace holds only search events. What the request
+/// layer does — a retry, a shed request, a completed one — is recorded
+/// by the server's counters and by one flight-recorder span per
+/// request, never by the probe.
+#[test]
+fn served_session_trace_holds_only_search_events() {
+    let (shared, even) = serve_shared();
+    let server = Server::new(
+        shared,
+        ServeConfig {
+            max_inflight: 2,
+            steps_per_request: 4,
+            ..ServeConfig::default()
+        },
+        Budget::unlimited(),
+    );
+    let session = server.session();
+    let trace = TraceProbe::new(1 << 12);
+    let _probe = session.library().arm_probe(ExecProbe::trace(&trace));
+    // About four steps cannot check even' 20, so the request retries.
+    let retried = session.check_batch(even, 30, &[vec![Value::nat(20)]]);
+    assert_eq!(retried, vec![Ok(Some(true))]);
+    // With every admission slot held, the next request is shed.
+    let held = [server.try_admit().unwrap(), server.try_admit().unwrap()];
+    let shed = session.check_batch(even, 30, &[vec![Value::nat(4)]]);
+    assert!(matches!(shed[0], Err(ExecError::Overloaded { .. })));
+    drop(held);
+
+    let lines = trace.to_json_lines();
+    assert!(!lines.is_empty() && trace.dropped() == 0, "{trace}");
+    for line in lines.lines() {
+        let kind = line
+            .split("\"event\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .unwrap_or_else(|| panic!("no event kind: {line}"));
+        assert!(SEARCH_EVENTS.contains(&kind), "not a search event: {line}");
+    }
+
+    let spans = session.recorder().spans();
+    assert_eq!(spans.len(), 2, "one span per request: {spans:?}");
+    assert_eq!(spans[0].outcome, RequestOutcome::True);
+    assert!(spans[0].attempts >= 2, "{:?}", spans[0]);
+    assert_eq!(spans[1].outcome, RequestOutcome::Shed);
+    assert_eq!(spans[1].attempts, 0);
+    let stats = server.stats();
+    assert_eq!(stats.retries, u64::from(spans[0].attempts - 1));
+    assert_eq!(stats.shed, 1);
 }

@@ -349,10 +349,11 @@ fn armed_producer_telemetry_survives_huge_outputs() {
 }
 
 /// `max_term_size(k)` is the same boundary at all four `try_*` entry
-/// points: an argument of size k is admitted and one of size k + 1 is
-/// refused with the same error. A budget with no such cap sizes
-/// nothing, so it admits even `nat(u64::MAX)`, the largest size there
-/// is.
+/// points and for a request served under that budget: an argument of
+/// size k is admitted and one of size k + 1 is refused with the same
+/// error, on the first attempt and without a retry. A budget with no
+/// such cap sizes nothing, so it admits even `nat(u64::MAX)`, the
+/// largest size there is.
 #[test]
 fn term_size_cap_is_one_boundary_for_every_try_entry_point() {
     let mut u = Universe::new();
@@ -392,16 +393,24 @@ fn term_size_cap_is_one_boundary_for_every_try_entry_point() {
             .try_enumerate(tri, &mode, 3, 3, input, budget)
             .and_then(|s| s.values());
         let generated = lib.try_generate(tri, &mode, 3, 3, input, &mut rng, budget);
+        let server = Server::new(lib.shared(), ServeConfig::default(), budget);
+        let session = server.session();
+        let served = session.check_batch(tri, 3, &[args.to_vec()]);
         if admitted {
             assert_eq!(checked, Ok(Some(true)), "try_check {n:?}");
             assert_eq!(decided, Ok(Some(true)), "try_decide {n:?}");
             assert_eq!(enumerated, Ok(vec![pair.clone()]), "try_enumerate {n:?}");
             assert_eq!(generated, Ok(Some(pair)), "try_generate {n:?}");
+            assert_eq!(served, vec![Ok(Some(true))], "check_batch {n:?}");
         } else {
             assert_eq!(checked, Err(refused.clone()), "try_check {n:?}");
             assert_eq!(decided, Err(refused.clone()), "try_decide {n:?}");
             assert_eq!(enumerated, Err(refused.clone()), "try_enumerate {n:?}");
             assert_eq!(generated, Err(refused.clone()), "try_generate {n:?}");
+            assert_eq!(served, vec![Err(refused.clone())], "check_batch {n:?}");
         }
+        let spans = session.recorder().spans();
+        assert_eq!(spans[0].attempts, 1, "served {n:?}");
+        assert_eq!(server.stats().retries, 0, "served {n:?}");
     }
 }
