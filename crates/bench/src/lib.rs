@@ -1,22 +1,21 @@
 //! Experiment harnesses regenerating every table and figure of the
 //! paper's evaluation (§6).
 //!
-//! Each module implements one experiment; the binaries in `src/bin/`
-//! print the corresponding table, and the Criterion benches in
-//! `benches/` measure the reflection study and the DESIGN.md ablations
-//! under a statistics-grade harness. Every other timing lives in
+//! Each module implements one experiment, and the binaries in
+//! `src/bin/` print the corresponding table; the DESIGN.md ablations
+//! run as the [`ablation`] module's tests. Every other timing lives in
 //! perfbench (`perfbench/`):
 //!
-//! | Paper artifact | Module | Binary | Bench |
-//! |---|---|---|---|
-//! | Table 1 | [`table1`] | `table1` | — |
-//! | Figure 3 (left: checkers) | [`fig3`] | `fig3 checkers` | — |
-//! | Figure 3 (right: generators) | [`fig3`] | `fig3 generators` | — |
-//! | §6.2 mutation study | [`mutation`] | `mutation` | — |
-//! | §6.3 reflection | [`reflection`] | `reflection` | `reflection` |
-//! | DESIGN.md ablations | [`ablation`] | — | `ablation` |
-//! | EXPERIMENTS.md tabling speedups | [`memo`] | `memo` | — |
-//! | EXPERIMENTS.md observability smoke | [`obs`] | `obs` | — |
+//! | Paper artifact | Module | Binary |
+//! |---|---|---|
+//! | Table 1 | [`table1`] | `table1` |
+//! | Figure 3 (left: checkers) | [`fig3`] | `fig3 checkers` |
+//! | Figure 3 (right: generators) | [`fig3`] | `fig3 generators` |
+//! | §6.2 mutation study | [`mutation`] | `mutation` |
+//! | §6.3 reflection | [`reflection`] | `reflection` |
+//! | DESIGN.md ablations | [`ablation`] | — |
+//! | EXPERIMENTS.md tabling speedups | [`memo`] | `memo` |
+//! | EXPERIMENTS.md observability smoke | [`obs`] | `obs` |
 
 pub mod ablation;
 pub mod fig3;

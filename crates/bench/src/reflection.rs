@@ -43,8 +43,8 @@ mod tests {
         // Keep the assertions timing-robust (debug builds under a
         // parallel test runner are noisy): reflection must win at both
         // lengths, and the kernel cost must grow with n. The
-        // quadratic-vs-linear *trend* is reported by the binary and the
-        // Criterion bench, where measurements are controlled.
+        // quadratic-vs-linear *trend* is reported by the `reflection`
+        // binary, which measures four lengths outside the test runner.
         let reports = run(&[200, 800]);
         assert!(reports[0].speedup() > 1.0, "{reports:?}");
         assert!(reports[1].speedup() > 1.0, "{reports:?}");

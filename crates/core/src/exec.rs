@@ -5,6 +5,15 @@
 //! (QuickChick `backtrack`), mirroring the paper's claim that all three
 //! computations are instances of one derivation.
 //!
+//! The three executors share one straight-line runner, as the VM's
+//! producers share `vm_run`: after one input matcher binds a handler's
+//! patterns, `run_steps` runs its equality, match and premise steps in
+//! place and stops at the first fan-out step (`ProduceExt`,
+//! `ProduceRec`, `Unconstrained`). Each executor keeps only its
+//! dispatch over handlers and its fan-out arms: the checker folds the
+//! witness stream with `bind_ec`, the enumerator binds the same stream
+//! lazily with [`EStream::bind`], and the generator makes one draw.
+//!
 //! Fuel discipline (§2): every plan execution takes a `size` — the
 //! decreasing recursion fuel — and a `top_size`, which is handed (as
 //! both parameters) to every *external* call, so that a nested checker
@@ -37,13 +46,12 @@ use crate::mode::Mode;
 use crate::plan::{Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
 use indrel_producers::{
-    backtracking, backtracking_metered, bind_ce, bind_ec, cnot, enumerating, Budget, EStream,
-    Meter, Outcome,
+    backtracking, backtracking_metered, bind_ec, cnot, enumerating, Budget, EStream, Meter, Outcome,
 };
 use indrel_term::{
     enumerate::{finite_size_bound, values_up_to},
     random::random_value,
-    Env, RelId, TermExpr, Value,
+    Env, RelId, TermExpr, Value, VarId,
 };
 use std::rc::Rc;
 use std::sync::Arc;
@@ -614,6 +622,141 @@ impl Library {
     }
 
     // ------------------------------------------------------------------
+    // Plan execution
+    // ------------------------------------------------------------------
+
+    /// Matches a handler's input patterns against `inputs`, binding
+    /// their variables in `env`, and emits the `Inputs` unify failure
+    /// when one does not match — the head every executor runs first.
+    fn match_inputs(&self, plan: &Plan, h_idx: usize, inputs: &[Value], env: &mut Env) -> bool {
+        let pats = &plan.handlers[h_idx].input_pats;
+        debug_assert_eq!(pats.len(), inputs.len());
+        let matched = pats
+            .iter()
+            .zip(inputs)
+            .all(|(pat, val)| pat.matches(val, env));
+        if !matched {
+            self.probe(|| Event::UnifyFail {
+                rel: plan.rel,
+                rule: h_idx as u32,
+                site: FailSite::Inputs,
+            });
+        }
+        matched
+    }
+
+    /// Runs a handler's straight-line steps in place from `idx`: the
+    /// interpreter's counterpart of the VM's `vm_run`, shared by the
+    /// checker, the enumerator and the generator. Stops with `Ok` at
+    /// the first fan-out step (`ProduceExt`, `ProduceRec`,
+    /// `Unconstrained`) or at the end of the handler, returning that
+    /// index; with `Err(Some(false))` when a step fails; and with
+    /// `Err(None)` when a premise is undecided.
+    fn run_steps(
+        &self,
+        plan: &Arc<Plan>,
+        h_idx: usize,
+        mut idx: usize,
+        env: &mut Env,
+        size_rem: u64,
+        top: u64,
+    ) -> Result<usize, Option<bool>> {
+        let steps = &plan.handlers[h_idx].steps;
+        while let Some(step) = steps.get(idx) {
+            let holds = match step {
+                Step::EqCheck { lhs, rhs, negated } => {
+                    (eval(lhs, env, self) == eval(rhs, env, self)) != *negated
+                }
+                Step::EqBind { var, expr } => {
+                    let v = eval(expr, env, self);
+                    env.bind(*var, v);
+                    true
+                }
+                Step::MatchExpr { scrutinee, pattern } => {
+                    let v = eval(scrutinee, env, self);
+                    pattern.matches(&v, env)
+                }
+                Step::CheckRel { rel, args, negated } => {
+                    let vals = self.eval_into(args, env);
+                    let r = self.check(*rel, top, top, &vals);
+                    self.put_args(vals);
+                    let r = if *negated { cnot(r) } else { r };
+                    if r != Some(true) {
+                        return Err(r);
+                    }
+                    true
+                }
+                Step::RecCheck { args } => {
+                    let vals = self.eval_into(args, env);
+                    let r = self.run_plan_check(plan, size_rem, top, &vals);
+                    self.put_args(vals);
+                    if r != Some(true) {
+                        return Err(r);
+                    }
+                    true
+                }
+                Step::ProduceExt { .. } | Step::ProduceRec { .. } | Step::Unconstrained { .. } => {
+                    return Ok(idx)
+                }
+            };
+            if !holds {
+                self.probe(|| Event::UnifyFail {
+                    rel: plan.rel,
+                    rule: h_idx as u32,
+                    site: FailSite::Step(idx as u32),
+                });
+                return Err(Some(false));
+            }
+            idx += 1;
+        }
+        Ok(idx)
+    }
+
+    /// The witness stream of the fan-out step at `idx` with the slots
+    /// each witness binds, or `None` at the end of the handler: the
+    /// stream the checker folds with `bind_ec` and the enumerator binds
+    /// with [`EStream::bind`]. An `Unconstrained` step streams its
+    /// type's bounded domain, then an out-of-fuel marker when the
+    /// domain was cut (the paper's enumerators surface a truncated
+    /// domain as a fuelE outcome; §5.1 monotonicity depends on it).
+    fn fan_out<'p>(
+        &self,
+        plan: &'p Arc<Plan>,
+        h_idx: usize,
+        idx: usize,
+        env: &Env,
+        size_rem: u64,
+        top: u64,
+    ) -> Option<(EStream<Vec<Value>>, &'p [VarId])> {
+        let step = plan.handlers[h_idx].steps.get(idx)?;
+        Some(match step {
+            Step::ProduceExt {
+                in_args, out_slots, ..
+            }
+            | Step::ProduceRec { in_args, out_slots } => {
+                let in_vals = self.eval_into(in_args, env);
+                let stream = match step {
+                    Step::ProduceExt { rel, mode, .. } => {
+                        self.enumerate(*rel, mode, top, top, &in_vals)
+                    }
+                    _ => self.run_plan_enum(plan, size_rem, top, &in_vals),
+                };
+                self.put_args(in_vals);
+                (stream, out_slots.as_slice())
+            }
+            Step::Unconstrained { var, ty } => {
+                let candidates = self.raw_values(ty, top);
+                let truncated = self.raw_truncated(ty, top);
+                let values = (0..candidates.len())
+                    .map(move |i| Outcome::Val(vec![candidates[i].clone()]))
+                    .chain(truncated.then_some(Outcome::OutOfFuel));
+                (EStream::from_outcomes(values), std::slice::from_ref(var))
+            }
+            _ => unreachable!("the step runner stops only at fan-out steps"),
+        })
+    }
+
+    // ------------------------------------------------------------------
     // Checker execution
     // ------------------------------------------------------------------
 
@@ -706,25 +849,18 @@ impl Library {
         top: u64,
         args: &[Value],
     ) -> Option<bool> {
-        let h = &plan.handlers[h_idx];
-        let mut env = self.take_env(h.nslots);
-        debug_assert_eq!(h.input_pats.len(), args.len());
-        for (pat, val) in h.input_pats.iter().zip(args) {
-            if !pat.matches(val, &mut env) {
-                self.put_env(env);
-                self.probe(|| Event::UnifyFail {
-                    rel: plan.rel,
-                    rule: h_idx as u32,
-                    site: FailSite::Inputs,
-                });
-                return Some(false);
-            }
-        }
-        let r = self.steps_check(plan, h_idx, 0, &mut env, size_rem, top);
+        let mut env = self.take_env(plan.handlers[h_idx].nslots);
+        let r = if self.match_inputs(plan, h_idx, args, &mut env) {
+            self.steps_check(plan, h_idx, 0, &mut env, size_rem, top)
+        } else {
+            Some(false)
+        };
         self.put_env(env);
         r
     }
 
+    /// Checks a handler from step `idx`: its straight-line steps, then
+    /// its fan-out.
     fn steps_check(
         &self,
         plan: &Arc<Plan>,
@@ -734,118 +870,36 @@ impl Library {
         size_rem: u64,
         top: u64,
     ) -> Option<bool> {
-        // Straight-line steps run in a loop; only producer steps (which
-        // fan out over enumerated witnesses) recurse for their tail.
-        let steps = &plan.handlers[h_idx].steps;
-        let mut idx = idx;
-        loop {
-            let Some(step) = steps.get(idx) else {
-                return Some(true);
-            };
-            match step {
-                Step::EqCheck { lhs, rhs, negated } => {
-                    let l = eval(lhs, env, self);
-                    let r = eval(rhs, env, self);
-                    if (l == r) == *negated {
-                        self.probe(|| Event::UnifyFail {
-                            rel: plan.rel,
-                            rule: h_idx as u32,
-                            site: FailSite::Step(idx as u32),
-                        });
-                        return Some(false);
-                    }
-                    idx += 1;
-                }
-                Step::EqBind { var, expr } => {
-                    let v = eval(expr, env, self);
-                    env.bind(*var, v);
-                    idx += 1;
-                }
-                Step::MatchExpr { scrutinee, pattern } => {
-                    let v = eval(scrutinee, env, self);
-                    if pattern.matches(&v, env) {
-                        idx += 1;
-                    } else {
-                        self.probe(|| Event::UnifyFail {
-                            rel: plan.rel,
-                            rule: h_idx as u32,
-                            site: FailSite::Step(idx as u32),
-                        });
-                        return Some(false);
-                    }
-                }
-                Step::CheckRel { rel, args, negated } => {
-                    let vals = self.eval_into(args, env);
-                    let mut r = self.check(*rel, top, top, &vals);
-                    self.put_args(vals);
-                    if *negated {
-                        r = cnot(r);
-                    }
-                    match r {
-                        Some(true) => idx += 1,
-                        other => return other,
-                    }
-                }
-                Step::RecCheck { args } => {
-                    let vals = self.eval_into(args, env);
-                    let r = self.run_plan_check(plan, size_rem, top, &vals);
-                    self.put_args(vals);
-                    match r {
-                        Some(true) => idx += 1,
-                        other => return other,
-                    }
-                }
-                Step::ProduceExt {
-                    rel,
-                    mode,
-                    in_args,
-                    out_slots,
-                } => {
-                    let in_vals = self.eval_into(in_args, env);
-                    let stream = self.enumerate(*rel, mode, top, top, &in_vals);
-                    self.put_args(in_vals);
-                    // bind_ec drains the stream eagerly, so the closure
-                    // can borrow `out_slots` from the plan directly.
-                    return bind_ec(stream, |outs| {
-                        let mut env2 = env.clone();
-                        for (slot, v) in out_slots.iter().zip(outs) {
-                            env2.bind(*slot, v);
-                        }
-                        self.steps_check(plan, h_idx, idx + 1, &mut env2, size_rem, top)
-                    });
-                }
-                Step::ProduceRec { in_args, out_slots } => {
-                    let in_vals = self.eval_into(in_args, env);
-                    let stream = self.run_plan_enum(plan, size_rem, top, &in_vals);
-                    self.put_args(in_vals);
-                    return bind_ec(stream, |outs| {
-                        let mut env2 = env.clone();
-                        for (slot, v) in out_slots.iter().zip(outs) {
-                            env2.bind(*slot, v);
-                        }
-                        self.steps_check(plan, h_idx, idx + 1, &mut env2, size_rem, top)
-                    });
-                }
-                Step::Unconstrained { var, ty } => {
-                    let candidates = self.raw_values(ty, top);
-                    let var = *var;
-                    // A truncated domain means exhausting the candidates is
-                    // not conclusive (the paper's enumerators surface this
-                    // as a fuelE outcome; §5.1 monotonicity depends on it).
-                    let mut needs_fuel = self.raw_truncated(ty, top);
-                    for v in candidates.iter() {
-                        let mut env2 = env.clone();
-                        env2.bind(var, v.clone());
-                        match self.steps_check(plan, h_idx, idx + 1, &mut env2, size_rem, top) {
-                            Some(true) => return Some(true),
-                            Some(false) => {}
-                            None => needs_fuel = true,
-                        }
-                    }
-                    return if needs_fuel { None } else { Some(false) };
-                }
-            }
+        match self.run_steps(plan, h_idx, idx, env, size_rem, top) {
+            Ok(idx) => self.fan_out_check(plan, h_idx, idx, env, size_rem, top),
+            Err(r) => r,
         }
+    }
+
+    /// The checker's fan-out: folds the witness stream with `bind_ec`,
+    /// checking the rest of the handler once per witness. Out of line,
+    /// so its frame is not live under the recursive premises of
+    /// `run_steps`.
+    #[inline(never)]
+    fn fan_out_check(
+        &self,
+        plan: &Arc<Plan>,
+        h_idx: usize,
+        idx: usize,
+        env: &Env,
+        size_rem: u64,
+        top: u64,
+    ) -> Option<bool> {
+        let Some((stream, slots)) = self.fan_out(plan, h_idx, idx, env, size_rem, top) else {
+            return Some(true);
+        };
+        // bind_ec drains the stream eagerly, so the closure can borrow
+        // `slots` from the plan directly.
+        bind_ec(stream, |outs| {
+            let mut env2 = env.clone();
+            bind_slots(&mut env2, slots, outs);
+            self.steps_check(plan, h_idx, idx + 1, &mut env2, size_rem, top)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -906,18 +960,10 @@ impl Library {
         top: u64,
         inputs: &[Value],
     ) -> EStream<Vec<Value>> {
-        let h = &plan.handlers[h_idx];
-        let mut env = Env::with_slots(h.nslots);
-        debug_assert_eq!(h.input_pats.len(), inputs.len());
-        for (pat, val) in h.input_pats.iter().zip(inputs) {
-            if !pat.matches(val, &mut env) {
-                self.probe(|| Event::UnifyFail {
-                    rel: plan.rel,
-                    rule: h_idx as u32,
-                    site: FailSite::Inputs,
-                });
-                return EStream::empty();
-            }
+        // The env moves into the lazy stream, so it is not pooled.
+        let mut env = Env::with_slots(plan.handlers[h_idx].nslots);
+        if !self.match_inputs(plan, h_idx, inputs, &mut env) {
+            return EStream::empty();
         }
         let lib = self.clone();
         let plan2 = plan.clone();
@@ -935,6 +981,10 @@ impl Library {
             })
     }
 
+    /// Enumerates a handler from step `idx`: its straight-line steps,
+    /// then its fan-out, which binds the witness stream with
+    /// [`EStream::bind`] to enumerate the rest of the handler lazily per
+    /// witness.
     fn steps_enum(
         &self,
         plan: &Arc<Plan>,
@@ -944,121 +994,20 @@ impl Library {
         size_rem: u64,
         top: u64,
     ) -> EStream<Env> {
-        let steps = &plan.handlers[h_idx].steps;
-        let Some(step) = steps.get(idx) else {
+        let idx = match self.run_steps(plan, h_idx, idx, &mut env, size_rem, top) {
+            Ok(idx) => idx,
+            Err(Some(_)) => return EStream::empty(),
+            Err(None) => return EStream::fuel(),
+        };
+        let Some((stream, slots)) = self.fan_out(plan, h_idx, idx, &env, size_rem, top) else {
             return EStream::ret(env);
         };
-        match step {
-            Step::EqCheck { lhs, rhs, negated } => {
-                let holds = eval(lhs, &env, self) == eval(rhs, &env, self);
-                if holds != *negated {
-                    self.steps_enum(plan, h_idx, idx + 1, env, size_rem, top)
-                } else {
-                    self.probe(|| Event::UnifyFail {
-                        rel: plan.rel,
-                        rule: h_idx as u32,
-                        site: FailSite::Step(idx as u32),
-                    });
-                    EStream::empty()
-                }
-            }
-            Step::EqBind { var, expr } => {
-                let v = eval(expr, &env, self);
-                env.bind(*var, v);
-                self.steps_enum(plan, h_idx, idx + 1, env, size_rem, top)
-            }
-            Step::MatchExpr { scrutinee, pattern } => {
-                let v = eval(scrutinee, &env, self);
-                if pattern.matches(&v, &mut env) {
-                    self.steps_enum(plan, h_idx, idx + 1, env, size_rem, top)
-                } else {
-                    self.probe(|| Event::UnifyFail {
-                        rel: plan.rel,
-                        rule: h_idx as u32,
-                        site: FailSite::Step(idx as u32),
-                    });
-                    EStream::empty()
-                }
-            }
-            Step::CheckRel { rel, args, negated } => {
-                let vals = eval_args(args, &env, self);
-                let mut r = self.check(*rel, top, top, &vals);
-                if *negated {
-                    r = cnot(r);
-                }
-                let lib = self.clone();
-                let plan = plan.clone();
-                bind_ce(r, move || {
-                    lib.steps_enum(&plan, h_idx, idx + 1, env, size_rem, top)
-                })
-            }
-            Step::RecCheck { .. } => {
-                unreachable!("RecCheck only appears in checker plans")
-            }
-            Step::ProduceExt {
-                rel,
-                mode,
-                in_args,
-                out_slots,
-            } => {
-                let in_vals = eval_args(in_args, &env, self);
-                let stream = self.enumerate(*rel, mode, top, top, &in_vals);
-                self.bind_outs(
-                    stream,
-                    plan,
-                    h_idx,
-                    idx,
-                    env,
-                    out_slots.clone(),
-                    size_rem,
-                    top,
-                )
-            }
-            Step::ProduceRec { in_args, out_slots } => {
-                let in_vals = eval_args(in_args, &env, self);
-                let stream = self.run_plan_enum(plan, size_rem, top, &in_vals);
-                self.bind_outs(
-                    stream,
-                    plan,
-                    h_idx,
-                    idx,
-                    env,
-                    out_slots.clone(),
-                    size_rem,
-                    top,
-                )
-            }
-            Step::Unconstrained { var, ty } => {
-                let candidates = self.raw_values(ty, top);
-                let truncated = self.raw_truncated(ty, top);
-                let values = (0..candidates.len())
-                    .map(move |i| Outcome::Val(vec![candidates[i].clone()]))
-                    .chain(truncated.then_some(Outcome::OutOfFuel));
-                let stream = EStream::from_outcomes(values);
-                self.bind_outs(stream, plan, h_idx, idx, env, vec![*var], size_rem, top)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn bind_outs(
-        &self,
-        stream: EStream<Vec<Value>>,
-        plan: &Arc<Plan>,
-        h_idx: usize,
-        idx: usize,
-        env: Env,
-        slots: Vec<indrel_term::VarId>,
-        size_rem: u64,
-        top: u64,
-    ) -> EStream<Env> {
+        let slots = slots.to_vec();
         let lib = self.clone();
         let plan = plan.clone();
         stream.bind(move |outs| {
             let mut env2 = env.clone();
-            for (slot, v) in slots.iter().zip(outs) {
-                env2.bind(*slot, v);
-            }
+            bind_slots(&mut env2, &slots, outs);
             lib.steps_enum(&plan, h_idx, idx + 1, env2, size_rem, top)
         })
     }
@@ -1138,25 +1087,19 @@ impl Library {
         inputs: &[Value],
         rng: &mut dyn rand::RngCore,
     ) -> Option<Vec<Value>> {
-        let h = &plan.handlers[h_idx];
-        let mut env = self.take_env(h.nslots);
-        for (pat, val) in h.input_pats.iter().zip(inputs) {
-            if !pat.matches(val, &mut env) {
-                self.put_env(env);
-                self.probe(|| Event::UnifyFail {
-                    rel: plan.rel,
-                    rule: h_idx as u32,
-                    site: FailSite::Inputs,
-                });
-                return None;
-            }
-        }
-        let result = self.handler_gen_steps(plan, h_idx, &mut env, size_rem, top, rng);
+        let mut env = self.take_env(plan.handlers[h_idx].nslots);
+        let out = if self.match_inputs(plan, h_idx, inputs, &mut env) {
+            self.steps_gen(plan, h_idx, &mut env, size_rem, top, rng)
+        } else {
+            None
+        };
         self.put_env(env);
-        result
+        out
     }
 
-    fn handler_gen_steps(
+    /// Generates from a handler's steps: the straight-line runs, with
+    /// one draw per fan-out step between them.
+    fn steps_gen(
         &self,
         plan: &Arc<Plan>,
         h_idx: usize,
@@ -1166,81 +1109,42 @@ impl Library {
         rng: &mut dyn rand::RngCore,
     ) -> Option<Vec<Value>> {
         let h = &plan.handlers[h_idx];
-        for (idx, step) in h.steps.iter().enumerate() {
-            match step {
-                Step::EqCheck { lhs, rhs, negated } => {
-                    let holds = eval(lhs, env, self) == eval(rhs, env, self);
-                    if holds == *negated {
-                        self.probe(|| Event::UnifyFail {
-                            rel: plan.rel,
-                            rule: h_idx as u32,
-                            site: FailSite::Step(idx as u32),
-                        });
-                        return None;
+        let mut idx = 0;
+        loop {
+            idx = self.run_steps(plan, h_idx, idx, env, size_rem, top).ok()?;
+            match h.steps.get(idx) {
+                None => return Some(h.outputs.iter().map(|e| eval(e, env, self)).collect()),
+                Some(
+                    step @ (Step::ProduceExt {
+                        in_args, out_slots, ..
                     }
-                }
-                Step::EqBind { var, expr } => {
-                    let v = eval(expr, env, self);
-                    env.bind(*var, v);
-                }
-                Step::MatchExpr { scrutinee, pattern } => {
-                    let v = eval(scrutinee, env, self);
-                    if !pattern.matches(&v, env) {
-                        self.probe(|| Event::UnifyFail {
-                            rel: plan.rel,
-                            rule: h_idx as u32,
-                            site: FailSite::Step(idx as u32),
-                        });
-                        return None;
-                    }
-                }
-                Step::CheckRel { rel, args, negated } => {
-                    let vals = self.eval_into(args, env);
-                    let mut r = self.check(*rel, top, top, &vals);
-                    self.put_args(vals);
-                    if *negated {
-                        r = cnot(r);
-                    }
-                    if r != Some(true) {
-                        return None;
-                    }
-                }
-                Step::RecCheck { .. } => unreachable!("RecCheck only appears in checker plans"),
-                Step::ProduceExt {
-                    rel,
-                    mode,
-                    in_args,
-                    out_slots,
-                } => {
-                    // The callee stays on the interpreter too: this
-                    // executor runs when a meter or probe is armed (the
-                    // callee would take it anyway), or as
-                    // `generate_interpreted`'s oracle.
-                    let entry = self
-                        .require_producer(*rel, mode, InstanceKind::Generator)
-                        .unwrap_or_else(|e| panic!("{e}"));
+                    | Step::ProduceRec { in_args, out_slots }),
+                ) => {
                     let in_vals = self.eval_into(in_args, env);
-                    let outs = self.run_gen_impl(*rel, entry, top, top, &in_vals, rng);
+                    let outs = match step {
+                        // The callee stays on the interpreter too: this
+                        // executor runs when a meter or probe is armed
+                        // (the callee would take it anyway), or as
+                        // `generate_interpreted`'s oracle.
+                        Step::ProduceExt { rel, mode, .. } => {
+                            let entry = self
+                                .require_producer(*rel, mode, InstanceKind::Generator)
+                                .unwrap_or_else(|e| panic!("{e}"));
+                            self.run_gen_impl(*rel, entry, top, top, &in_vals, rng)
+                        }
+                        _ => self.run_plan_gen(plan, size_rem, top, &in_vals, rng),
+                    };
                     self.put_args(in_vals);
-                    for (slot, v) in out_slots.iter().zip(outs?) {
-                        env.bind(*slot, v);
-                    }
+                    bind_slots(env, out_slots, outs?);
                 }
-                Step::ProduceRec { in_args, out_slots } => {
-                    let in_vals = self.eval_into(in_args, env);
-                    let outs = self.run_plan_gen(plan, size_rem, top, &in_vals, rng);
-                    self.put_args(in_vals);
-                    for (slot, v) in out_slots.iter().zip(outs?) {
-                        env.bind(*slot, v);
-                    }
-                }
-                Step::Unconstrained { var, ty } => {
+                Some(Step::Unconstrained { var, ty }) => {
                     let v = random_value(&self.inner.universe, ty, size_rem.max(1), rng);
                     env.bind(*var, v);
                 }
+                Some(_) => unreachable!("the step runner stops only at fan-out steps"),
             }
+            idx += 1;
         }
-        Some(h.outputs.iter().map(|e| eval(e, env, self)).collect())
     }
 }
 
@@ -1367,8 +1271,11 @@ fn eval(e: &TermExpr, env: &Env, lib: &Library) -> Value {
         .expect("plan invariant: expressions are fully instantiated when evaluated")
 }
 
-fn eval_args(args: &[TermExpr], env: &Env, lib: &Library) -> Vec<Value> {
-    args.iter().map(|a| eval(a, env, lib)).collect()
+/// Binds a witness tuple's values to the slots that receive them.
+fn bind_slots(env: &mut Env, slots: &[VarId], outs: Vec<Value>) {
+    for (slot, v) in slots.iter().zip(outs) {
+        env.bind(*slot, v);
+    }
 }
 
 #[cfg(test)]

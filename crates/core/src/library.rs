@@ -136,8 +136,8 @@ pub(crate) struct Inner {
     /// most once; the checker entry boundary reads it on every entry,
     /// so an ordinary session pays one load and branch.
     pub(crate) memo: std::cell::OnceCell<Arc<SharedMemo>>,
-    /// Fingerprints argument tuples for table lookups. Its hash-consing
-    /// caches are per session, so it lives here rather than on a table
+    /// Fingerprints argument tuples for table lookups. Its fingerprint
+    /// cache is per session, so it lives here rather than on a table
     /// that other threads share.
     pub(crate) interner: std::cell::RefCell<Interner>,
     /// Monotone count of derived checker searches this session; the

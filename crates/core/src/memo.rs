@@ -79,8 +79,8 @@
 //!
 //! The hot path is allocation-free: a lookup reduces the argument tuple
 //! to a 64-bit structural fingerprint with the session's
-//! [`Interner::fingerprint`] (O(1) per already-seen subtree, since
-//! fingerprints hash-cons by `Arc` identity). Fingerprints are
+//! [`Interner::fingerprint`] (one map probe for an already-seen term,
+//! whose root fingerprint is cached by `Arc` identity). Fingerprints are
 //! structural, so every session computes the same one for the same
 //! tuple, and they double as shard keys. Argument tuples are copied
 //! (cheap `Arc` clones) into a boxed slot only when a verdict is

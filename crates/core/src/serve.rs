@@ -92,7 +92,9 @@ pub enum RequestOutcome {
     Unknown,
     /// Rejected by admission control before any search ran.
     Shed,
-    /// Failed with a structured `ExecError` after all retries.
+    /// Failed with a structured `ExecError`: rejected by validation
+    /// (no checker instance, or the wrong number of arguments) before
+    /// any search ran, or cut off after all retries.
     Failed,
 }
 
@@ -137,7 +139,8 @@ pub struct RequestSpan {
     /// How the request ended.
     pub outcome: RequestOutcome,
     /// Budget-escalation attempts consumed (1 = first try decided; 0
-    /// for shed requests, which never reach the search).
+    /// for shed requests and requests that failed validation, which
+    /// never reach the search).
     pub attempts: u32,
     /// Budget steps spent across all attempts.
     pub steps: u64,
@@ -700,38 +703,28 @@ impl Session {
     /// Checks a batch of argument tuples against `rel` at fuel `size`,
     /// one verdict (or structured error) per tuple, in order.
     ///
-    /// Per request: admission ([`ExecError::Overloaded`] when the
+    /// Per request: validation ([`ExecError::NoInstance`] when `rel`
+    /// has no checker, [`ExecError::ArityMismatch`] for a tuple of the
+    /// wrong length), admission ([`ExecError::Overloaded`] when the
     /// server is at capacity — shed requests cost nothing and are not
     /// retried), then up to `1 + max_retries` attempts, each under a
     /// step allotment drawn from the shared pool (doubling per retry,
     /// plus deterministic jitter from `(retry_seed, index)`) and the
     /// server budget's `max_term_size`; unspent steps are returned to
-    /// the pool. Only a step cut-off is retried. Instance and arity validation is
-    /// amortized: resolved once for the batch, not per tuple.
+    /// the pool. Only a step cut-off is retried. Every request, a
+    /// malformed one included, is booked once in the metrics and the
+    /// flight recorder.
     pub fn check_batch(
         &self,
         rel: RelId,
         size: u64,
         batch: &[Vec<Value>],
     ) -> Vec<Result<Option<bool>, ExecError>> {
-        let mut out = Vec::with_capacity(batch.len());
-        // Amortized validation: one instance lookup and arity check for
-        // the whole batch (all tuples address the same checker).
-        let precheck = self.lib.require_checker(rel);
-        let arity = self.lib.env().relation(rel).arity();
         let seed = self.state.config.retry_seed;
-        for (index, args) in batch.iter().enumerate() {
-            let r = match &precheck {
-                Err(e) => Err(e.clone()),
-                Ok(_) if args.len() != arity => {
-                    Err(self.lib.require_count(rel, arity, args.len()).unwrap_err())
-                }
-                Ok(imp) => self.check_one(rel, imp, size, args, seed, index as u64),
-            };
-            out.push(r);
-            self.report_degraded();
-        }
-        out
+        (0..)
+            .zip(batch)
+            .map(|(index, args)| self.check_replay(rel, size, args, seed, index))
+            .collect()
     }
 
     /// Replays one request exactly as [`Session::check_batch`] ran it:
@@ -749,45 +742,53 @@ impl Session {
         seed: u64,
         index: u64,
     ) -> Result<Option<bool>, ExecError> {
-        let imp = self.lib.require_checker(rel)?;
-        self.lib
-            .require_count(rel, self.lib.env().relation(rel).arity(), args.len())?;
-        let r = self.check_one(rel, imp, size, args, seed, index);
+        let r = self.check_one(rel, size, args, seed, index);
         self.report_degraded();
         r
     }
 
-    /// One admitted, budgeted, retried request of `imp`, the validated
-    /// checker of `rel`, under the repro token `(seed, index)`.
+    /// One validated, admitted, budgeted, retried request of `rel`'s
+    /// checker under the repro token `(seed, index)`, booked once
+    /// however it ends.
     fn check_one(
         &self,
         rel: RelId,
-        imp: &CheckerImpl,
         size: u64,
         args: &[Value],
         seed: u64,
         index: u64,
     ) -> Result<Option<bool>, ExecError> {
         let started = Instant::now();
+        let unrun = |outcome| RequestSpan {
+            seed,
+            index,
+            rel,
+            size,
+            outcome,
+            attempts: 0,
+            steps: 0,
+            memo_hits: 0,
+            memo_misses: 0,
+        };
+        // A malformed request fails before it takes a permit.
+        let arity = self.lib.env().relation(rel).arity();
+        let validated = self
+            .lib
+            .require_checker(rel)
+            .and_then(|imp| self.lib.require_count(rel, arity, args.len()).map(|()| imp));
+        let imp = match validated {
+            Ok(imp) => imp,
+            Err(e) => {
+                self.finish(unrun(RequestOutcome::Failed), started);
+                return Err(e);
+            }
+        };
         let _permit = match self.state.try_admit() {
             Ok(p) => p,
             Err(e) => {
                 // `try_admit` already counted the shed; the span and
                 // `serve.requests` still record the request itself.
-                self.finish(
-                    RequestSpan {
-                        seed,
-                        index,
-                        rel,
-                        size,
-                        outcome: RequestOutcome::Shed,
-                        attempts: 0,
-                        steps: 0,
-                        memo_hits: 0,
-                        memo_misses: 0,
-                    },
-                    started,
-                );
+                self.finish(unrun(RequestOutcome::Shed), started);
                 return Err(e);
             }
         };
@@ -802,15 +803,11 @@ impl Session {
         };
         self.finish(
             RequestSpan {
-                seed,
-                index,
-                rel,
-                size,
-                outcome,
                 attempts,
                 steps,
                 memo_hits: hits_after - hits_before,
                 memo_misses: misses_after - misses_before,
+                ..unrun(outcome)
             },
             started,
         );
@@ -1104,13 +1101,67 @@ mod tests {
 
     #[test]
     fn batch_reports_arity_and_instance_errors_per_request() {
-        let (shared, even) = shared_even();
-        let server = Server::new(shared, ServeConfig::default(), Budget::unlimited());
+        let mut u = Universe::new();
+        let mut env = RelEnv::new();
+        parse_program(
+            &mut u,
+            &mut env,
+            r"rel even' : nat :=
+              | even_0 : even' 0
+              | even_SS : forall n, even' n -> even' (S (S n))
+              .
+              rel odd' : nat :=
+              | odd_1 : odd' 1
+              .",
+        )
+        .unwrap();
+        let even = env.rel_id("even'").unwrap();
+        let odd = env.rel_id("odd'").unwrap();
+        let mut b = LibraryBuilder::new(u, env);
+        b.derive_checker(even).unwrap();
+        let config = ServeConfig {
+            max_inflight: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::new(b.build().shared(), config, Budget::unlimited());
         let session = server.session();
         let batch = vec![vec![Value::nat(2)], vec![Value::nat(2), Value::nat(3)]];
         let got = session.check_batch(even, 10, &batch);
         assert_eq!(got[0], Ok(Some(true)));
         assert!(matches!(got[1], Err(ExecError::ArityMismatch { .. })));
+        // `odd'` has no checker instance.
+        let got = session.check_batch(odd, 10, &[vec![Value::nat(1)]]);
+        assert!(matches!(got[0], Err(ExecError::NoInstance { .. })));
+        // Validation takes no admission permit: at capacity, a
+        // malformed request still fails as malformed, not as shed.
+        let held = server.try_admit().unwrap();
+        assert!(matches!(
+            session.check_replay(even, 10, &[], 0, 0),
+            Err(ExecError::ArityMismatch { .. })
+        ));
+        drop(held);
+        // Every request is booked once, the malformed ones as failed
+        // spans that never reached the search.
+        let snap = server.snapshot();
+        assert_eq!(snap.counter("serve.requests"), Some(4));
+        assert_eq!(snap.counter("serve.requests.true"), Some(1));
+        assert_eq!(snap.counter("serve.requests.failed"), Some(3));
+        let spans = session.recorder().spans();
+        let outcomes: Vec<_> = spans
+            .iter()
+            .map(|s| (s.rel, s.outcome, s.attempts))
+            .collect();
+        assert_eq!(
+            outcomes,
+            [
+                (even, RequestOutcome::True, 1),
+                (even, RequestOutcome::Failed, 0),
+                (odd, RequestOutcome::Failed, 0),
+                (even, RequestOutcome::Failed, 0),
+            ]
+        );
+        assert!(spans[1..].iter().all(|s| s.steps == 0));
+        assert_eq!(server.stats().shed, 0);
     }
 
     #[test]

@@ -1,62 +1,36 @@
-//! Hash-consing of [`Value`] terms.
+//! Structural fingerprints of [`Value`] terms.
 //!
-//! The tabling layer in `indrel-core` keys its memo table on checker
-//! arguments. Hashing and comparing those arguments structurally would
-//! cost a deep traversal per lookup — exactly the work the cache is
-//! supposed to avoid. The [`Interner`] removes that cost by
-//! *canonicalizing* terms: within one interner, two structurally equal
-//! constructor values intern to the **same** `Arc`, so downstream keys
-//! can hash and compare constructor nodes by `Arc` pointer identity in
-//! O(arity) instead of O(size).
-//!
-//! Canonicalization is bottom-up. Each constructor node is identified
-//! by a *shallow* key — its [`CtorId`] plus the identities of its
-//! (already canonical) children, where a child's identity is its
-//! numeric payload for `Nat`/`Bool` and its `Arc` data pointer for
-//! constructors. The interner owns every canonical `Arc` it hands out,
-//! so those pointers are stable for the interner's lifetime; the
-//! `seen` fast path likewise stores *owning* handles to already
-//! interned argument vectors (a raw pointer would dangle once the
-//! original dropped, and a recycled allocation would then alias a
-//! different term — a correctness bug, not just a slow path).
-//!
-//! The interner offers a second, cheaper service for hot lookup paths:
-//! [`Interner::fingerprint`] computes a 64-bit *structural* hash of a
-//! term without canonicalizing it, hash-consing the fingerprint of the
-//! term's *root* by `Arc` identity (the cache entry owns a clone of the
-//! `Arc`, pinning the address it is keyed by). A term seen before —
-//! re-checks of the same value, fuel ladders, duplicate-heavy random
-//! corpora — fingerprints in one map probe with no allocation; a fresh
-//! term costs one mixing walk (which still shortcuts through any
-//! subterm cached as some earlier term's root). Interior nodes are
-//! deliberately not cached: pinning every node of a
+//! The tabling layer in `indrel-core` keys its verdict table on checker
+//! arguments. Hashing those arguments structurally would cost a deep
+//! traversal per lookup — exactly the work the table is supposed to
+//! avoid. [`Interner::fingerprint`] computes a 64-bit *structural*
+//! hash of a term and caches the fingerprint of the term's *root* by
+//! `Arc` identity (the cache entry owns a clone of the `Arc`, pinning
+//! the address it is keyed by, so a recycled allocation can never alias
+//! a different term). A term seen before — re-checks of the same value,
+//! fuel ladders, duplicate-heavy random corpora — fingerprints in one
+//! map probe with no allocation; a fresh term costs one mixing walk.
+//! Interior nodes are deliberately not cached: pinning every node of a
 //! seen-once term costs more map traffic than the walk it saves.
 //! Consumers that key on fingerprints must confirm candidates
 //! structurally (fingerprint equality is evidence, not proof).
 //!
-//! All maps stop admitting new nodes once `node_cap` is reached;
-//! interning then degrades to returning the input unchanged (always
-//! sound for pointer-keyed consumers — pointer equality still implies
-//! structural equality; distinct uncanonicalized terms merely miss)
-//! and fingerprinting to an uncached full walk.
+//! The cache stops admitting roots once `node_cap` is reached;
+//! fingerprinting then degrades to an uncached full walk.
 //!
 //! # Example
 //!
 //! ```
-//! use indrel_term::{Interner, Value, CtorId};
-//! use std::sync::Arc;
+//! use indrel_term::{CtorId, Interner, Value};
 //!
 //! let mut interner = Interner::new(1 << 20);
 //! let t = |n| Value::ctor(CtorId::new(1), vec![Value::nat(n)]);
-//! let (a, b) = (interner.intern(&t(7)), interner.intern(&t(7)));
-//! match (&a, &b) {
-//!     (Value::Ctor(_, xs), Value::Ctor(_, ys)) => assert!(Arc::ptr_eq(xs, ys)),
-//!     _ => unreachable!(),
-//! }
+//! // Physically distinct but structurally equal terms agree.
+//! assert_eq!(interner.fingerprint(&t(7)), interner.fingerprint(&t(7)));
+//! assert_ne!(interner.fingerprint(&t(7)), interner.fingerprint(&t(8)));
 //! ```
 
 use crate::hash::FastHashBuilder;
-use crate::ids::CtorId;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,49 +41,9 @@ fn addr_of(args: &Arc<Vec<Value>>) -> usize {
     Arc::as_ptr(args) as *const () as usize
 }
 
-/// Identity of an already canonical child value inside a shallow node
-/// key. Scalars are identified by payload, constructor children by the
-/// data pointer of their canonical argument `Arc` (unique per
-/// allocation, and kept alive by the interner).
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-enum ChildId {
-    Nat(u64),
-    Bool(bool),
-    Node(usize),
-}
-
-fn child_id(v: &Value) -> ChildId {
-    match v {
-        Value::Nat(n) => ChildId::Nat(*n),
-        Value::Bool(b) => ChildId::Bool(*b),
-        Value::Ctor(_, args) => ChildId::Node(addr_of(args)),
-    }
-}
-
-/// An owning handle to an argument vector, hashed and compared by
-/// pointer identity. Owning the `Arc` is what keeps the pointer from
-/// being recycled while it is a map key.
-struct ArcKey(Arc<Vec<Value>>);
-
-impl PartialEq for ArcKey {
-    fn eq(&self, other: &ArcKey) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-impl Eq for ArcKey {}
-impl std::hash::Hash for ArcKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (Arc::as_ptr(&self.0) as *const () as usize).hash(state);
-    }
-}
-
-/// A hash-consing pool for [`Value`] terms. See the module docs.
+/// A cache of structural fingerprints of [`Value`] terms. See the
+/// module docs.
 pub struct Interner {
-    /// Shallow node key → the canonical value for that node.
-    nodes: HashMap<(CtorId, Vec<ChildId>), Value, FastHashBuilder>,
-    /// Already interned argument vectors → their canonical value, so
-    /// re-interning a previously seen term is O(1) instead of a walk.
-    seen: HashMap<ArcKey, Value, FastHashBuilder>,
     /// Node address → (pin, structural fingerprint). The stored `Arc`
     /// keeps the keyed allocation alive, so an address can never be
     /// recycled out from under its entry.
@@ -120,107 +54,25 @@ pub struct Interner {
 impl std::fmt::Debug for Interner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Interner")
-            .field("nodes", &self.nodes.len())
+            .field("fp", &self.fp.len())
             .field("node_cap", &self.node_cap)
             .finish()
     }
 }
 
-/// Post-order traversal tasks for the iterative interning loop.
-enum Task<'a> {
-    Visit(&'a Value),
-    Build(CtorId, &'a Arc<Vec<Value>>),
-}
-
 impl Interner {
-    /// Creates an interner that stops admitting new canonical nodes
-    /// once it holds `node_cap` of them.
+    /// Creates a fingerprint cache that stops admitting new roots once
+    /// it holds `node_cap` of them.
     pub fn new(node_cap: usize) -> Interner {
         Interner {
-            nodes: HashMap::default(),
-            seen: HashMap::default(),
             fp: HashMap::default(),
             node_cap,
         }
     }
 
-    /// Number of canonical constructor nodes currently held.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of node fingerprints currently cached.
     pub fn len_fp(&self) -> usize {
         self.fp.len()
-    }
-
-    /// True if no node has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Drops every canonical node, releasing the memory (and the
-    /// pointer-identity guarantees) of all previously returned values.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.seen.clear();
-        self.fp.clear();
-    }
-
-    /// Canonicalizes `v`: structurally equal inputs return
-    /// pointer-identical outputs (until [`Interner::clear`], or unless
-    /// the node cap was reached first). Scalars are returned as-is.
-    ///
-    /// Iterative, so arbitrarily deep terms cannot overflow the stack.
-    pub fn intern(&mut self, v: &Value) -> Value {
-        if !matches!(v, Value::Ctor(..)) {
-            return v.clone();
-        }
-        let mut tasks = vec![Task::Visit(v)];
-        let mut done: Vec<Value> = Vec::new();
-        while let Some(task) = tasks.pop() {
-            match task {
-                Task::Visit(val) => match val {
-                    Value::Ctor(ctor, args) => {
-                        if let Some(hit) = self.seen.get(&ArcKey(Arc::clone(args))) {
-                            done.push(hit.clone());
-                        } else {
-                            tasks.push(Task::Build(*ctor, args));
-                            // Children pushed in reverse so they pop —
-                            // and land in `done` — left to right.
-                            tasks.extend(args.iter().rev().map(Task::Visit));
-                        }
-                    }
-                    scalar => done.push(scalar.clone()),
-                },
-                Task::Build(ctor, orig) => {
-                    let children = done.split_off(done.len() - orig.len());
-                    let key = (ctor, children.iter().map(child_id).collect::<Vec<_>>());
-                    let canon = match self.nodes.get(&key) {
-                        Some(c) => c.clone(),
-                        None if self.nodes.len() < self.node_cap => {
-                            let c = Value::Ctor(ctor, Arc::new(children));
-                            self.nodes.insert(key, c.clone());
-                            c
-                        }
-                        // Cap reached: hand back an uncanonicalized
-                        // node without remembering it.
-                        None => Value::Ctor(ctor, Arc::new(children)),
-                    };
-                    if self.seen.len() < self.node_cap {
-                        if let Value::Ctor(_, canon_args) = &canon {
-                            self.seen.insert(ArcKey(Arc::clone(orig)), canon.clone());
-                            // The canonical Arc itself re-interns in O(1).
-                            self.seen
-                                .insert(ArcKey(Arc::clone(canon_args)), canon.clone());
-                        }
-                    }
-                    done.push(canon);
-                }
-            }
-        }
-        debug_assert_eq!(done.len(), 1);
-        done.pop().expect("intern traversal leaves one result")
     }
 
     /// Structural fingerprint of `v`: equal for structurally equal
@@ -311,6 +163,7 @@ fn fp_scalar(tag: u64, payload: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::CtorId;
 
     fn leaf() -> Value {
         Value::ctor(CtorId::new(0), vec![])
@@ -318,76 +171,6 @@ mod tests {
 
     fn node(n: u64, l: Value, r: Value) -> Value {
         Value::ctor(CtorId::new(1), vec![Value::nat(n), l, r])
-    }
-
-    fn args_of(v: &Value) -> &Arc<Vec<Value>> {
-        match v {
-            Value::Ctor(_, args) => args,
-            _ => panic!("expected a constructor"),
-        }
-    }
-
-    #[test]
-    fn equal_terms_intern_to_the_same_arc() {
-        let mut i = Interner::new(1 << 16);
-        let a = i.intern(&node(3, leaf(), node(1, leaf(), leaf())));
-        let b = i.intern(&node(3, leaf(), node(1, leaf(), leaf())));
-        assert_eq!(a, b);
-        assert!(Arc::ptr_eq(args_of(&a), args_of(&b)));
-    }
-
-    #[test]
-    fn distinct_terms_stay_distinct() {
-        let mut i = Interner::new(1 << 16);
-        let a = i.intern(&node(3, leaf(), leaf()));
-        let b = i.intern(&node(4, leaf(), leaf()));
-        assert_ne!(a, b);
-        assert!(!Arc::ptr_eq(args_of(&a), args_of(&b)));
-    }
-
-    #[test]
-    fn shared_subterms_are_shared_in_the_output() {
-        let mut i = Interner::new(1 << 16);
-        let t = i.intern(&node(0, node(7, leaf(), leaf()), node(7, leaf(), leaf())));
-        let (l, r) = (&args_of(&t)[1], &args_of(&t)[2]);
-        assert!(Arc::ptr_eq(args_of(l), args_of(r)));
-    }
-
-    #[test]
-    fn reinterning_a_canonical_value_is_identity() {
-        let mut i = Interner::new(1 << 16);
-        let a = i.intern(&node(3, leaf(), leaf()));
-        let b = i.intern(&a);
-        assert!(Arc::ptr_eq(args_of(&a), args_of(&b)));
-    }
-
-    #[test]
-    fn scalars_pass_through() {
-        let mut i = Interner::new(1 << 16);
-        assert_eq!(i.intern(&Value::nat(9)), Value::nat(9));
-        assert_eq!(i.intern(&Value::bool(true)), Value::bool(true));
-        assert!(i.is_empty());
-    }
-
-    #[test]
-    fn cap_degrades_without_losing_structure() {
-        let mut i = Interner::new(1); // room for a single node
-        let a = i.intern(&node(1, leaf(), leaf()));
-        let b = i.intern(&node(2, leaf(), leaf()));
-        assert_eq!(a, node(1, leaf(), leaf()));
-        assert_eq!(b, node(2, leaf(), leaf()));
-        assert!(i.len() <= 1);
-    }
-
-    #[test]
-    fn clear_resets_the_pool() {
-        let mut i = Interner::new(1 << 16);
-        let a = i.intern(&node(1, leaf(), leaf()));
-        i.clear();
-        assert!(i.is_empty());
-        let b = i.intern(&node(1, leaf(), leaf()));
-        // Structure survives; identity is only promised within an epoch.
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -424,6 +207,18 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_cache_stops_admitting_at_its_cap() {
+        let mut i = Interner::new(1); // room for a single root
+        let (a, b) = (node(1, leaf(), leaf()), node(2, leaf(), leaf()));
+        let (fa, fb) = (i.fingerprint(&a), i.fingerprint(&b));
+        assert_eq!(i.len_fp(), 1);
+        // Past the cap an uncached walk still lands on the same value.
+        assert_eq!(i.fingerprint(&b), fb);
+        assert_eq!(i.fingerprint(&node(1, leaf(), leaf())), fa);
+        assert_eq!(i.len_fp(), 1);
+    }
+
+    #[test]
     fn fingerprints_truncate_to_a_preorder_prefix() {
         let mut i = Interner::new(1 << 16);
         // Two chains that differ only past the token cap: same prefix,
@@ -454,8 +249,8 @@ mod tests {
         let h = i.fingerprint(&v);
         assert_eq!(i.fingerprint(&v), h);
         // `v` keeps every chain node alive while the cache's pins drop,
-        // so clearing cannot cascade; then dismantle the chain itself.
-        i.clear();
+        // so dropping the cache cannot cascade; then dismantle the
+        // chain itself.
         drop(i);
         dismantle(v);
     }
@@ -471,26 +266,5 @@ mod tests {
                 Err(_) => break,
             }
         }
-    }
-
-    #[test]
-    fn deep_terms_intern_iteratively() {
-        let mut i = Interner::new(1 << 20);
-        let mut v = leaf();
-        for _ in 0..200_000 {
-            v = Value::ctor(CtorId::new(2), vec![v]);
-        }
-        let canon = i.intern(&v);
-        let again = i.intern(&v); // `seen` fast path, O(1)
-        assert!(Arc::ptr_eq(args_of(&canon), args_of(&again)));
-        // Teardown must not recurse either. Holding `canon` while the
-        // interner clears keeps every chain node alive (each is pinned
-        // by its parent), so no drop cascades; then the two remaining
-        // singly-owned chains are dismantled iteratively.
-        drop(again);
-        i.clear();
-        drop(i);
-        dismantle(canon);
-        dismantle(v);
     }
 }

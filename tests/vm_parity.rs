@@ -706,8 +706,9 @@ fn deep_derivations_fit_a_two_mib_stack() {
     // outgrows its stack aborts the process. The floors pinned here sit
     // below what a debug build reaches on x86-64: about 2,500 levels
     // for `between`'s compiled enumeration of `le` (the interpreter:
-    // 2,600) and about 670 for the compiled `deep` generator (the
-    // interpreter: 600).
+    // 2,600), about 660 for the compiled `deep` generator and about
+    // 1,060 for the interpreted one. Release builds reach about 4,800,
+    // 3,000 and 3,500.
     std::thread::Builder::new()
         .stack_size(2 << 20)
         .spawn(|| {
@@ -750,6 +751,10 @@ fn deep_derivations_fit_a_two_mib_stack() {
             let n = 550;
             let mut rng = SmallRng::seed_from_u64(7);
             let out = lib.generate(deep, &down, n + 1, n + 1, &[Value::nat(n)], &mut rng);
+            assert_eq!(out, Some(vec![Value::nat(n)]));
+            let n = 800;
+            let out =
+                lib.generate_interpreted(deep, &down, n + 1, n + 1, &[Value::nat(n)], &mut rng);
             assert_eq!(out, Some(vec![Value::nat(n)]));
         })
         .unwrap()
