@@ -14,8 +14,10 @@
 //!   fully derived pipelines. The BST case derives the ordering
 //!   relations instead of registering the handwritten primitives fig3
 //!   uses (the memo table serves derived checkers only), and its reuse
-//!   comes from *within* one pass: `le'`/`lt'` bound subgoals repeat
-//!   across the corpus. The STLC case takes the multi-property suite
+//!   comes from *within* one pass: trees over keys `0..16` repeat
+//!   across the corpus. Only top-level calls are tabled, so the
+//!   `le'`/`lt'` bound subgoals those trees share are searched again
+//!   in every tree. The STLC case takes the multi-property suite
 //!   shape — one session drives the typing checker over the same
 //!   corpus once per property, the way the fuzz harness's oracle bank
 //!   and any regression suite do — so its reuse comes from *across*
@@ -183,7 +185,8 @@ pub(crate) fn derived_bst() -> (Library, RelId, CtorId, CtorId) {
 }
 
 /// The BST speedup case: `trees` random in-bounds trees, keys in a
-/// small range so bound subgoals repeat across the corpus.
+/// small range so trees repeat across the corpus (their shared `le'`/
+/// `lt'` subgoals are premise calls, which are not tabled).
 pub fn bst_case(trees: usize, passes: usize) -> MemoCase {
     let (lib, bst, leaf, node) = derived_bst();
     let mut rng = SmallRng::seed_from_u64(9);
@@ -308,7 +311,7 @@ mod tests {
                 );
             }
         }
-        assert!(memoized.memo_stats().hits > 0, "corpus must share subgoals");
+        assert!(memoized.memo_stats().hits > 0, "corpus must repeat trees");
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! The entry boundary of derived checkers.
 //!
-//! Every derived-checker call that arrives from outside the relation's
-//! own recursion — a top-level [`Library::check`] or an external
-//! `CheckRel` premise — passes through one body,
-//! [`Library::checker_entry`]: one budget step, then the session's
+//! Every top-level derived-checker call — [`Library::check`], the
+//! `try_*` calls and served requests — passes through one body,
+//! [`Library::run_checker_entry`]: one budget step, then the session's
 //! verdict table, if it has one ([`crate::memo`]), and only then the
 //! search, which runs on the bytecode VM ([`crate::vm`]): every derived
-//! checker compiles. A top-level call reaches it through
-//! [`Library::run_checker_entry`]; a premise inside the VM's parity
-//! loop calls it directly, with arguments borrowed from the calling
-//! frame and a search that stays in the VM. So tabling, shared serving
-//! and the `try_*` budget discipline behave the same however the call
-//! arrives.
+//! checker compiles. So tabling, shared serving and the `try_*` budget
+//! discipline behave the same however a top-level call arrives.
 //!
-//! Recursive self-calls never come back here: the VM re-enters its own
-//! dispatch loop (`RecSelf`).
-//! They descend into strict subterms of a tuple that already missed at
-//! the entry, so per-level lookups would tax every recursion of a
-//! miss-heavy workload for reuse that entry-level hits capture anyway
-//! (measured: per-level tabling cost 3–5× overhead on distinct-input
-//! sweeps and bought no additional hits).
+//! Calls below the top level never come back here. An external
+//! `CheckRel` premise charges the same entry step and enters its
+//! callee's search directly, with no table lookup: inside the VM with
+//! arguments borrowed from the calling frame, and from the plan
+//! interpreter through [`Library::run_vm_search`]. Premise goals
+//! seldom recur on their own: where a request repeats, its top-level
+//! entry already answers it (see [`crate::memo`]).
+//! Recursive self-calls re-enter the VM's own dispatch loop
+//! (`RecSelf`). They descend into strict subterms of a tuple that
+//! already missed at the entry, so per-level lookups would tax every
+//! recursion of a miss-heavy workload for reuse that entry-level hits
+//! capture anyway (measured: per-level tabling cost 3–5× overhead on
+//! distinct-input sweeps and bought no additional hits).
 
 use crate::error::DeriveError;
 use crate::index::DispatchIndex;
@@ -29,7 +30,6 @@ use crate::vm::VmProgram;
 use indrel_producers::probe::Event;
 use indrel_rel::RelEnv;
 use indrel_term::{Pattern, RelId, Value};
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// What a derived checker keeps next to its plan: the dispatch index
@@ -101,9 +101,10 @@ pub(crate) fn compile_producer(plan: Plan, env: &RelEnv) -> Result<CompiledProdu
 }
 
 impl Library {
-    /// Runs a derived checker at an entry boundary, mirroring
+    /// Runs a derived checker at the top-level entry boundary, mirroring
     /// `run_plan_check`'s fuel discipline exactly, with the session's
-    /// verdict table ([`crate::memo`]) consulted on the way in.
+    /// verdict table ([`crate::memo`]) consulted on the way in: the
+    /// entry step, then lookup, search and guarded insert.
     //
     // Out of line: every top-level call jumps here, and inlined into
     // its one caller it would widen the handwritten checkers' path too.
@@ -115,37 +116,15 @@ impl Library {
         top: u64,
         args: &[Value],
     ) -> Option<bool> {
-        self.checker_entry(compiled, size, top, args, self.charge_step(), || {
-            self.run_vm_search(compiled, size, top, args)
-        })
-    }
-
-    /// The entry boundary's body, shared by [`Library::run_checker_entry`]
-    /// and the VM's in-loop premise crossing (`vm.rs`), which passes its
-    /// own charge on the cached meter and a search that stays inside
-    /// the VM: the entry step, then the session's table around
-    /// `search`. Arguments are owned at the top level and borrowed from
-    /// the caller's frame at a crossing; the table clones them only when
-    /// it admits an entry.
-    #[inline(always)]
-    pub(crate) fn checker_entry<A: Borrow<Value>>(
-        &self,
-        compiled: &CompiledChecker,
-        size: u64,
-        top: u64,
-        args: &[A],
-        charged: bool,
-        search: impl FnOnce() -> Option<bool>,
-    ) -> Option<bool> {
         // Budget charge: one step per checker entry (no-op when no
         // meter is armed). A memo hit still pays this step — the table
         // accelerates the search, it does not make work free.
-        if !charged {
+        if !self.charge_step() {
             return None;
         }
         // Sessions without a table pay one `OnceCell` load here.
         let Some(memo) = self.inner.memo.get() else {
-            return search();
+            return self.run_vm_search(compiled, size, top, args);
         };
         // Decided verdicts are monotone in both fuels, so an entry
         // decided at dominated fuels answers this call outright. The
@@ -162,7 +141,7 @@ impl Library {
         self.inner.memo_misses.set(self.inner.memo_misses.get() + 1);
         self.probe(|| Event::MemoMiss { rel });
         let calls_before = self.inner.search_calls.get();
-        let result = search();
+        let result = self.run_vm_search(compiled, size, top, args);
         match result {
             // Never cache under an exhausted meter: past that point
             // inner searches return early and verdicts can be

@@ -100,9 +100,11 @@ impl Library {
     /// Runs the checker for `rel` through the *interpreted* plan
     /// executor instead of the bytecode VM — the oracle every compiled
     /// checker is held to. The relation's own recursion is unindexed
-    /// and unmemoized at every level (its external premises go through
-    /// [`Library::check`]); verdicts are identical to
-    /// [`Library::check`], only the execution strategy differs.
+    /// and unmemoized at every level, and its external premises cross
+    /// into their callees' compiled searches without a table lookup, as
+    /// premises do on the VM, so the call makes no lookup at all;
+    /// verdicts are identical to [`Library::check`], only the execution
+    /// strategy differs.
     ///
     /// # Panics
     ///
@@ -677,8 +679,20 @@ impl Library {
                     pattern.matches(&v, env)
                 }
                 Step::CheckRel { rel, args, negated } => {
+                    // A premise crossing: the callee's entry step and
+                    // search, with no table lookup (top-level calls
+                    // only), as on the VM.
                     let vals = self.eval_into(args, env);
-                    let r = self.check(*rel, top, top, &vals);
+                    let r = match self.require_checker(*rel).unwrap_or_else(|e| panic!("{e}")) {
+                        CheckerImpl::Plan(_, compiled) => {
+                            if self.charge_step() {
+                                self.run_vm_search(compiled, top, top, &vals)
+                            } else {
+                                None
+                            }
+                        }
+                        hand => self.run_checker_impl(*rel, hand, top, top, &vals),
+                    };
                     self.put_args(vals);
                     let r = if *negated { cnot(r) } else { r };
                     if r != Some(true) {

@@ -140,10 +140,12 @@ pub(crate) struct Inner {
     /// cache is per session, so it lives here rather than on a table
     /// that other threads share.
     pub(crate) interner: std::cell::RefCell<Interner>,
-    /// Monotone count of derived checker searches this session; the
-    /// delta across one search is the memo layer's cost gate (a verdict
-    /// that cost fewer than [`crate::memo::MIN_SEARCH_COST`] recursions
-    /// is not worth caching).
+    /// Monotone count of derived checker searches this session, bumped
+    /// by the VM's parity loop and the plan interpreter (a compiled
+    /// producer's premise runs the fast loop and is not counted). The
+    /// delta across a top-level search, its premise searches included,
+    /// is the memo layer's cost gate (a verdict that cost fewer than
+    /// [`crate::memo::MIN_SEARCH_COST`] searches is not worth caching).
     pub(crate) search_calls: std::cell::Cell<u64>,
     /// This session's table hits — the only place lookups are counted,
     /// so the serving layer can attribute memo reuse to individual
@@ -662,6 +664,9 @@ impl Library {
     /// derived checkers cache decided (`Some`) verdicts across calls,
     /// justified by the monotonicity theorems of §5 (see
     /// [`crate::memo`]). Out-of-fuel `None` verdicts are never cached.
+    /// Only top-level calls ([`Library::check`], the `try_*` calls)
+    /// consult the table, once each; the premise calls below them
+    /// search without it, so a hit needs a repeated top-level call.
     ///
     /// Attaches a private one-shard [`SharedMemo`] of
     /// [`DEFAULT_CAPACITY`](crate::memo::DEFAULT_CAPACITY) entries. A
@@ -709,11 +714,11 @@ impl Library {
     /// [`Server`](crate::Server)'s, shared by all of its sessions — to
     /// this session and returns it, for chaining. Derived checkers
     /// consult it exactly as they consult a [`Library::with_memo`]
-    /// table; fuel monotonicity makes verdicts cached by *any* session
-    /// valid for every session over the same frozen core. The caller
-    /// must only attach tables created for this library's
-    /// [`SharedLibrary`] core — fingerprints are structural, but
-    /// relation ids are only meaningful per core.
+    /// table, at top-level calls only; fuel monotonicity makes verdicts
+    /// cached by *any* session valid for every session over the same
+    /// frozen core. The caller must only attach tables created for this
+    /// library's [`SharedLibrary`] core — fingerprints are structural,
+    /// but relation ids are only meaningful per core.
     ///
     /// A session has at most one table: if this one already has a
     /// table, it keeps it and `memo` is not attached. Attach to a fresh

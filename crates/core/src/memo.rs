@@ -26,9 +26,9 @@
 //! one-shard table of [`DEFAULT_CAPACITY`] entries; a
 //! [`Server`](crate::Server) attaches one sharded table to all of its
 //! sessions. A session has at most one table and consults it at one
-//! place, the derived-checker entry boundary (`entry.rs`): lookup,
-//! search, guarded insert — for top-level calls and for premise calls
-//! inside the VM alike, whose argument tuples are borrowed.
+//! place, the top-level derived-checker entry (`entry.rs`, reached by
+//! `check`, the `try_*` calls and served requests): lookup, search,
+//! guarded insert, once per call.
 //!
 //! What is deliberately **not** cached (the write guards the entry
 //! boundary applies before [`SharedMemo::insert`]):
@@ -46,12 +46,17 @@
 //! * Handwritten checkers — the monotonicity argument only covers
 //!   derived plans, so only the derived-checker entry boundary consults
 //!   the table.
-//! * Recursive self-calls — the table is consulted at *entry
-//!   boundaries* only (top-level `check` and external `CheckRel`
-//!   premises). Recursion descends into strict subterms of a tuple that
-//!   already missed, so per-level lookups would charge every recursion
-//!   of a miss-heavy workload for reuse the entry-level hits already
-//!   capture across a corpus.
+//! * Recursive self-calls — recursion descends into strict subterms of
+//!   a tuple that already missed, so per-level lookups would charge
+//!   every recursion of a miss-heavy workload for reuse the entry-level
+//!   hits already capture across a corpus.
+//! * Premise calls — an external `CheckRel` premise charges its
+//!   callee's entry step and searches without a fingerprint, lookup or
+//!   insert, on the VM and in the interpreter alike. On the serving
+//!   benchmark's traffic premise goals almost never recur (fresh keys),
+//!   so tabling them only filled the table; a fixed-capacity shard now
+//!   holds what callers repeat. Traffic whose distinct top-level inputs
+//!   share premise goals gives up that reuse.
 //!
 //! # Who counts what
 //!
@@ -95,7 +100,6 @@
 //! [`Meter`]: indrel_producers::Meter
 
 use indrel_term::{shard_of, FastHashBuilder, Interner, RelId, Value};
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -122,11 +126,10 @@ const _: fn() = || {
 /// *structural* — independent of which session's interner computed
 /// them — so every session over a core agrees on a query's shard.
 #[inline]
-pub(crate) fn query_fp<A: Borrow<Value>>(interner: &mut Interner, rel: RelId, args: &[A]) -> u64 {
+pub(crate) fn query_fp(interner: &mut Interner, rel: RelId, args: &[Value]) -> u64 {
     let mut h = 0x243F_6A88_85A3_08D3u64 ^ (rel.index() as u64);
     for a in args {
-        h = (h.rotate_left(5) ^ interner.fingerprint(a.borrow()))
-            .wrapping_mul(0x517C_C1B7_2722_0A95);
+        h = (h.rotate_left(5) ^ interner.fingerprint(a)).wrapping_mul(0x517C_C1B7_2722_0A95);
     }
     h
 }
@@ -135,18 +138,13 @@ pub(crate) fn query_fp<A: Borrow<Value>>(interner: &mut Interner, rel: RelId, ar
 /// same arguments. Scalars compare by value; constructor terms take the
 /// `Arc`-identity fast path and fall back to the iterative structural
 /// walk.
-fn args_match<A: Borrow<Value>>(stored: &[Value], probe: &[A]) -> bool {
+fn args_match(stored: &[Value], probe: &[Value]) -> bool {
     stored.len() == probe.len()
-        && stored.iter().zip(probe).all(|(a, b)| {
-            let b = b.borrow();
-            match (a, b) {
-                (Value::Nat(x), Value::Nat(y)) => x == y,
-                (Value::Bool(x), Value::Bool(y)) => x == y,
-                (Value::Ctor(_, x), Value::Ctor(_, y)) => {
-                    Arc::ptr_eq(x, y) || a.structurally_equal(b)
-                }
-                _ => false,
-            }
+        && stored.iter().zip(probe).all(|(a, b)| match (a, b) {
+            (Value::Nat(x), Value::Nat(y)) => x == y,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Ctor(_, x), Value::Ctor(_, y)) => Arc::ptr_eq(x, y) || a.structurally_equal(b),
+            _ => false,
         })
 }
 
@@ -185,8 +183,8 @@ impl Default for Shard {
 }
 
 /// The verdict table. See the module docs for the monotonicity
-/// argument, the write guards (the entry boundary's body,
-/// `Library::checker_entry`, applies them before calling
+/// argument, the write guards (the top-level entry,
+/// `Library::run_checker_entry`, applies them before calling
 /// [`SharedMemo::insert`]), and the degradation model.
 pub struct SharedMemo {
     shards: Box<[Shard]>,
@@ -297,14 +295,7 @@ impl SharedMemo {
     // derived-checker entry (`Library::run_checker_entry`) that every
     // unarmed top-level call runs.
     #[inline(never)]
-    pub fn lookup<A: Borrow<Value>>(
-        &self,
-        rel: RelId,
-        fp: u64,
-        args: &[A],
-        size: u64,
-        top: u64,
-    ) -> Option<bool> {
+    pub fn lookup(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64) -> Option<bool> {
         let idx = self.shard_for(fp);
         let shard = &self.shards[idx];
         if shard.degraded.load(Ordering::Relaxed) {
@@ -329,15 +320,7 @@ impl SharedMemo {
     /// never a `None`, never under an exhausted meter, never below the
     /// search-cost gate.
     #[inline(never)]
-    pub fn insert<A: Borrow<Value>>(
-        &self,
-        rel: RelId,
-        fp: u64,
-        args: &[A],
-        size: u64,
-        top: u64,
-        verdict: bool,
-    ) {
+    pub fn insert(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64, verdict: bool) {
         let idx = self.shard_for(fp);
         let shard = &self.shards[idx];
         if shard.degraded.load(Ordering::Relaxed) {
@@ -370,7 +353,7 @@ impl SharedMemo {
             // verdict is actually admitted.
             guard.entry(fp).or_default().push(Slot {
                 rel,
-                args: args.iter().map(|a| a.borrow().clone()).collect(),
+                args: args.into(),
                 size,
                 top,
                 verdict,

@@ -257,7 +257,9 @@ impl FlightRecorder {
 pub struct ServeConfig {
     /// Number of memo shards (power of two).
     pub shards: usize,
-    /// Verdict capacity per shard.
+    /// Verdict capacity per shard, in top-level tuples: only a
+    /// request's own check is tabled, never its premise calls
+    /// ([`crate::memo`]).
     pub shard_capacity: usize,
     /// Admission cap: requests in flight beyond this are shed with
     /// [`ExecError::Overloaded`] instead of queued.

@@ -50,12 +50,14 @@
 //!
 //! A `CheckRel` premise over a compiled callee never leaves the VM
 //! ([`Library::check_premise`]). The fast loop enters the callee's
-//! dispatch loop; the parity loop runs the entry boundary's own body
-//! ([`Library::checker_entry`]) with the caller's scratch and cached
-//! meter, so an armed premise charges, counts, tables and emits what
-//! [`Library::check`] would, without cloning its arguments or deciding
-//! the loop again: that decision is made once per top-level call, the
-//! only place meters and probes are armed.
+//! dispatch loop; the parity loop charges the callee's entry step on
+//! the caller's cached meter and runs the callee's parity search on the
+//! caller's scratch, so an armed premise charges, counts and emits what
+//! an untabled search of the callee would, without cloning its
+//! arguments or deciding the loop again: that decision is made once per
+//! top-level call, the only place meters and probes are armed. Neither
+//! loop consults a verdict table below the top-level entry
+//! ([`crate::memo`]).
 //!
 //! # Producers
 //!
@@ -1133,9 +1135,10 @@ impl Library {
 
     /// The search below a derived checker's entry boundary: rule
     /// dispatch and the fuel discipline, with handler bodies executed
-    /// by [`Library::vm_exec`].
+    /// by [`Library::vm_exec`]. Called by the top-level entry and by
+    /// the plan interpreter's premise crossings.
     ///
-    /// This boundary decides, once per entry, which of the two
+    /// This boundary decides, once per call, which of the two
     /// monomorphized dispatch loops runs (the `PAR` const parameter of
     /// [`Library::vm_search`]):
     ///
@@ -1476,16 +1479,15 @@ impl Library {
         self.vm_exec::<PAR>(chk, h, h_idx, pc, frame, frames, meter, size_rem, top, args)
     }
 
-    /// A `CheckRel` premise at the top fuel, as [`Library::check`] runs
-    /// it, except that a compiled callee is entered inside the VM, on
-    /// this scratch and with the reference buffer as-is. Unarmed
-    /// (`PAR = false`: no meter, probe or verdict table) that is the
-    /// callee's fast search. Armed it is the entry boundary's body
-    /// ([`Library::checker_entry`]) over the caller's cached meter — the
-    /// armed meter, which cannot change mid-call — around the callee's
-    /// parity search, so it charges, counts, tables and emits what
-    /// `Library::check` would. Handwritten callees charge the step, emit
-    /// `Enter` and get their arguments cloned.
+    /// A `CheckRel` premise at the top fuel: the callee's entry step,
+    /// then its search, entered inside the VM on this scratch with the
+    /// reference buffer as-is, and never a table lookup (only top-level
+    /// calls consult the table). Unarmed (`PAR = false`: no meter, probe
+    /// or verdict table) that is the callee's fast search. Armed the
+    /// step is charged on the caller's cached meter — the armed meter,
+    /// which cannot change mid-call — and the callee runs its parity
+    /// search. Handwritten callees charge the step, emit `Enter` and get
+    /// their arguments cloned.
     #[inline(always)]
     fn check_premise<const PAR: bool>(
         &self,
@@ -1496,11 +1498,11 @@ impl Library {
         top: u64,
     ) -> Option<bool> {
         let imp = self.require_checker(rel).unwrap_or_else(|e| panic!("{e}"));
+        if PAR && !charge_step_cached(meter) {
+            return None;
+        }
         match imp {
             CheckerImpl::Hand(f) => {
-                if PAR && !charge_step_cached(meter) {
-                    return None;
-                }
                 let _depth = if PAR {
                     self.probe_enter(rel, ExecKind::Checker)
                 } else {
@@ -1509,20 +1511,14 @@ impl Library {
                 call_hand(f, refs, frames, top)
             }
             CheckerImpl::Plan(_, compiled) => {
-                if !PAR {
-                    self.vm_search::<false>(compiled, meter, frames, top, top, refs)
-                } else {
-                    self.checker_entry(compiled, top, top, refs, charge_step_cached(meter), || {
-                        self.vm_search::<true>(compiled, meter, frames, top, top, refs)
-                    })
-                }
+                self.vm_search::<PAR>(compiled, meter, frames, top, top, refs)
             }
         }
     }
 
-    /// The armed [`Library::check_premise`], out of line: inlined, its
-    /// table traffic would widen the parity loop's frame, which stays
-    /// live once per derivation level, and the producers' `vm_run`.
+    /// The armed [`Library::check_premise`], out of line: inlined, the
+    /// callee's entry widens the parity loop's frame, which stays live
+    /// once per derivation level (measured: 248 → 312 bytes).
     #[inline(never)]
     fn cross_armed(
         &self,
@@ -2298,11 +2294,10 @@ impl Library {
     }
 
     /// A `CheckRel` premise inside a compiled producer, over resolved
-    /// arguments. With a verdict table attached it takes the parity
-    /// loop's crossing (no meter is armed here), which makes the entry
-    /// step, lookup and insertion of the interpreter's `check` call, so
-    /// the table sees the same lookups and insertions; without one it
-    /// is the fast loop's call.
+    /// arguments: the fast loop's call, because compiled producers run
+    /// only with no meter and no probe armed and a premise never
+    /// consults a verdict table. It bumps no `search_calls`, so a tabled
+    /// top-level check's cost gate does not count it.
     #[inline(always)]
     fn producer_check(
         &self,
@@ -2312,11 +2307,7 @@ impl Library {
         frames: &mut VmFrames,
         top: u64,
     ) -> Option<bool> {
-        let r = if self.inner.memo.get().is_some() {
-            self.cross_armed(rel, refs, frames, &None, top)
-        } else {
-            self.check_premise::<false>(rel, refs, frames, &None, top)
-        };
+        let r = self.check_premise::<false>(rel, refs, frames, &None, top);
         if negated {
             cnot(r)
         } else {

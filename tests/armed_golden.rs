@@ -4,11 +4,12 @@
 //! on the STLC and BST case studies.
 //!
 //! Every served request and every finitely budgeted `try_check` runs
-//! the checker's parity loop: each premise call crosses into another
-//! derived checker with a meter armed, charging an entry step and
-//! consulting the session's verdict table. How those crossings are
-//! executed may change; what they charge, count, table and emit may
-//! not. These tests pin the observable record of one fixed, seeded
+//! the checker's parity loop: the request consults the session's
+//! verdict table once, and each premise call crosses into another
+//! derived checker with a meter armed, charging an entry step (premise
+//! calls are not tabled). How those crossings are executed may change;
+//! what they charge, count, table and emit may not. These tests pin
+//! the observable record of one fixed, seeded
 //! request set — hot trees with keys in `(0, 16)` that repeat, and
 //! cold trees with keys near 2³¹ that never do:
 //!
@@ -507,13 +508,13 @@ fn stlc_inference_budget_ladder_is_pinned() {
     assert_eq!(rendered, STLC_INFER_LADDER);
 }
 
-const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":86,"memo.insertions":345,"memo.misses":420,"memo.none_skipped":0,"plan.relations_kept":0,"plan.relations_replanned":0,"plan.replans":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1263},"gauges":{"memo.degraded_shards":0,"memo.entries":345,"serve.inflight":0},"histograms":{}}}"#;
+const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":32,"memo.insertions":18,"memo.misses":24,"memo.none_skipped":0,"plan.relations_kept":0,"plan.relations_replanned":0,"plan.replans":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1431},"gauges":{"memo.degraded_shards":0,"memo.entries":18,"serve.inflight":0},"histograms":{}}}"#;
 
-const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTssssFFsssTTFTFssFFsFsssFssTsssTFsTTssTTTTFFssTFsFFsTFs|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTsTFTTTTTTTTTFFTTTFTFFsTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|";
+const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTTsssssssssssssssTsssTssssssTTTTssssssssssTss|TTssssFFsTsTTFTFssFFsFFsTFssTsssTFsTTssTTTTFFssTFsFFsTFs|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|";
 
-const LADDER_MEMO_STATS: &str = "MemoStats { hits: 541, misses: 803, insertions: 345, none_skipped: 347, full_skipped: 0, entries: 345, degraded_shards: 0, shed: 0, retries: 0 }";
+const LADDER_MEMO_STATS: &str = "MemoStats { hits: 163, misses: 229, insertions: 18, none_skipped: 169, full_skipped: 0, entries: 18, degraded_shards: 0, shed: 0, retries: 0 }";
 
-const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":434,"premise.bst.1.0.evals":185,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":486,"premise.bst.1.1.evals":180,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1162,"premise.bst.1.2.evals":173,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1229,"premise.bst.1.3.evals":150,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":1994,"premise.le'.1.0.evals":520,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":718,"premise.lt'.0.0.evals":202,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":170,"rule.bst.0.backtracks":0,"rule.bst.0.successes":170,"rule.bst.1.attempts":185,"rule.bst.1.backtracks":53,"rule.bst.1.successes":132,"rule.le'.0.attempts":718,"rule.le'.0.backtracks":524,"rule.le'.0.successes":194,"rule.le'.1.attempts":520,"rule.le'.1.backtracks":25,"rule.le'.1.successes":495,"rule.lt'.0.attempts":202,"rule.lt'.0.backtracks":8,"rule.lt'.0.successes":194,"search.enters.checker":1275,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":7787,"search.index_skipped":359,"search.memo_hits":191,"search.memo_misses":438,"unify_fail.le'.0.step0":524},"gauges":{},"histograms":{"search.depth":{"count":1275,"sum":6023,"max":16,"buckets":[{"lo":0,"hi":0,"count":36},{"lo":1,"hi":1,"count":77},{"lo":2,"hi":3,"count":321},{"lo":4,"hi":7,"count":668},{"lo":8,"hi":15,"count":171},{"lo":16,"hi":31,"count":2}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
+const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":907,"premise.bst.1.0.evals":207,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":985,"premise.bst.1.1.evals":202,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1897,"premise.bst.1.2.evals":191,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1803,"premise.bst.1.3.evals":167,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":4312,"premise.le'.1.0.evals":1090,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":1487,"premise.lt'.0.0.evals":405,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":187,"rule.bst.0.backtracks":0,"rule.bst.0.successes":187,"rule.bst.1.attempts":207,"rule.bst.1.backtracks":62,"rule.bst.1.successes":145,"rule.le'.0.attempts":1487,"rule.le'.0.backtracks":1094,"rule.le'.0.successes":393,"rule.le'.1.attempts":1090,"rule.le'.1.backtracks":33,"rule.le'.1.successes":1057,"rule.lt'.0.attempts":405,"rule.lt'.0.backtracks":12,"rule.lt'.0.successes":393,"search.enters.checker":2286,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":12863,"search.index_skipped":398,"search.memo_hits":32,"search.memo_misses":39,"unify_fail.le'.0.step0":1094},"gauges":{},"histograms":{"search.depth":{"count":2286,"sum":11391,"max":16,"buckets":[{"lo":0,"hi":0,"count":39},{"lo":1,"hi":1,"count":121},{"lo":2,"hi":3,"count":560},{"lo":4,"hi":7,"count":1198},{"lo":8,"hi":15,"count":363},{"lo":16,"hi":31,"count":5}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
 
 const INTERPRETED_BST_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.bst.0.attempts":323,"rule.bst.0.backtracks":163,"rule.bst.0.successes":160,"rule.bst.1.attempts":163,"rule.bst.1.backtracks":21,"rule.bst.1.successes":142,"search.enters.checker":649,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":1784,"search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0,"unify_fail.bst.0.inputs":163},"gauges":{},"histograms":{"search.depth":{"count":649,"sum":2095,"max":5,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":74},{"lo":2,"hi":3,"count":239},{"lo":4,"hi":7,"count":312}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
 

@@ -63,6 +63,68 @@ fn arbitrary_tree(leaf: CtorId, node: CtorId, depth: u64, rng: &mut SmallRng) ->
     )
 }
 
+/// A seven-node search tree over `(lo, lo + 16)` with `lo` = 2³¹, in
+/// the shape of the serving benchmark's cold requests: none of its
+/// `lt'`/`le'` premise goals recurs in another tree.
+fn wide_key_query(leaf: CtorId, node: CtorId) -> [Value; 3] {
+    let lo = 1u64 << 31;
+    let leaf = || Value::ctor(leaf, vec![]);
+    let node = |x: u64, l: Value, r: Value| Value::ctor(node, vec![Value::nat(lo + x), l, r]);
+    let pair = |x: u64| node(x, node(x - 2, leaf(), leaf()), node(x + 2, leaf(), leaf()));
+    [
+        Value::nat(lo),
+        Value::nat(lo + 16),
+        node(8, pair(4), pair(12)),
+    ]
+}
+
+// Only a top-level call consults the table: premise crossings
+// (`lt'` → `le'` under every node) search without a lookup.
+#[test]
+fn a_tabled_check_makes_one_lookup() {
+    with_bst(|plain, _, bst, leaf, node| {
+        let args = wide_key_query(leaf, node);
+        let memoized = plain.fork().with_memo();
+        assert_eq!(memoized.check(bst, 64, 64, &args), Some(true));
+        let s = memoized.memo_stats();
+        assert_eq!(s.hits + s.misses, 1, "{s:?}");
+        assert!(s.entries <= 1, "{s:?}");
+    });
+}
+
+// The interpreter's relation is untabled at every level, and its
+// premises cross into their callees without a lookup too.
+#[test]
+fn an_interpreted_check_makes_no_lookup() {
+    with_bst(|plain, _, bst, leaf, node| {
+        let args = wide_key_query(leaf, node);
+        let memoized = plain.fork().with_memo();
+        assert_eq!(memoized.check_interpreted(bst, 64, 64, &args), Some(true));
+        let s = memoized.memo_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0), "{s:?}");
+    });
+}
+
+// Served: one lookup per request, however many premises it crosses.
+#[test]
+fn a_served_request_makes_one_lookup() {
+    with_bst(|plain, _, bst, leaf, node| {
+        let server = Server::new(plain.shared(), ServeConfig::default(), Budget::unlimited());
+        let args = wide_key_query(leaf, node);
+        let got = server
+            .session()
+            .check_batch(bst, 64, &[args.to_vec(), args.to_vec()]);
+        assert_eq!(got, [Ok(Some(true)), Ok(Some(true))]);
+        let snap = server.snapshot();
+        let counter = |name| snap.counter(name).unwrap_or_else(|| panic!("{name}"));
+        assert_eq!(counter("memo.hits"), 1);
+        assert_eq!(
+            counter("memo.hits") + counter("memo.misses"),
+            counter("serve.requests")
+        );
+    });
+}
+
 proptest! {
     // A session with tabling on decides exactly what a fresh library
     // decides, at every fuel — even though the session keeps verdicts
@@ -141,11 +203,9 @@ fn none_verdicts_are_never_cached() {
         }
         let args = [Value::nat(0), Value::nat(16), t];
         assert_eq!(memoized.check(bst, 3, 3, &args), None);
-        // The first query caches whatever *decided* subgoals it met
-        // (`le'`/`lt'` premises that fit in their sub-fuel). Repeating
-        // the same out-of-fuel query must re-search the top level every
-        // time — if the `None` had been stored, the lookup would start
-        // answering `Some` — and must add no further entries.
+        // Repeating the same out-of-fuel query must re-search the top
+        // level every time — if the `None` had been stored, the lookup
+        // would start answering `Some` — and must add no entries.
         let after_first = memoized.memo_stats();
         assert!(
             after_first.none_skipped > 0,

@@ -5,6 +5,7 @@
 //! alone and under 2/4/8-thread mixed traffic — degrades the shared
 //! memo without ever corrupting a verdict.
 
+use indrel::bst::BST_SOURCE;
 use indrel::pbt::chaos::{dump_on_panic, silence_panics, Chaos};
 use indrel::prelude::*;
 use indrel::producers::Outcome;
@@ -134,6 +135,46 @@ fn retry_schedule_replays_from_seed_and_index_token() {
         let replay = session.check_replay(twin, 10, args, 0xA11CE, index as u64);
         assert_eq!(&replay, want, "index {index}");
     }
+}
+
+/// A full shard stops admitting, so what fills it decides what the
+/// server can answer later. Only top-level requests are tabled: 48
+/// distinct trees fit one 64-entry shard, however many `lt'`/`le'`
+/// premise goals their searches cross, and every repeat hits.
+#[test]
+fn premise_goals_never_fill_a_shard() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(&mut u, &mut env, BST_SOURCE).unwrap();
+    let bst = env.rel_id("bst").unwrap();
+    let (leaf, node) = (u.ctor_id("Leaf").unwrap(), u.ctor_id("Node").unwrap());
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(bst).unwrap();
+    let shared = b.build().shared();
+    // Three-node search trees over disjoint key intervals near 2³¹.
+    let trees: Vec<Vec<Value>> = (0..48u64)
+        .map(|i| {
+            let lo = (1u64 << 31) + 64 * i;
+            let leaf = || Value::ctor(leaf, vec![]);
+            let node = |x: u64, l, r| Value::ctor(node, vec![Value::nat(lo + x), l, r]);
+            let t = node(8, node(4, leaf(), leaf()), node(12, leaf(), leaf()));
+            vec![Value::nat(lo), Value::nat(lo + 16), t]
+        })
+        .collect();
+    let config = ServeConfig {
+        shards: 1,
+        shard_capacity: 64,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(shared, config, Budget::unlimited());
+    let session = server.session();
+    for pass in 0..2 {
+        let got = session.check_batch(bst, 64, &trees);
+        assert!(got.iter().all(|r| r == &Ok(Some(true))), "pass {pass}");
+    }
+    let s = server.stats();
+    assert_eq!((s.misses, s.hits), (48, 48), "{s:?}");
+    assert_eq!((s.entries, s.full_skipped), (48, 0), "{s:?}");
 }
 
 /// The 1%-shard-poison chaos run: a long sequential request stream
