@@ -9,14 +9,18 @@
 //! ```
 //!
 //! `--json` additionally writes the whole figure — throughput, deltas,
-//! and a fixed-count `SearchStats` telemetry pass per case — as one
-//! machine-readable document (default path `BENCH_fig3.json`).
+//! and a `SearchStats` telemetry pass of `STATS_TESTS` tests per case —
+//! as one machine-readable document (default path `BENCH_fig3.json`).
+//! The telemetry pass is a pure function of its seeds, so everything
+//! in it but `wall_ms` repeats at any `FIG3_BUDGET_MS`.
 //!
 //! Environment: `FIG3_BUDGET_MS` (wall-clock budget per throughput run,
-//! default 1500), `FIG3_STATS_TESTS` (tests in the armed telemetry
-//! pass, default 2000).
+//! default 1500).
 
 use std::time::Duration;
+
+/// Tests in each case's armed telemetry pass.
+const STATS_TESTS: u64 = 2000;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,12 +45,8 @@ fn main() {
             .and_then(|s| s.parse().ok())
             .unwrap_or(1500),
     );
-    let stats_tests = std::env::var("FIG3_STATS_TESTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2000);
     if let Some(path) = json_path {
-        let doc = indrel_bench::fig3::fig3_json(budget, stats_tests);
+        let doc = indrel_bench::fig3::fig3_json(budget, STATS_TESTS);
         std::fs::write(&path, format!("{doc}\n")).expect("write JSON output");
         println!("wrote {path}");
         return;

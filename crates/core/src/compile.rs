@@ -15,31 +15,27 @@
 //! Checker plans do not take the premises in source order: a greedy
 //! scheduler repeatedly picks, among the premises the compatibility
 //! analysis says are *admissible* right now, the one with the lowest
-//! [`PremiseCost::rank`] — expected cost over failure probability, the
-//! classic ordering for independent filters. Admissible here means
-//! *non-enumerating*: a ground relation check, or an equality that is
-//! fully known or binds through a deterministic pattern. Premises that
-//! would need an external producer or an unconstrained instantiation
-//! are never hoisted — hoisting one changes which variables get
-//! enumerated versus filtered, and an innocent-looking `produceST`
-//! over a recursive relation can be exponentially worse than the
-//! source order's instantiate-then-check shape (`ev'` in the LF corpus
-//! is the cautionary tale). Ranks are seeded from
-//! [`Step::static_cost`] (ties broken by source order, so unprofiled
-//! plans are stable) and replaced by measured means when a
-//! [`CostProfile`] is supplied (`Library::replan_from`). When no
-//! premise is admissible the scheduler falls back to the first
-//! remaining premise in source order, reproducing the paper's
-//! enumeration structure exactly. Producer plans keep source order:
-//! their dataflow is the schedule, and the profile's premise signal
-//! only exists on the checker path.
+//! [`Step::static_cost`], breaking ties by source index. Admissible
+//! here means *non-enumerating*: a ground relation check, or an
+//! equality that is fully known or binds through a deterministic
+//! pattern. Premises that would need an external producer or an
+//! unconstrained instantiation are never hoisted — hoisting one
+//! changes which variables get enumerated versus filtered, and an
+//! innocent-looking `produceST` over a recursive relation can be
+//! exponentially worse than the source order's
+//! instantiate-then-check shape (`ev'` in the LF corpus is the
+//! cautionary tale). When no premise is admissible the scheduler falls
+//! back to the first remaining premise in source order, reproducing
+//! the paper's enumeration structure exactly. Producer plans keep
+//! source order: their dataflow is the schedule. The schedule is fixed
+//! when the instance is derived; a built library serves that plan for
+//! its whole life.
 //!
 //! External calls are resolved through a [`DepResolver`], which the
 //! [`crate::LibraryBuilder`] implements by recursively deriving the
 //! needed instances (with cycle detection, §8).
 
 use crate::compat::{classify_arg, ArgClass};
-use crate::cost::{CostProfile, PremiseCost};
 use crate::error::DeriveError;
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
@@ -67,7 +63,8 @@ pub trait DepResolver {
     fn ensure_producer(&mut self, rel: RelId, mode: &Mode) -> Result<(), DeriveError>;
 }
 
-/// Compiles a plan for `rel` at `mode`.
+/// Compiles a plan for `rel` at `mode`. Compilation is deterministic
+/// in `(relation, mode, opts)`.
 ///
 /// # Errors
 ///
@@ -79,26 +76,6 @@ pub fn compile_plan(
     rel: RelId,
     mode: Mode,
     opts: DeriveOptions,
-    deps: &mut dyn DepResolver,
-) -> Result<Plan, DeriveError> {
-    compile_plan_with_profile(universe, env, rel, mode, opts, None, deps)
-}
-
-/// [`compile_plan`] with a measured [`CostProfile`] feeding the premise
-/// scheduler. Compilation is deterministic in `(relation, mode, opts,
-/// profile)`: the same profile always yields the same plan.
-///
-/// # Errors
-///
-/// Returns a [`DeriveError`] when the relation falls outside the
-/// supported class (see the error variants for the specific reasons).
-pub fn compile_plan_with_profile(
-    universe: &Universe,
-    env: &RelEnv,
-    rel: RelId,
-    mode: Mode,
-    opts: DeriveOptions,
-    profile: Option<&CostProfile>,
     deps: &mut dyn DepResolver,
 ) -> Result<Plan, DeriveError> {
     let relation = env.relation(rel);
@@ -135,7 +112,6 @@ pub fn compile_plan_with_profile(
             rel_name: source.name().to_string(),
             mode: &mode,
             opts,
-            profile,
             deps,
             rule_name: rule.name().to_string(),
             known: vec![false; rule.num_vars()],
@@ -159,7 +135,6 @@ struct HandlerCx<'a> {
     rel_name: String,
     mode: &'a Mode,
     opts: DeriveOptions,
-    profile: Option<&'a CostProfile>,
     deps: &'a mut dyn DepResolver,
     rule_name: String,
     known: Vec<bool>,
@@ -188,8 +163,8 @@ impl HandlerCx<'_> {
             input_pats.push(pat);
         }
 
-        // 2. Premises. Checker plans are scheduled greedily by rank;
-        //    producer plans keep source order.
+        // 2. Premises. Checker plans are scheduled greedily by static
+        //    cost; producer plans keep source order.
         if self.mode.is_checker() {
             let mut remaining: Vec<(u32, &Premise)> = rule
                 .premises()
@@ -198,7 +173,7 @@ impl HandlerCx<'_> {
                 .map(|(i, p)| (i as u32, p))
                 .collect();
             while !remaining.is_empty() {
-                let pick = self.pick_next(&remaining, rule_index);
+                let pick = self.pick_next(&remaining);
                 let (idx, premise) = remaining.remove(pick);
                 self.cur_premise = Some(idx);
                 self.schedule_premise(premise)?;
@@ -279,30 +254,20 @@ impl HandlerCx<'_> {
         }
     }
 
-    /// The greedy choice: index into `remaining` of the premise to
-    /// schedule next. Purely a *read* of the current binding state —
+    /// The greedy choice: index into `remaining` (kept in source order)
+    /// of the admissible premise with the lowest static cost, the
+    /// earliest on a tie. Purely a *read* of the current binding state —
     /// the dry-run classification must not resolve dependencies or
     /// allocate slots, so an inadmissible candidate costs nothing.
-    fn pick_next(&self, remaining: &[(u32, &Premise)], rule_index: usize) -> usize {
-        let mut best: Option<(u64, u32, usize)> = None;
-        for (pos, (idx, premise)) in remaining.iter().enumerate() {
-            let Some(static_cost) = self.admissible_cost(premise) else {
-                continue;
-            };
-            // Profile data is keyed by source premise, so a measured
-            // mean survives any reordering of earlier replans.
-            let cost = self
-                .profile
-                .and_then(|p| p.lookup(self.rel.index() as u32, rule_index as u32, *idx))
-                .unwrap_or_else(|| PremiseCost::seed(static_cost));
-            let rank = cost.rank();
-            if best.is_none_or(|(r, i, _)| (rank, *idx) < (r, i)) {
-                best = Some((rank, *idx, pos));
-            }
-        }
-        // No premise is admissible: take the first remaining one in
-        // source order and let its scheduling routine instantiate.
-        best.map_or(0, |(_, _, pos)| pos)
+    fn pick_next(&self, remaining: &[(u32, &Premise)]) -> usize {
+        remaining
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, (_, premise))| Some((self.admissible_cost(premise)?, pos)))
+            .min()
+            // No premise is admissible: take the first remaining one in
+            // source order and let its scheduling routine instantiate.
+            .map_or(0, |(_, pos)| pos)
     }
 
     /// Whether `premise` can be scheduled *right now* without any
@@ -898,6 +863,65 @@ mod tests {
         let steps = &plan.handlers[0].steps;
         assert!(matches!(steps[0], Step::Unconstrained { .. }));
         assert!(matches!(steps[1], Step::EqCheck { .. }));
+    }
+
+    /// The static schedule of a checker plan: the admissible premise of
+    /// lowest [`Step::static_cost`] goes first, ties keep source order,
+    /// and when nothing is admissible the first remaining premise is
+    /// taken.
+    #[test]
+    fn static_schedule_orders_by_cost_then_source_index() {
+        let (u, env) = setup(
+            r"rel le' : nat nat :=
+              | le_n : forall n, le' n n
+              | le_S : forall n m, le' n m -> le' n (S m)
+              .
+              rel hoist : nat nat :=
+              | h : forall n m, le' n m -> m = S n -> hoist n m
+              .
+              rel good : nat nat :=
+              | g : forall n m, le' 0 n -> le' (S n) m -> good n m
+              .
+              rel blocked : nat :=
+              | b : forall n p, le' n p -> le' p 0 -> blocked n
+              .",
+        );
+        let plan = |name: &str, arity: usize| {
+            let rel = env.rel_id(name).unwrap();
+            compile_plan(
+                &u,
+                &env,
+                rel,
+                Mode::checker(arity),
+                DeriveOptions::default(),
+                &mut NoDeps,
+            )
+            .unwrap()
+        };
+
+        // A known equality (cost 1) is hoisted ahead of the checker
+        // call (cost 10) that precedes it in the source.
+        let h = &plan("hoist", 2).handlers[0];
+        assert_eq!(h.premise_of, [Some(1), Some(0)]);
+        assert!(matches!(h.steps[0], Step::EqCheck { .. }));
+        assert!(matches!(h.steps[1], Step::CheckRel { .. }));
+
+        // Two checker calls of equal static cost keep source order.
+        let g = &plan("good", 2).handlers[0];
+        assert_eq!(g.premise_of, [Some(0), Some(1)]);
+        assert!(g.steps.iter().all(|s| matches!(s, Step::CheckRel { .. })));
+
+        // Neither premise is admissible (both mention the unbound `p`):
+        // the first in source order produces `p` from `n`, and the
+        // second then checks it.
+        let b = &plan("blocked", 1).handlers[0];
+        assert!(matches!(
+            &b.steps[0],
+            Step::ProduceExt { mode, .. } if *mode == Mode::producer(2, &[1])
+        ));
+        assert_eq!(b.premise_of.first(), Some(&Some(0)));
+        assert!(matches!(b.steps.last(), Some(Step::CheckRel { .. })));
+        assert_eq!(b.premise_of.last(), Some(&Some(1)));
     }
 
     #[test]

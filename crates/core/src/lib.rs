@@ -67,7 +67,6 @@
 
 pub mod compat;
 pub mod compile;
-pub mod cost;
 pub(crate) mod entry;
 pub mod error;
 pub mod exec;
@@ -79,10 +78,9 @@ pub mod plan;
 pub mod serve;
 pub(crate) mod vm;
 
-pub use cost::{CostProfile, PremiseCost};
 pub use error::{DeriveError, ExecError, InstanceKind};
 pub use exec::BudgetedStream;
-pub use library::{Library, LibraryBuilder, ProbeGuard, ReplanReport, SharedLibrary};
+pub use library::{Library, LibraryBuilder, ProbeGuard, SharedLibrary};
 pub use memo::{MemoStats, SharedMemo};
 pub use mode::Mode;
 pub use plan::{Handler, Plan, Step};

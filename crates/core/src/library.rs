@@ -8,8 +8,7 @@
 //! freezes everything into a cheaply-cloneable [`Library`] on which the
 //! executors of [`crate::exec`] run.
 
-use crate::compile::{compile_plan, compile_plan_with_profile, DepResolver};
-use crate::cost::CostProfile;
+use crate::compile::{compile_plan, DepResolver};
 use crate::error::{DeriveError, ExecError, InstanceKind};
 use crate::memo::{MemoStats, SharedMemo};
 use crate::mode::Mode;
@@ -18,7 +17,7 @@ use crate::DeriveOptions;
 use indrel_producers::{EStream, ExecProbe, Meter, NameTable, PremiseStats, SearchStats};
 use indrel_rel::RelEnv;
 use indrel_term::{Interner, RelId, Universe, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -67,9 +66,6 @@ pub(crate) struct ProducerImpl {
 pub(crate) struct Shared {
     pub(crate) universe: Universe,
     pub(crate) env: RelEnv,
-    /// The options everything was derived under; kept so the replanner
-    /// ([`Library::replan_from`]) can recompile with the same settings.
-    pub(crate) opts: DeriveOptions,
     /// Dense checker table indexed by relation id (ids are dense per
     /// `RelEnv`), so the hot external-call path avoids hashing.
     pub(crate) checkers: Vec<Option<CheckerImpl>>,
@@ -77,11 +73,6 @@ pub(crate) struct Shared {
     /// with an instance. A lookup compares modes by reference, so no
     /// call — compiled producer premises included — allocates a key.
     pub(crate) producers: Vec<Vec<(Mode, ProducerImpl)>>,
-    /// The measured cost profile the checker plans were scheduled
-    /// under — `None` for fresh builds (static seeds only), `Some` for
-    /// cores produced by [`Library::replan_from`]. `explain()` renders
-    /// it as the replanned-cost column.
-    pub(crate) profile: Option<Arc<CostProfile>>,
 }
 
 impl Shared {
@@ -203,10 +194,6 @@ pub struct LibraryBuilder {
     universe: Universe,
     env: RelEnv,
     opts: DeriveOptions,
-    /// Measured premise costs steering the compile-time scheduler;
-    /// `None` (static seeds) for ordinary builds, `Some` when the
-    /// builder was set up by [`Library::replan_from`].
-    profile: Option<Arc<CostProfile>>,
     checkers: HashMap<RelId, CheckerImpl>,
     producers: HashMap<(RelId, Mode), ProducerImpl>,
     in_progress: Vec<Key>,
@@ -239,7 +226,6 @@ impl LibraryBuilder {
             universe,
             env,
             opts,
-            profile: None,
             checkers: HashMap::new(),
             producers: HashMap::new(),
             in_progress: Vec::new(),
@@ -255,18 +241,6 @@ impl LibraryBuilder {
     /// Access to the relation environment.
     pub fn env(&self) -> &RelEnv {
         &self.env
-    }
-
-    /// Steers the greedy premise scheduler with measured (or synthetic)
-    /// per-premise costs for every subsequent derivation, in place of
-    /// the static [`Step::static_cost`](crate::plan::Step) seeds.
-    ///
-    /// This is the builder-level entry point under
-    /// [`Library::replan_from`], exposed so tests can force reorders
-    /// with synthetic profiles; already-derived instances are not
-    /// recompiled.
-    pub fn set_profile(&mut self, profile: CostProfile) {
-        self.profile = Some(Arc::new(profile));
     }
 
     /// Registers a handwritten checker for `rel`, shadowing any derived
@@ -340,29 +314,25 @@ impl LibraryBuilder {
             });
         }
         self.in_progress.push(key.clone());
-        let profile = self.profile.clone();
         let result = match &key {
-            Key::Checker(rel) => {
-                compile_plan_with_profile(
-                    // Field-splitting workaround: compile_plan borrows the
-                    // universe/env immutably while `self` resolves deps
-                    // mutably, so hand it clones of the (cheap, Rc-backed)
-                    // registries.
-                    &self.universe.clone(),
-                    &self.env.clone(),
-                    *rel,
-                    Mode::checker(self.env.relation(*rel).arity()),
-                    self.opts,
-                    profile.as_deref(),
-                    self,
-                )
-                .and_then(|plan| {
-                    let compiled = Arc::new(crate::entry::compile_checker(&plan, &self.env)?);
-                    self.checkers
-                        .insert(*rel, CheckerImpl::Plan(Arc::new(plan), compiled));
-                    Ok(())
-                })
-            }
+            Key::Checker(rel) => compile_plan(
+                // Field-splitting workaround: compile_plan borrows the
+                // universe/env immutably while `self` resolves deps
+                // mutably, so hand it clones of the (cheap, Rc-backed)
+                // registries.
+                &self.universe.clone(),
+                &self.env.clone(),
+                *rel,
+                Mode::checker(self.env.relation(*rel).arity()),
+                self.opts,
+                self,
+            )
+            .and_then(|plan| {
+                let compiled = Arc::new(crate::entry::compile_checker(&plan, &self.env)?);
+                self.checkers
+                    .insert(*rel, CheckerImpl::Plan(Arc::new(plan), compiled));
+                Ok(())
+            }),
             Key::Producer(rel, mode) => compile_plan(
                 &self.universe.clone(),
                 &self.env.clone(),
@@ -396,10 +366,8 @@ impl LibraryBuilder {
             inner: Rc::new(Inner::fresh(Arc::new(Shared {
                 universe: self.universe,
                 env: self.env,
-                opts: self.opts,
                 checkers,
                 producers,
-                profile: self.profile,
             }))),
         }
     }
@@ -434,46 +402,6 @@ impl Drop for ProbeGuard<'_> {
             *self.lib.inner.probe.borrow_mut() = prev;
             self.lib.inner.probe_armed.set(self.prev_armed);
         }
-    }
-}
-
-/// What one [`Library::replan_from`] pass did, relation by relation —
-/// the record of a replan ([`Session::replan_hot`] also counts it in
-/// the server's `plan.*` series).
-///
-/// Replans are deterministic: this report — like the plans themselves —
-/// is a pure function of the frozen core and the stats snapshot, so two
-/// replans from byte-identical snapshots agree exactly.
-///
-/// [`Session::replan_hot`]: crate::serve::Session::replan_hot
-#[derive(Clone, Debug, Default)]
-pub struct ReplanReport {
-    /// Relations recompiled into a *different* premise schedule; probe
-    /// streams and budget charges may differ from the old core for
-    /// them.
-    pub replanned: Vec<RelId>,
-    /// Relations whose observed costs diverged enough to recompile but
-    /// whose profile-guided schedule reproduced the existing plan (the
-    /// static order was already optimal).
-    pub unchanged: Vec<RelId>,
-    /// Derived relations with no observed divergence; their plans (and
-    /// compiled forms) were reused as-is.
-    pub kept: Vec<RelId>,
-    /// Relations whose profile-guided recompile failed; the old plan
-    /// was kept so the library keeps serving, and the error recorded.
-    pub errors: Vec<(RelId, String)>,
-}
-
-impl ReplanReport {
-    /// `true` when `rel`'s plan changed in this pass.
-    pub fn plan_changed(&self, rel: RelId) -> bool {
-        self.replanned.contains(&rel)
-    }
-
-    /// `true` when every plan was reused or reproduced unchanged — the
-    /// replanned library is behaviourally identical to the source.
-    pub fn is_noop(&self) -> bool {
-        self.replanned.is_empty()
     }
 }
 
@@ -827,9 +755,9 @@ impl Library {
     /// form): one row per plan step, pairing the scheduler's static
     /// cost estimate ([`Step::static_cost`](crate::plan::Step)) with
     /// the probe's observed attribution — evaluations, mean search
-    /// entries per evaluation, and conclusive failures. This table is
-    /// the input the profile-guided replanner
-    /// (`Library::replan_from(stats)`) will consume.
+    /// entries per evaluation, and conclusive failures. The table is
+    /// how to judge the derive-time schedule on a workload; nothing
+    /// reschedules a built library from it.
     pub fn explain(&self, rel: RelId) -> String {
         let armed = match &*self.inner.probe.borrow() {
             ExecProbe::Stats(s) | ExecProbe::Both(s, _) => Some(s.clone()),
@@ -846,141 +774,6 @@ impl Library {
         self.explain_inner(rel, Some(stats))
     }
 
-    /// Profile-guided replanning: recompiles every derived checker
-    /// whose observed per-premise costs (from `stats`, typically filled
-    /// by a [`SearchStats`] probe armed over a representative workload)
-    /// diverge from the scheduler's static estimates, steering the
-    /// greedy scheduler of [`crate::compile`] with the measured costs
-    /// instead of the seeds. Returns a fresh library session over the
-    /// replanned core; handwritten instances, producers, and
-    /// non-diverged plans are reused as-is (same `Arc`s, nothing
-    /// re-compiled).
-    ///
-    /// The replan is a **deterministic function of the stats
-    /// snapshot**: byte-identical snapshots produce byte-identical
-    /// plans. It emits no probe event; [`Library::replan_from_report`]
-    /// says which plans changed.
-    ///
-    /// The returned session starts fresh (no memo) — re-enable per
-    /// session, or use
-    /// [`Session::replan_hot`](crate::serve::Session::replan_hot) to
-    /// keep serving-layer attachments. Use
-    /// [`Library::replan_from_report`] to learn what changed.
-    pub fn replan_from(&self, stats: &SearchStats) -> Library {
-        self.replan_from_report(stats).0
-    }
-
-    /// [`Library::replan_from`], also returning a [`ReplanReport`] of
-    /// which relations were replanned, reproduced, kept, or failed.
-    pub fn replan_from_report(&self, stats: &SearchStats) -> (Library, ReplanReport) {
-        let shared = &*self.inner.shared;
-        // 1. Attribute the snapshot to *source premises* through each
-        //    plan's provenance map (stats are keyed by plan step, which
-        //    a replan would renumber), and collect the relations whose
-        //    observations diverge from the static estimates.
-        let mut profile = CostProfile::new();
-        let mut diverged: BTreeSet<usize> = BTreeSet::new();
-        let mut has_failures: BTreeSet<usize> = BTreeSet::new();
-        for (rel, rule, step, p) in stats.all_premise_stats() {
-            let Some(CheckerImpl::Plan(plan, _)) =
-                shared.checkers.get(rel.index()).and_then(Option::as_ref)
-            else {
-                continue;
-            };
-            let Some(handler) = plan.handlers.get(rule as usize) else {
-                continue;
-            };
-            let Some(Some(premise)) = handler.premise_of.get(step as usize) else {
-                continue;
-            };
-            if p.evals == 0 {
-                continue;
-            }
-            profile.record(
-                rel.index() as u32,
-                rule,
-                *premise,
-                p.evals,
-                p.cost,
-                p.failures,
-            );
-            let obs = crate::cost::PremiseCost {
-                mean_cost: p.cost / p.evals,
-                failure_permille: p.failures.saturating_mul(1000) / p.evals,
-            };
-            if p.failures > 0 {
-                has_failures.insert(rel.index());
-            }
-            if obs.diverges_from(handler.steps[step as usize].static_cost()) {
-                diverged.insert(rel.index());
-            }
-        }
-        // A reorder can only pay off through earlier short-circuiting,
-        // and short-circuiting needs a premise that actually fails. On
-        // an all-passing workload every premise runs regardless of
-        // order, so chasing mean-cost differences there is pure churn
-        // (and measurably regressive under cache noise): keep those
-        // plans stable.
-        diverged.retain(|r| has_failures.contains(r));
-        // 2. Rebuild a builder over the same universe/env/options,
-        //    seeded with every existing instance except the diverged
-        //    targets (so only those recompile; their dependencies are
-        //    found already present).
-        let mut b =
-            LibraryBuilder::with_options(shared.universe.clone(), shared.env.clone(), shared.opts);
-        b.profile = Some(Arc::new(profile));
-        b.producers = shared
-            .producers
-            .iter()
-            .enumerate()
-            .flat_map(|(rel, modes)| {
-                modes
-                    .iter()
-                    .map(move |(mode, imp)| ((RelId::new(rel), mode.clone()), imp.clone()))
-            })
-            .collect();
-        let mut targets: Vec<(RelId, &Arc<Plan>, &CheckerImpl)> = Vec::new();
-        let mut report = ReplanReport::default();
-        for (idx, slot) in shared.checkers.iter().enumerate() {
-            let Some(imp) = slot else { continue };
-            let rel = RelId::new(idx);
-            match imp {
-                CheckerImpl::Plan(plan, _) if diverged.contains(&idx) => {
-                    targets.push((rel, plan, imp));
-                }
-                other => {
-                    if matches!(other, CheckerImpl::Plan(..)) {
-                        report.kept.push(rel);
-                    }
-                    b.checkers.insert(rel, other.clone());
-                }
-            }
-        }
-        // 3. Recompile the targets in ascending relation id (the
-        //    BTreeSet order — deterministic). A target may already have
-        //    been rebuilt as a dependency of an earlier one; `ensure`
-        //    then returns without recompiling, which is what we want.
-        for (rel, old_plan, old) in targets {
-            match b.ensure(Key::Checker(rel)) {
-                Ok(()) => {
-                    let new_plan = b.checker_plan(rel).expect("just derived");
-                    if format!("{new_plan:?}") == format!("{:?}", old_plan.as_ref()) {
-                        report.unchanged.push(rel);
-                    } else {
-                        report.replanned.push(rel);
-                    }
-                }
-                Err(e) => {
-                    // Keep serving the old, already compiled instance
-                    // rather than losing the relation mid-flight.
-                    b.checkers.insert(rel, old.clone());
-                    report.errors.push((rel, e.to_string()));
-                }
-            }
-        }
-        (b.build(), report)
-    }
-
     fn explain_inner(&self, rel: RelId, stats: Option<&SearchStats>) -> String {
         let env = &self.inner.env;
         let u = &self.inner.universe;
@@ -993,21 +786,12 @@ impl Library {
             .and_then(Option::as_ref)
         {
             Some(CheckerImpl::Plan(plan, compiled)) => {
-                let guided = if self.inner.shared.profile.is_some() {
-                    ", profile-guided"
-                } else {
-                    ""
-                };
-                let _ = writeln!(out, "checker (derived{guided}):");
+                let _ = writeln!(out, "checker (derived):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
                 explain_bytecode(&mut out, plan, &compiled.prog);
                 if let Some(stats) = stats {
-                    out.push_str(&Self::premise_cost_table(
-                        plan,
-                        self.inner.shared.profile.as_deref(),
-                        stats,
-                    ));
+                    out.push_str(&Self::premise_cost_table(plan, stats));
                 }
             }
             Some(CheckerImpl::Hand(_)) => {
@@ -1051,18 +835,14 @@ impl Library {
 
     /// Renders the premise cost table for a checker plan: one row per
     /// plan step in the *scheduled* order, pairing the static estimate
-    /// with the probe's observed attribution and — on a replanned core —
-    /// the profile cost the scheduler actually used. Steps the executor
-    /// does not attribute (local equalities and matches, folded into
-    /// their premise's cost) and steps never attempted render an
-    /// explicit `obs n/a (never attempted)` rather than an ambiguous
-    /// zero. The `[pN]` tag is the step's source-premise provenance
-    /// (`[--]` for compiler-invented steps), so reorders stay readable.
-    fn premise_cost_table(
-        plan: &Plan,
-        profile: Option<&CostProfile>,
-        stats: &SearchStats,
-    ) -> String {
+    /// with the probe's observed attribution. Steps the executor does
+    /// not attribute (local equalities and matches, folded into their
+    /// premise's cost) and steps never attempted render an explicit
+    /// `obs n/a (never attempted)` rather than an ambiguous zero. The
+    /// `[pN]` tag is the step's source-premise provenance (`[--]` for
+    /// compiler-invented steps), so the scheduler's reorders stay
+    /// readable.
+    fn premise_cost_table(plan: &Plan, stats: &SearchStats) -> String {
         use std::collections::BTreeMap;
         let observed: BTreeMap<(u32, u32), PremiseStats> = stats
             .premise_stats(plan.rel)
@@ -1070,20 +850,11 @@ impl Library {
             .map(|(rule, step, p)| ((rule, step), p))
             .collect();
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  cost table (estimated vs observed{}, search entries):",
-            if profile.is_some() {
-                " vs replanned"
-            } else {
-                ""
-            }
-        );
+        let _ = writeln!(out, "  cost table (estimated vs observed, search entries):");
         for (rule_idx, handler) in plan.handlers.iter().enumerate() {
             for (step_idx, step) in handler.steps.iter().enumerate() {
                 let est = step.static_cost();
-                let provenance = handler.premise_of.get(step_idx).copied().flatten();
-                let tag = match provenance {
+                let tag = match handler.premise_of.get(step_idx).copied().flatten() {
                     Some(p) => format!("p{p}"),
                     None => "--".to_string(),
                 };
@@ -1108,23 +879,6 @@ impl Library {
                     }
                     _ => {
                         let _ = write!(out, "obs n/a (never attempted)");
-                    }
-                }
-                if let Some(profile) = profile {
-                    let replanned = provenance.and_then(|premise| {
-                        profile.lookup(plan.rel.index() as u32, rule_idx as u32, premise)
-                    });
-                    match replanned {
-                        Some(c) => {
-                            let _ = write!(
-                                out,
-                                " | replan mean {} cost, {}‰ fail",
-                                c.mean_cost, c.failure_permille
-                            );
-                        }
-                        None => {
-                            let _ = write!(out, " | replan n/a (unprofiled)");
-                        }
                     }
                 }
                 let _ = writeln!(out);

@@ -114,10 +114,10 @@ pub struct Handler {
     /// Provenance: for each step, the index of the source (preprocessed)
     /// premise it implements, or `None` for steps the compiler invents
     /// on its own account (output instantiation in producer plans). The
-    /// scheduler may reorder premises, so profile data keyed by source
-    /// premise index stays comparable across replans; one premise can
-    /// expand to several steps (instantiation + call + reconciliation),
-    /// all attributed to the same index.
+    /// scheduler may hoist a premise ahead of earlier ones, so
+    /// `explain()` tags each cost-table row `[pN]` with this index; one
+    /// premise can expand to several steps (instantiation + call +
+    /// reconciliation), all attributed to the same index.
     pub premise_of: Vec<Option<u32>>,
     /// Conclusion terms at the output positions, evaluated at the end
     /// (empty for checker plans).
@@ -157,9 +157,10 @@ impl Step {
     /// step, in the same unit the probe's premise attribution observes
     /// (search entries). Local work (equalities, matches) is flat;
     /// checker calls recurse; producer calls additionally enumerate.
-    /// `explain()` renders these next to the observed means so the
-    /// estimates can be judged — and eventually replaced — by profile
-    /// data (`Library::replan_from`).
+    /// A checker plan takes its admissible premises in ascending order
+    /// of this cost, ties in source order ([`crate::compile`]), and
+    /// `explain()` renders it next to the observed means so the
+    /// estimates can be judged on a workload.
     pub fn static_cost(&self) -> u64 {
         match self {
             Step::EqCheck { .. } | Step::EqBind { .. } | Step::MatchExpr { .. } => 1,

@@ -58,7 +58,7 @@
 //! ```
 
 use crate::error::ExecError;
-use crate::library::{CheckerImpl, Library, ReplanReport, SharedLibrary};
+use crate::library::{CheckerImpl, Library, SharedLibrary};
 use crate::memo::MemoStats;
 pub use crate::memo::SharedMemo;
 use indrel_producers::{
@@ -320,12 +320,6 @@ struct Telemetry {
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     latency_ns: Arc<Log2Histogram>,
-    /// Profile-guided replan passes run through [`Session::replan_hot`].
-    replans: Arc<Counter>,
-    /// Relations recompiled into a different plan across those passes.
-    relations_replanned: Arc<Counter>,
-    /// Relations whose plans were reused (or reproduced unchanged).
-    relations_kept: Arc<Counter>,
 }
 
 impl Telemetry {
@@ -344,9 +338,6 @@ impl Telemetry {
             memo_hits: registry.counter("memo.hits", det),
             memo_misses: registry.counter("memo.misses", det),
             latency_ns: registry.histogram("serve.latency_ns", Determinism::WallClock),
-            replans: registry.counter("plan.replans", det),
-            relations_replanned: registry.counter("plan.relations_replanned", det),
-            relations_kept: registry.counter("plan.relations_kept", det),
             registry,
         }
     }
@@ -364,6 +355,13 @@ impl Telemetry {
     }
 }
 
+/// The admission count, on a cache line of its own: every request
+/// updates it twice from its worker's thread, while the table, pool and
+/// metric handles beside it in [`ServerState`] are read by every
+/// request on every thread.
+#[repr(align(64))]
+struct Inflight(AtomicUsize);
+
 /// State shared between a [`Server`], its [`Session`]s, and outstanding
 /// [`Permit`]s.
 struct ServerState {
@@ -373,7 +371,7 @@ struct ServerState {
     /// meter applies (the pool meters steps and the deadline only).
     max_term_size: Option<u64>,
     config: ServeConfig,
-    inflight: AtomicUsize,
+    inflight: Inflight,
     tel: Telemetry,
     /// The core's probe names, snapshotted at construction so dumps can
     /// render names without a `Library` (sessions are not `Send`; the
@@ -392,7 +390,7 @@ impl ServerState {
     /// [`Session`] request.
     fn try_admit(self: &Arc<Self>) -> Result<Permit, ExecError> {
         let capacity = self.config.max_inflight;
-        let mut cur = self.inflight.load(Ordering::Relaxed);
+        let mut cur = self.inflight.0.load(Ordering::Relaxed);
         loop {
             if cur >= capacity {
                 self.tel.shed.inc();
@@ -401,7 +399,7 @@ impl ServerState {
                     capacity,
                 });
             }
-            match self.inflight.compare_exchange_weak(
+            match self.inflight.0.compare_exchange_weak(
                 cur,
                 cur + 1,
                 Ordering::AcqRel,
@@ -470,7 +468,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("config", &self.state.config)
-            .field("inflight", &self.state.inflight.load(Ordering::Relaxed))
+            .field("inflight", &self.state.inflight.0.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -495,7 +493,7 @@ impl Server {
                 pool: BudgetPool::new(budget),
                 max_term_size: budget.max_term_size,
                 config,
-                inflight: AtomicUsize::new(0),
+                inflight: Inflight(AtomicUsize::new(0)),
                 tel: Telemetry::new(),
                 names,
                 recorders: Mutex::new(Vec::new()),
@@ -597,7 +595,7 @@ impl Server {
         snap.insert_gauge("memo.degraded_shards", m.degraded_shards, det);
         snap.insert_gauge(
             "serve.inflight",
-            self.state.inflight.load(Ordering::Relaxed) as u64,
+            self.state.inflight.0.load(Ordering::Relaxed) as u64,
             det,
         );
         snap
@@ -646,7 +644,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        self.state.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.state.inflight.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -679,27 +677,6 @@ impl Session {
     /// dumps.
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.recorder
-    }
-
-    /// Hot-swaps this session onto a profile-guided replan of its core
-    /// ([`Library::replan_from`]) without dropping any serving-layer
-    /// attachment: the new session keeps the server's shared memo table
-    /// (verdicts are fuel-monotone facts about the *relation*, so they
-    /// stay valid across plan changes).
-    ///
-    /// Only this session is swapped; other sessions keep their plans
-    /// until they replan. Bumps the server's `plan.*` metrics
-    /// (`plan.replans`, `plan.relations_replanned`,
-    /// `plan.relations_kept`) and returns the [`ReplanReport`].
-    pub fn replan_hot(&mut self, stats: &SearchStats) -> ReplanReport {
-        let (lib, report) = self.lib.replan_from_report(stats);
-        self.lib = lib.with_shared_memo(Arc::clone(&self.state.memo));
-        let tel = &self.state.tel;
-        tel.replans.inc();
-        tel.relations_replanned.add(report.replanned.len() as u64);
-        tel.relations_kept
-            .add((report.kept.len() + report.unchanged.len()) as u64);
-        report
     }
 
     /// Checks a batch of argument tuples against `rel` at fuel `size`,

@@ -12,8 +12,8 @@
 //! budget charges and probe events of every opcode are documented in
 //! DESIGN.md § "Bytecode VM" — that chapter is the reference; this
 //! module is its implementation. Those charges and events are what
-//! the budget, telemetry, and replanning layers consume, so the
-//! parity loop (below) must keep them exactly.
+//! the budget and telemetry layers consume, so the parity loop
+//! (below) must keep them exactly.
 //!
 //! Compilation is total ([`compile_vm`]): every derived checker and
 //! producer has a program, wide relations and unmatchable patterns

@@ -1,19 +1,17 @@
 //! Property: **every schedule the planner emits is mode-admissible** —
-//! however the cost model orders premises, no step of any compiled
-//! checker plan consumes a variable before something bound it, and
-//! every handler's outputs are fully known at the end
+//! however the static scheduler hoists premises, no step of any
+//! compiled checker plan consumes a variable before something bound
+//! it, and every handler's outputs are fully known at the end
 //! ([`check_plan_admissible`]).
 //!
 //! The fuzz loop generates small random specs from a fixed-seed
-//! xorshift stream, derives their checkers, and re-checks the
-//! invariant from the plan alone. A second loop re-derives each spec
-//! under *synthetic cost profiles* ([`LibraryBuilder::set_profile`])
-//! drawn from the same stream, forcing the greedy scheduler into
-//! orders the static seeds would never pick. Specs the deriver
-//! rejects are recorded as skips, never failures.
+//! xorshift stream, derives their checkers with the derive-time
+//! schedules every library ships, and re-checks the invariant from the
+//! plan alone. Specs the deriver rejects are recorded as skips, never
+//! failures.
 
 use indrel_core::compat::check_plan_admissible;
-use indrel_core::{CostProfile, LibraryBuilder};
+use indrel_core::LibraryBuilder;
 use indrel_rel::parse::parse_program;
 use indrel_rel::RelEnv;
 use indrel_term::Universe;
@@ -43,15 +41,13 @@ impl Rng {
 
 const SEED: u64 = 0x1DEA5C0DE;
 const CASES: usize = 120;
-const PROFILES_PER_CASE: usize = 4;
 
 /// One random spec: a fixed derivable base relation `r0` plus a
 /// random target `r1` whose rules draw premises over both, with
 /// argument shapes that exercise equality checks, constructor
 /// patterns, and (sometimes) existential variables the compiler must
-/// produce. Returns the DSL text and, per `r1` rule, its premise
-/// count (for synthetic-profile generation).
-fn random_spec(rng: &mut Rng) -> (String, Vec<u32>) {
+/// produce. Returns the DSL text.
+fn random_spec(rng: &mut Rng) -> String {
     let mut s = String::from(
         "rel r0 : nat nat :=\n\
          | z : forall n, r0 n n\n\
@@ -60,7 +56,6 @@ fn random_spec(rng: &mut Rng) -> (String, Vec<u32>) {
          rel r1 : nat nat :=\n",
     );
     let n_rules = 1 + rng.below(2);
-    let mut premises_per_rule = Vec::new();
     for rule in 0..n_rules {
         let n_premises = 1 + rng.below(3);
         // `k` is existential: it appears in no conclusion, so checker
@@ -90,21 +85,20 @@ fn random_spec(rng: &mut Rng) -> (String, Vec<u32>) {
             "| q{rule} : forall {vars}, {} -> r1 {c1} {c2}\n",
             prems.join(" -> ")
         ));
-        premises_per_rule.push(prems.len() as u32);
     }
     s.push_str(".\n");
-    (s, premises_per_rule)
+    s
 }
 
 /// Asserts the admissibility invariant on every compiled checker plan
 /// in the builder.
-fn assert_all_admissible(b: &LibraryBuilder, spec: &str, tag: &str) {
+fn assert_all_admissible(b: &LibraryBuilder, spec: &str) {
     let rels: Vec<_> = b.env().iter().map(|(rel, _)| rel).collect();
     for rel in rels {
         if let Some(plan) = b.checker_plan(rel) {
             if let Err(e) = check_plan_admissible(plan) {
                 panic!(
-                    "{tag}: inadmissible schedule for {}: {e}\nspec:\n{spec}",
+                    "inadmissible schedule for {}: {e}\nspec:\n{spec}",
                     b.env().relation(rel).name()
                 );
             }
@@ -118,16 +112,13 @@ fn every_planner_schedule_is_mode_admissible() {
     let mut derived = 0usize;
     let mut skipped = 0usize;
     for _ in 0..CASES {
-        let (spec, premises_per_rule) = random_spec(&mut rng);
+        let spec = random_spec(&mut rng);
         let mut u = Universe::new();
         let mut env = RelEnv::new();
         parse_program(&mut u, &mut env, &spec)
             .unwrap_or_else(|e| panic!("generated spec must parse: {e}\n{spec}"));
         let r1 = env.rel_id("r1").unwrap();
-        let r1_idx = r1.index() as u32;
-
-        // Static seeds first.
-        let mut b = LibraryBuilder::new(u.clone(), env.clone());
+        let mut b = LibraryBuilder::new(u, env);
         if b.derive_checker(r1).is_err() {
             // Outside the derivable class (e.g. an existential the
             // compiler cannot produce) — a skip, not a failure.
@@ -135,26 +126,7 @@ fn every_planner_schedule_is_mode_admissible() {
             continue;
         }
         derived += 1;
-        assert_all_admissible(&b, &spec, "static");
-
-        // Then under synthetic profiles chosen to shuffle the greedy
-        // order: random mean costs and failure rates per premise.
-        for _ in 0..PROFILES_PER_CASE {
-            let mut profile = CostProfile::new();
-            for (rule, &n_premises) in premises_per_rule.iter().enumerate() {
-                for premise in 0..n_premises {
-                    let evals = 1000;
-                    let mean = 1 + rng.below(64);
-                    let fails = rng.below(1001);
-                    profile.record(r1_idx, rule as u32, premise, evals, mean * evals, fails);
-                }
-            }
-            let mut b = LibraryBuilder::new(u.clone(), env.clone());
-            b.set_profile(profile);
-            b.derive_checker(r1)
-                .expect("profile must not change derivability");
-            assert_all_admissible(&b, &spec, "profiled");
-        }
+        assert_all_admissible(&b, &spec);
     }
     // The generator must actually exercise the deriver: most specs
     // stay inside the derivable class.

@@ -2,7 +2,7 @@
 //!
 //! Every generated spec is pushed through the *entire* derivation
 //! pipeline — parse, preprocess, compile, execute — and checked against
-//! ten independent oracles, each comparing two implementations that
+//! nine independent oracles, each comparing two implementations that
 //! should agree but share as little code as possible (this table is
 //! mirrored by the enumerated list in DESIGN.md § "Self-fuzzing", the
 //! prose source of truth README and ROADMAP point at):
@@ -18,7 +18,6 @@
 //! | `budget_determinism`       | budgeted run           | identical re-run            |
 //! | `memo_vs_plain`            | memo-enabled fork      | plain (memo-less) fork      |
 //! | `concurrent_memo_vs_plain` | threaded serve session | plain (memo-less) fork      |
-//! | `replanned_vs_plain`       | profile-replanned fork | static-schedule fork + ref  |
 //!
 //! A spec that the deriver rejects (e.g. mutual recursion hitting
 //! `InstanceCycle`) is not a violation: the execution oracles record a
@@ -39,7 +38,7 @@ use indrel_validate::{ValidationParams, Validator};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// The ten oracles, in reporting order.
+/// The nine oracles, in reporting order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Oracle {
     /// `parse(pretty(p))` is structurally equal to `parse(p)`.
@@ -74,17 +73,11 @@ pub enum Oracle {
     /// from multiple worker threads with one shard poison-injected,
     /// agrees verdict-for-verdict with a fresh unmemoized fork.
     ConcurrentMemoVsPlain,
-    /// A [`Library::replan_from`] fork (profile-guided premise
-    /// schedules) agrees with the static-schedule fork: byte-identical
-    /// sibling replans, exact result equality when the replan was a
-    /// no-op, decided-verdict agreement otherwise, and full agreement
-    /// with the `indrel-semantics` reference on the replanned side.
-    ReplannedVsPlain,
 }
 
 impl Oracle {
     /// All oracles, in reporting order.
-    pub const ALL: [Oracle; 10] = [
+    pub const ALL: [Oracle; 9] = [
         Oracle::Roundtrip,
         Oracle::InterpVsCompiled,
         Oracle::CheckerVsReference,
@@ -94,7 +87,6 @@ impl Oracle {
         Oracle::BudgetDeterminism,
         Oracle::MemoVsPlain,
         Oracle::ConcurrentMemoVsPlain,
-        Oracle::ReplannedVsPlain,
     ];
 
     /// Stable machine-readable name (used in JSON output, artifacts,
@@ -110,7 +102,6 @@ impl Oracle {
             Oracle::BudgetDeterminism => "budget_determinism",
             Oracle::MemoVsPlain => "memo_vs_plain",
             Oracle::ConcurrentMemoVsPlain => "concurrent_memo_vs_plain",
-            Oracle::ReplannedVsPlain => "replanned_vs_plain",
         }
     }
 }
@@ -299,10 +290,6 @@ pub fn run_dsl_with(source: &str, params: &OracleParams) -> SpecReport {
             outcomes.push((
                 Oracle::ConcurrentMemoVsPlain,
                 concurrent_memo_vs_plain(&lib, &u, &env, &rels, params),
-            ));
-            outcomes.push((
-                Oracle::ReplannedVsPlain,
-                replanned_vs_plain(&lib, &u, &env, &rels, params),
             ));
         }
         Err(reason) => {
@@ -893,102 +880,6 @@ fn concurrent_memo_vs_plain(
         ));
     }
     OracleOutcome::Pass
-}
-
-fn replanned_vs_plain(
-    lib: &Library,
-    u: &Universe,
-    env: &RelEnv,
-    rels: &[RelId],
-    params: &OracleParams,
-) -> OracleOutcome {
-    // 1. Profile the spec under its static schedules: one budgeted
-    //    sweep over every relation's domain with a stats probe armed.
-    let stats = SearchStats::new();
-    {
-        let _probe = lib.arm_probe(ExecProbe::stats(&stats));
-        for &rel in rels {
-            let (_, dom) = domain(u, env, rel, params.arg_size);
-            for args in &dom {
-                let _ = budgeted_check(lib, rel, params.max_fuel, args, params);
-            }
-        }
-    }
-    // 2. Replan twice from the same snapshot: replans are specified to
-    //    be deterministic functions of it, so the siblings must render
-    //    byte-identical plans and the same report.
-    let (replanned, report) = lib.replan_from_report(&stats);
-    let (again, report_again) = lib.replan_from_report(&stats);
-    if report.replanned != report_again.replanned {
-        return OracleOutcome::Violation(format!(
-            "sibling replans disagree on what changed: {:?} vs {:?}",
-            report.replanned, report_again.replanned
-        ));
-    }
-    for &rel in rels {
-        if replanned.explain(rel) != again.explain(rel) {
-            return OracleOutcome::Violation(format!(
-                "sibling replans of {} render different plans",
-                env.relation(rel).name()
-            ));
-        }
-    }
-    // 3. Verdict agreement with the static-schedule fork. When the
-    //    replan was a no-op the libraries share every plan, so the
-    //    budgeted Results must be identical, cut-offs included. When a
-    //    plan changed, budget charges and cut-off placement
-    //    legitimately differ, so: skip cut-offs, require decided
-    //    verdicts to agree (a reorder can move a tuple between decided
-    //    and unknown at the fuel frontier, but never flip true/false),
-    //    and let None-vs-decided pass — a better schedule may decide
-    //    within a budget the static order exhausts.
-    let noop = report.is_noop();
-    for &rel in rels {
-        let (_, dom) = domain(u, env, rel, params.arg_size);
-        for fuel in [0, params.max_fuel / 2, params.max_fuel] {
-            for args in &dom {
-                let plain = budgeted_check(lib, rel, fuel, args, params);
-                let rep = budgeted_check(&replanned, rel, fuel, args, params);
-                if noop {
-                    let same = match (&plain, &rep) {
-                        (Ok(a), Ok(b)) => a == b,
-                        (Err(a), Err(b)) => format!("{a}") == format!("{b}"),
-                        _ => false,
-                    };
-                    if !same {
-                        return OracleOutcome::Violation(format!(
-                            "{} at fuel {fuel} on {}: no-op replan changed the result: \
-                             replanned {rep:?} vs plain {plain:?}",
-                            env.relation(rel).name(),
-                            render_args(u, args),
-                        ));
-                    }
-                    continue;
-                }
-                let (Ok(plain), Ok(rep)) = (plain, rep) else {
-                    continue;
-                };
-                if let (Some(a), Some(b)) = (plain, rep) {
-                    if a != b {
-                        return OracleOutcome::Violation(format!(
-                            "{} at fuel {fuel} on {}: replanned {b:?} vs plain {a:?}",
-                            env.relation(rel).name(),
-                            render_args(u, args),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    // 4. The replanned fork must also agree with the bounded reference
-    //    proof search on its own — decided verdicts that merely *agree
-    //    with each other* could still both be wrong.
-    match checker_vs_reference(&replanned, rels, params) {
-        OracleOutcome::Pass | OracleOutcome::Skip(_) => OracleOutcome::Pass,
-        OracleOutcome::Violation(v) => {
-            OracleOutcome::Violation(format!("replanned fork vs reference: {v}"))
-        }
-    }
 }
 
 fn render_args(u: &Universe, args: &[Value]) -> String {

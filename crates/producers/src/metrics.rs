@@ -2,10 +2,9 @@
 //!
 //! The serving layer (`indrel_core::serve`) needs continuous,
 //! exportable counters — requests, memo hits, sheds, retries, degraded
-//! shards, per-rule work — that an operator (or the profile-guided
-//! replanner of ROADMAP item 2) can scrape while traffic flows. This
-//! module provides the three cell kinds and the registry that
-//! aggregates them:
+//! shards, per-rule work — that an operator can scrape while traffic
+//! flows. This module provides the three cell kinds and the registry
+//! that aggregates them:
 //!
 //! * [`Counter`] — a monotone sum, striped across cache lines so
 //!   concurrent workers increment without contending (lock-free:

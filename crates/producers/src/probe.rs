@@ -151,7 +151,7 @@ pub enum Event {
         skipped: u32,
     },
     /// One premise (plan step) of one rule was evaluated — the cost
-    /// attribution signal the profile-guided replanner consumes.
+    /// attribution behind `explain()`'s estimated-vs-observed table.
     Premise {
         /// The relation whose rule ran.
         rel: RelId,
@@ -238,8 +238,7 @@ pub struct RuleStats {
 
 /// Per-premise cost counters accumulated by [`SearchStats`] from
 /// [`Event::Premise`] — the observed side of the estimated-vs-observed
-/// cost table `explain()` renders, and the profile input
-/// `Library::replan_from(stats)` will consume.
+/// cost table `explain()` renders.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PremiseStats {
     /// Times the premise was evaluated.
@@ -468,22 +467,6 @@ impl SearchStats {
             .iter()
             .filter(|((r, _, _), _)| *r == want)
             .map(|((_, rule, step), p)| (*rule, *step, *p))
-            .collect()
-    }
-
-    /// Total search entries attributed to premises, across all rules.
-    pub fn total_premise_cost(&self) -> u64 {
-        lock(&self.state).premises.values().map(|p| p.cost).sum()
-    }
-
-    /// All premise counters, as `(rel, rule, step, stats)` in
-    /// deterministic `(rel, rule, step)` order — the bulk form of
-    /// [`SearchStats::premise_stats`].
-    pub fn all_premise_stats(&self) -> Vec<(RelId, u32, u32, PremiseStats)> {
-        lock(&self.state)
-            .premises
-            .iter()
-            .map(|((rel, rule, step), p)| (RelId::new(*rel as usize), *rule, *step, *p))
             .collect()
     }
 
@@ -1096,7 +1079,6 @@ search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
                 p.failures
             );
         }
-        assert_eq!(c("premise.bst.1.2.cost"), stats.total_premise_cost());
         assert_eq!(c("unify_fail.bst.0.inputs"), 1);
         assert_eq!(c("unify_fail.bst.1.step2"), 2);
         assert_eq!(stats.total_unify_fails(), 3);
@@ -1248,7 +1230,6 @@ search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
                 }
             )]
         );
-        assert_eq!(stats.total_premise_cost(), 12);
         assert_eq!(ps[0].2.mean_cost(), 6.0);
         assert_eq!(ps[0].2.failure_rate(), 0.5);
         let snap = stats.snapshot();

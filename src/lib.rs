@@ -75,10 +75,10 @@ pub use indrel_validate as validate;
 pub mod prelude {
     pub use indrel_core::serve::RequestOutcome;
     pub use indrel_core::{
-        Budget, BudgetPool, BudgetedStream, CostProfile, DeriveError, DeriveOptions, ExecError,
-        ExecProbe, Exhaustion, FlightRecorder, InstanceKind, Library, LibraryBuilder, MemoStats,
-        Mode, Permit, Plan, PremiseCost, ReplanReport, RequestSpan, Resource, SearchStats,
-        ServeConfig, Server, Session, SharedLibrary, SharedMemo, TraceProbe,
+        Budget, BudgetPool, BudgetedStream, DeriveError, DeriveOptions, ExecError, ExecProbe,
+        Exhaustion, FlightRecorder, InstanceKind, Library, LibraryBuilder, MemoStats, Mode, Permit,
+        Plan, RequestSpan, Resource, SearchStats, ServeConfig, Server, Session, SharedLibrary,
+        SharedMemo, TraceProbe,
     };
     pub use indrel_pbt::{Labels, Parallelism, RunReport, Runner, TestOutcome};
     pub use indrel_producers::{

@@ -508,7 +508,7 @@ fn stlc_inference_budget_ladder_is_pinned() {
     assert_eq!(rendered, STLC_INFER_LADDER);
 }
 
-const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":32,"memo.insertions":18,"memo.misses":24,"memo.none_skipped":0,"plan.relations_kept":0,"plan.relations_replanned":0,"plan.replans":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1431},"gauges":{"memo.degraded_shards":0,"memo.entries":18,"serve.inflight":0},"histograms":{}}}"#;
+const SERVED_SNAPSHOT: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"memo.full_skipped":0,"memo.hits":32,"memo.insertions":18,"memo.misses":24,"memo.none_skipped":0,"serve.requests":56,"serve.requests.failed":0,"serve.requests.false":16,"serve.requests.true":40,"serve.requests.unknown":0,"serve.retries":0,"serve.shed":0,"serve.steps":1431},"gauges":{"memo.degraded_shards":0,"memo.entries":18,"serve.inflight":0},"histograms":{}}}"#;
 
 const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTssssssssssssssssssssTssssssTssTssssssssssTss|sTsssssssssTTsssssssssssssssTsssTssssssTTTTssssssssssTss|TTssssFFsTsTTFTFssFFsFFsTFssTsssTFsTTssTTTTFFssTFsFFsTFs|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|TTTTTTFFTTTTTFTFTTFFTFFTTFTTTTTTTFTTTTTTTTTFFTTTFTFFTTFT|";
 
