@@ -38,7 +38,7 @@
 use crate::compat::{classify_arg, ArgClass};
 use crate::error::DeriveError;
 use crate::mode::Mode;
-use crate::plan::{Handler, Plan, Step};
+use crate::plan::{Handler, Plan, Step, CALL_COST, LOCAL_COST};
 use crate::DeriveOptions;
 use indrel_rel::analysis::features;
 use indrel_rel::preprocess::preprocess_relation;
@@ -272,7 +272,9 @@ impl HandlerCx<'_> {
 
     /// Whether `premise` can be scheduled *right now* without any
     /// enumeration (no external producer call, no unconstrained
-    /// instantiation), and at what static cost. Reuses the
+    /// instantiation), and at what static cost: the
+    /// [`Step::static_cost`] of the step it becomes, a local one for an
+    /// equality and a checker call for a relation premise. Reuses the
     /// compatibility classification of [`crate::compat`]: an argument
     /// that classifies as `ProducibleOutput` or `NeedsInstantiation`
     /// blocks the premise until something else binds its variables —
@@ -283,7 +285,7 @@ impl HandlerCx<'_> {
                 let lk = self.is_known_expr(lhs);
                 let rk = self.is_known_expr(rhs);
                 if lk && rk {
-                    return Some(1);
+                    return Some(LOCAL_COST);
                 }
                 if *negated {
                     // A disequality cannot bind its unknowns.
@@ -297,8 +299,8 @@ impl HandlerCx<'_> {
                     return None;
                 };
                 match unknown_side {
-                    TermExpr::Var(_) => Some(1),
-                    _ if unknown_side.to_pattern().is_some() => Some(1),
+                    TermExpr::Var(_) => Some(LOCAL_COST),
+                    _ if unknown_side.to_pattern().is_some() => Some(LOCAL_COST),
                     // A function call over unknowns can only be checked
                     // after enumeration.
                     _ => None,
@@ -310,7 +312,9 @@ impl HandlerCx<'_> {
                 ..
             } => {
                 // Negation-as-failure needs every argument ground.
-                args.iter().all(|a| self.is_known_expr(a)).then_some(10)
+                args.iter()
+                    .all(|a| self.is_known_expr(a))
+                    .then_some(CALL_COST)
             }
             Premise::Rel {
                 args,
@@ -331,7 +335,7 @@ impl HandlerCx<'_> {
                         }
                     }
                 }
-                Some(10)
+                Some(CALL_COST)
             }
         }
     }

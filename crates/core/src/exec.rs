@@ -279,9 +279,7 @@ impl Library {
         rng: &mut dyn rand::RngCore,
     ) -> Option<Vec<Value>> {
         match (&entry.hand_gen, &entry.derived) {
-            (None, Some(cp)) if self.producers_unarmed() => {
-                self.run_vm_gen(cp, size, top_size, inputs, rng)
-            }
+            (None, Some(cp)) if self.unarmed() => self.run_vm_gen(cp, size, top_size, inputs, rng),
             _ => self.run_gen_impl(rel, entry, size, top_size, inputs, rng),
         }
     }
@@ -784,11 +782,13 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
-        // One `search_calls` bump per search, like the VM, so probe
-        // cost attribution reads the same across both executors.
-        self.inner
-            .search_calls
-            .set(self.inner.search_calls.get() + 1);
+        // One `search_calls` bump per probed search, like the VM, so
+        // the probe's premise costs read the same across both executors.
+        if self.probe_armed() {
+            self.inner
+                .search_calls
+                .set(self.inner.search_calls.get() + 1);
+        }
         let _depth = self.probe_enter(plan.rel, ExecKind::Checker);
         if size == 0 {
             let base = plan

@@ -135,6 +135,17 @@ pub struct Plan {
     pub handlers: Vec<Handler>,
 }
 
+/// [`Step::static_cost`] of a local step: an equality or a match.
+/// The scheduler ranks an admissible equality premise at this cost,
+/// and a handler whose steps all cost this much makes no call, so the
+/// top-level entry never tables the tuples its bucket answers alone
+/// ([`crate::memo`]).
+pub(crate) const LOCAL_COST: u64 = 1;
+
+/// [`Step::static_cost`] of a checker call, external or recursive: the
+/// scheduler ranks an admissible relation premise at this cost.
+pub(crate) const CALL_COST: u64 = 10;
+
 impl Step {
     /// A short label for the step kind, used by `explain()`'s cost
     /// table and diagnostics.
@@ -163,8 +174,8 @@ impl Step {
     /// estimates can be judged on a workload.
     pub fn static_cost(&self) -> u64 {
         match self {
-            Step::EqCheck { .. } | Step::EqBind { .. } | Step::MatchExpr { .. } => 1,
-            Step::CheckRel { .. } | Step::RecCheck { .. } => 10,
+            Step::EqCheck { .. } | Step::EqBind { .. } | Step::MatchExpr { .. } => LOCAL_COST,
+            Step::CheckRel { .. } | Step::RecCheck { .. } => CALL_COST,
             Step::ProduceExt { .. } | Step::ProduceRec { .. } | Step::Unconstrained { .. } => 25,
         }
     }

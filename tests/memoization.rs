@@ -125,6 +125,39 @@ fn a_served_request_makes_one_lookup() {
     });
 }
 
+// What the table holds is decided by the plan's shape: a tuple is
+// tabled iff its dispatch bucket holds a handler with a call step. `r
+// 10` is tabled though its guard fails before the call to `q`; `r 0`
+// matches only the premise-free `r_z`, so it is never looked up or
+// inserted, and each of its calls counts as a miss.
+#[test]
+fn tabling_follows_the_dispatch_bucket() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"rel q : nat := | q0 : q 0 .
+          rel r : nat :=
+          | r_z : r 0
+          | r_s : forall n, n = 3 -> q n -> r (S n)
+          .",
+    )
+    .unwrap();
+    let r = env.rel_id("r").unwrap();
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(r).unwrap();
+    let lib = b.build().with_memo();
+    let verdicts: Vec<_> = [10, 10, 0, 0, 4, 4]
+        .into_iter()
+        .map(|n| lib.check(r, 8, 8, &[Value::nat(n)]))
+        .collect();
+    let (t, f) = (Some(true), Some(false));
+    assert_eq!(verdicts, [f, f, t, t, f, f]);
+    let s = lib.memo_stats();
+    assert_eq!((s.hits, s.misses, s.insertions), (2, 4, 2), "{s:?}");
+}
+
 proptest! {
     // A session with tabling on decides exactly what a fresh library
     // decides, at every fuel — even though the session keeps verdicts
