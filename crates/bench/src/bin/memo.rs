@@ -9,10 +9,11 @@
 //! `--json` writes the whole run as one `indrel.bench.memo/1` document
 //! (default path `BENCH_memo.json`).
 //!
-//! Environment: `MEMO_PASSES` (timed sweeps per side, default 15),
-//! `MEMO_TREES` (BST corpus size, default 1024 — sweeps of a few
-//! milliseconds, so medians resolve single-digit overhead
-//! percentages), `MEMO_TERMS` (STLC corpus size, default 200).
+//! Environment: `MEMO_PASSES` (timed sweeps per side, default 15).
+//! The corpora are fixed, 1,024 BST trees (sweeps of a few
+//! milliseconds, so medians resolve single-digit overhead percentages)
+//! and 200 STLC terms, so each case's `calls` and `memo` counts repeat
+//! at any pass count: only the timings vary between runs.
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -35,9 +36,7 @@ fn main() {
         }
     }
     let passes = env_usize("MEMO_PASSES", 15);
-    let trees = env_usize("MEMO_TREES", 1024);
-    let terms = env_usize("MEMO_TERMS", 200);
-    let cases = indrel_bench::memo::all_cases(trees, terms, passes);
+    let cases = indrel_bench::memo::all_cases(1024, 200, passes);
     if let Some(path) = json_path {
         let doc = indrel_bench::memo::memo_json(&cases, passes);
         std::fs::write(&path, format!("{doc}\n")).expect("write JSON output");

@@ -146,7 +146,9 @@ pub struct RequestSpan {
     pub steps: u64,
     /// Table lookups the request answered from the shared memo.
     pub memo_hits: u64,
-    /// Table lookups the request made that fell through to the search.
+    /// Top-level checks the request made that the table did not
+    /// answer: lookups that fell through to the search, and calls on
+    /// untabled tuples (see [`crate::memo`]).
     pub memo_misses: u64,
 }
 

@@ -131,17 +131,6 @@ pub enum Event {
         /// output tuple.
         size: u64,
     },
-    /// A tabling lookup returned a cached verdict; the search body was
-    /// skipped entirely (one budget step was still charged).
-    MemoHit {
-        /// The relation whose verdict was cached.
-        rel: RelId,
-    },
-    /// A tabling lookup found no usable entry; the search ran in full.
-    MemoMiss {
-        /// The relation looked up.
-        rel: RelId,
-    },
     /// The constructor dispatch index pruned `skipped` rules for one
     /// checker entry without attempting them.
     IndexSkip {
@@ -285,8 +274,6 @@ struct StatsState {
     depths: HistogramSnapshot,
     term_sizes: HistogramSnapshot,
     events: u64,
-    memo_hits: u64,
-    memo_misses: u64,
     /// Total rules pruned by the dispatch index (sum of `skipped`).
     index_skipped: u64,
 }
@@ -348,8 +335,6 @@ impl SearchStats {
             Event::TermProduced { size, .. } => {
                 s.term_sizes.record(size);
             }
-            Event::MemoHit { .. } => s.memo_hits += 1,
-            Event::MemoMiss { .. } => s.memo_misses += 1,
             Event::IndexSkip { skipped, .. } => s.index_skipped += u64::from(skipped),
             Event::Premise {
                 rel,
@@ -394,8 +379,6 @@ impl SearchStats {
         s.depths.merge(&o.depths);
         s.term_sizes.merge(&o.term_sizes);
         s.events += o.events;
-        s.memo_hits += o.memo_hits;
-        s.memo_misses += o.memo_misses;
         s.index_skipped += o.index_skipped;
         for (key, p) in o.premises {
             let dst = s.premises.entry(key).or_default();
@@ -440,16 +423,6 @@ impl SearchStats {
     /// Unification failures across all sites.
     pub fn total_unify_fails(&self) -> u64 {
         lock(&self.state).fails.values().sum()
-    }
-
-    /// Tabling lookups answered from the cache.
-    pub fn memo_hits(&self) -> u64 {
-        lock(&self.state).memo_hits
-    }
-
-    /// Tabling lookups that fell through to the full search.
-    pub fn memo_misses(&self) -> u64 {
-        lock(&self.state).memo_misses
     }
 
     /// Rules pruned by the constructor dispatch index (summed over all
@@ -521,8 +494,7 @@ impl SearchStats {
     /// handler index:
     ///
     /// * `search.events`, `search.enters.{checker,enumerator,generator}`
-    ///   and `search.{memo_hits,memo_misses,index_skipped}`, present
-    ///   even when 0;
+    ///   and `search.index_skipped`, present even when 0;
     /// * `rule.<rel>.<i>.{attempts,successes,backtracks}`;
     /// * `premise.<rel>.<i>.<step>.{evals,cost,failures}`;
     /// * `unify_fail.<rel>.<i>.<site>`, `site` being `inputs` or `stepN`;
@@ -539,13 +511,7 @@ impl SearchStats {
                 s.enters[kind as usize],
             );
         }
-        for (name, v) in [
-            ("memo_hits", s.memo_hits),
-            ("memo_misses", s.memo_misses),
-            ("index_skipped", s.index_skipped),
-        ] {
-            counter(format!("search.{name}"), v);
-        }
+        counter("search.index_skipped".into(), s.index_skipped);
         let rel = |r: u32| s.names.rel(RelId::new(r as usize));
         for ((r, rule), st) in &s.rules {
             let at = format!("rule.{}.{rule}", rel(*r));
@@ -595,12 +561,8 @@ impl fmt::Display for SearchStats {
                 r.backtracks
             )?;
         }
-        if s.memo_hits + s.memo_misses + s.index_skipped > 0 {
-            writeln!(
-                f,
-                "  memo: {} hits / {} misses; index pruned {} rules",
-                s.memo_hits, s.memo_misses, s.index_skipped
-            )?;
+        if s.index_skipped > 0 {
+            writeln!(f, "  index pruned {} rules", s.index_skipped)?;
         }
         if !s.premises.is_empty() {
             writeln!(
@@ -771,14 +733,6 @@ fn event_json(seq: u64, e: &Event, names: &NameTable) -> String {
             r#"{{"seq":{seq},"event":"term_produced","rel":"{}","size":{size}}}"#,
             json_escape(&names.rel(*rel))
         ),
-        Event::MemoHit { rel } => format!(
-            r#"{{"seq":{seq},"event":"memo_hit","rel":"{}"}}"#,
-            json_escape(&names.rel(*rel))
-        ),
-        Event::MemoMiss { rel } => format!(
-            r#"{{"seq":{seq},"event":"memo_miss","rel":"{}"}}"#,
-            json_escape(&names.rel(*rel))
-        ),
         Event::IndexSkip { rel, skipped } => format!(
             r#"{{"seq":{seq},"event":"index_skip","rel":"{}","skipped":{skipped}}}"#,
             json_escape(&names.rel(*rel))
@@ -892,13 +846,8 @@ mod tests {
         stats.record(Event::RuleAttempt { rel, rule: 1 });
         stats.record(Event::RuleSuccess { rel, rule: 1 });
         stats.record(Event::TermProduced { rel, size: 5 });
-        stats.record(Event::MemoMiss { rel });
-        stats.record(Event::MemoHit { rel });
-        stats.record(Event::MemoHit { rel });
         stats.record(Event::IndexSkip { rel, skipped: 3 });
-        assert_eq!(stats.events(), 11);
-        assert_eq!(stats.memo_hits(), 2);
-        assert_eq!(stats.memo_misses(), 1);
+        assert_eq!(stats.events(), 8);
         assert_eq!(stats.index_skipped(), 3);
         assert_eq!(stats.total_attempts(), 2);
         assert_eq!(stats.total_successes(), 1);
@@ -914,8 +863,6 @@ mod tests {
         assert_eq!(snap.counter("rule.bst.1.attempts"), Some(1));
         assert_eq!(snap.counter("rule.bst.1.successes"), Some(1));
         assert_eq!(snap.counter("unify_fail.bst.0.inputs"), Some(1));
-        assert_eq!(snap.counter("search.memo_hits"), Some(2));
-        assert_eq!(snap.counter("search.memo_misses"), Some(1));
         assert_eq!(snap.counter("search.index_skipped"), Some(3));
         assert_eq!(
             snap.deterministic_json(),
@@ -973,9 +920,6 @@ mod tests {
             Event::RuleSuccess { rel, rule: 1 },
             Event::TermProduced { rel, size: 5 },
             Event::TermProduced { rel, size: 40 },
-            Event::MemoMiss { rel },
-            Event::MemoHit { rel },
-            Event::MemoHit { rel },
             Event::IndexSkip { rel, skipped: 3 },
             Event::Premise {
                 rel,
@@ -1002,11 +946,11 @@ mod tests {
             stats.record(e);
         }
         let want = "\
-search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
+search stats: 16 events (2 checker / 1 enumerator / 1 generator entries)
   rule                       attempts  successes backtracks
   bst.bst_leaf                      1          0          1
   bst.bst_node                      1          1          0
-  memo: 2 hits / 1 misses; index pruned 3 rules
+  index pruned 3 rules
   premise                           evals       cost      mean    fail%
   bst.bst_node[step2]                   2         12       6.0    50.0%
   top unification failures:
@@ -1028,7 +972,7 @@ search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
                 r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"#,
                 r#""search.enters.checker":0,"search.enters.enumerator":0,"#,
                 r#""search.enters.generator":0,"search.events":0,"#,
-                r#""search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0},"#,
+                r#""search.index_skipped":0},"#,
                 r#""gauges":{},"histograms":{"#,
                 r#""search.depth":{"count":0,"sum":0,"max":0,"buckets":[]},"#,
                 r#""search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#
@@ -1052,8 +996,6 @@ search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
                 stats.enters(kind)
             );
         }
-        assert_eq!(c("search.memo_hits"), stats.memo_hits());
-        assert_eq!(c("search.memo_misses"), stats.memo_misses());
         assert_eq!(c("search.index_skipped"), stats.index_skipped());
         let rel = RelId::new(0);
         let mut totals = RuleStats::default();
@@ -1159,8 +1101,6 @@ search stats: 19 events (2 checker / 1 enumerator / 1 generator entries)
             Event::RuleAttempt { rel, rule: 1 },
             Event::RuleSuccess { rel, rule: 1 },
             Event::TermProduced { rel, size: 5 },
-            Event::MemoMiss { rel },
-            Event::MemoHit { rel },
             Event::IndexSkip { rel, skipped: 2 },
         ];
         // One sink seeing everything...

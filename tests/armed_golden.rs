@@ -514,23 +514,23 @@ const LADDER_RESULTS: &str = "sTsssssssssTssssssssssssssssssssTssssssTssTsssssss
 
 const LADDER_MEMO_STATS: &str = "MemoStats { hits: 163, misses: 229, insertions: 18, none_skipped: 169, full_skipped: 0, entries: 18, degraded_shards: 0, shed: 0, retries: 0 }";
 
-const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":907,"premise.bst.1.0.evals":207,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":985,"premise.bst.1.1.evals":202,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1897,"premise.bst.1.2.evals":191,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1803,"premise.bst.1.3.evals":167,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":4312,"premise.le'.1.0.evals":1090,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":1487,"premise.lt'.0.0.evals":405,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":187,"rule.bst.0.backtracks":0,"rule.bst.0.successes":187,"rule.bst.1.attempts":207,"rule.bst.1.backtracks":62,"rule.bst.1.successes":145,"rule.le'.0.attempts":1487,"rule.le'.0.backtracks":1094,"rule.le'.0.successes":393,"rule.le'.1.attempts":1090,"rule.le'.1.backtracks":33,"rule.le'.1.successes":1057,"rule.lt'.0.attempts":405,"rule.lt'.0.backtracks":12,"rule.lt'.0.successes":393,"search.enters.checker":2286,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":12863,"search.index_skipped":398,"search.memo_hits":32,"search.memo_misses":39,"unify_fail.le'.0.step0":1094},"gauges":{},"histograms":{"search.depth":{"count":2286,"sum":11391,"max":16,"buckets":[{"lo":0,"hi":0,"count":39},{"lo":1,"hi":1,"count":121},{"lo":2,"hi":3,"count":560},{"lo":4,"hi":7,"count":1198},{"lo":8,"hi":15,"count":363},{"lo":16,"hi":31,"count":5}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
+const PROBED_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.bst.1.0.cost":907,"premise.bst.1.0.evals":207,"premise.bst.1.0.failures":0,"premise.bst.1.1.cost":985,"premise.bst.1.1.evals":202,"premise.bst.1.1.failures":4,"premise.bst.1.2.cost":1897,"premise.bst.1.2.evals":191,"premise.bst.1.2.failures":4,"premise.bst.1.3.cost":1803,"premise.bst.1.3.evals":167,"premise.bst.1.3.failures":0,"premise.le'.1.0.cost":4312,"premise.le'.1.0.evals":1090,"premise.le'.1.0.failures":22,"premise.lt'.0.0.cost":1487,"premise.lt'.0.0.evals":405,"premise.lt'.0.0.failures":4,"rule.bst.0.attempts":187,"rule.bst.0.backtracks":0,"rule.bst.0.successes":187,"rule.bst.1.attempts":207,"rule.bst.1.backtracks":62,"rule.bst.1.successes":145,"rule.le'.0.attempts":1487,"rule.le'.0.backtracks":1094,"rule.le'.0.successes":393,"rule.le'.1.attempts":1090,"rule.le'.1.backtracks":33,"rule.le'.1.successes":1057,"rule.lt'.0.attempts":405,"rule.lt'.0.backtracks":12,"rule.lt'.0.successes":393,"search.enters.checker":2286,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":12792,"search.index_skipped":398,"unify_fail.le'.0.step0":1094},"gauges":{},"histograms":{"search.depth":{"count":2286,"sum":11391,"max":16,"buckets":[{"lo":0,"hi":0,"count":39},{"lo":1,"hi":1,"count":121},{"lo":2,"hi":3,"count":560},{"lo":4,"hi":7,"count":1198},{"lo":8,"hi":15,"count":363},{"lo":16,"hi":31,"count":5}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
 
-const INTERPRETED_BST_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.bst.0.attempts":323,"rule.bst.0.backtracks":163,"rule.bst.0.successes":160,"rule.bst.1.attempts":163,"rule.bst.1.backtracks":21,"rule.bst.1.successes":142,"search.enters.checker":649,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":1784,"search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0,"unify_fail.bst.0.inputs":163},"gauges":{},"histograms":{"search.depth":{"count":649,"sum":2095,"max":5,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":74},{"lo":2,"hi":3,"count":239},{"lo":4,"hi":7,"count":312}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
+const INTERPRETED_BST_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.bst.0.attempts":323,"rule.bst.0.backtracks":163,"rule.bst.0.successes":160,"rule.bst.1.attempts":163,"rule.bst.1.backtracks":21,"rule.bst.1.successes":142,"search.enters.checker":649,"search.enters.enumerator":0,"search.enters.generator":0,"search.events":1784,"search.index_skipped":0,"unify_fail.bst.0.inputs":163},"gauges":{},"histograms":{"search.depth":{"count":649,"sum":2095,"max":5,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":74},{"lo":2,"hi":3,"count":239},{"lo":4,"hi":7,"count":312}]},"search.term_size":{"count":0,"sum":0,"max":0,"buckets":[]}}}}"#;
 
-const INTERPRETED_STLC_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.stlc_lookup.1.0.cost":27,"premise.stlc_lookup.1.0.evals":15,"premise.stlc_lookup.1.0.failures":0,"rule.stlc_lookup.0.attempts":171,"rule.stlc_lookup.0.backtracks":15,"rule.stlc_lookup.0.successes":116,"rule.stlc_lookup.1.attempts":71,"rule.stlc_lookup.1.backtracks":0,"rule.stlc_lookup.1.successes":55,"rule.stlc_typing.0.attempts":1436,"rule.stlc_typing.0.backtracks":325,"rule.stlc_typing.0.successes":375,"rule.stlc_typing.1.attempts":1106,"rule.stlc_typing.1.backtracks":289,"rule.stlc_typing.1.successes":129,"rule.stlc_typing.2.attempts":989,"rule.stlc_typing.2.backtracks":270,"rule.stlc_typing.2.successes":116,"rule.stlc_typing.3.attempts":889,"rule.stlc_typing.3.backtracks":151,"rule.stlc_typing.3.successes":461,"rule.stlc_typing.4.attempts":481,"rule.stlc_typing.4.backtracks":35,"rule.stlc_typing.4.successes":320,"search.enters.checker":403,"search.enters.enumerator":1204,"search.enters.generator":0,"search.events":13191,"search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0,"unify_fail.stlc_lookup.0.inputs":55,"unify_fail.stlc_lookup.1.inputs":16,"unify_fail.stlc_typing.0.inputs":1061,"unify_fail.stlc_typing.1.inputs":977,"unify_fail.stlc_typing.2.inputs":873,"unify_fail.stlc_typing.3.inputs":413,"unify_fail.stlc_typing.4.inputs":146},"gauges":{},"histograms":{"search.depth":{"count":1607,"sum":4360,"max":14,"buckets":[{"lo":0,"hi":0,"count":32},{"lo":1,"hi":1,"count":419},{"lo":2,"hi":3,"count":789},{"lo":4,"hi":7,"count":312},{"lo":8,"hi":15,"count":55}]},"search.term_size":{"count":228,"sum":428,"max":7,"buckets":[{"lo":1,"hi":1,"count":164},{"lo":2,"hi":3,"count":34},{"lo":4,"hi":7,"count":30}]}}}}"#;
+const INTERPRETED_STLC_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.stlc_lookup.1.0.cost":27,"premise.stlc_lookup.1.0.evals":15,"premise.stlc_lookup.1.0.failures":0,"rule.stlc_lookup.0.attempts":171,"rule.stlc_lookup.0.backtracks":15,"rule.stlc_lookup.0.successes":116,"rule.stlc_lookup.1.attempts":71,"rule.stlc_lookup.1.backtracks":0,"rule.stlc_lookup.1.successes":55,"rule.stlc_typing.0.attempts":1436,"rule.stlc_typing.0.backtracks":325,"rule.stlc_typing.0.successes":375,"rule.stlc_typing.1.attempts":1106,"rule.stlc_typing.1.backtracks":289,"rule.stlc_typing.1.successes":129,"rule.stlc_typing.2.attempts":989,"rule.stlc_typing.2.backtracks":270,"rule.stlc_typing.2.successes":116,"rule.stlc_typing.3.attempts":889,"rule.stlc_typing.3.backtracks":151,"rule.stlc_typing.3.successes":461,"rule.stlc_typing.4.attempts":481,"rule.stlc_typing.4.backtracks":35,"rule.stlc_typing.4.successes":320,"search.enters.checker":403,"search.enters.enumerator":1204,"search.enters.generator":0,"search.events":13191,"search.index_skipped":0,"unify_fail.stlc_lookup.0.inputs":55,"unify_fail.stlc_lookup.1.inputs":16,"unify_fail.stlc_typing.0.inputs":1061,"unify_fail.stlc_typing.1.inputs":977,"unify_fail.stlc_typing.2.inputs":873,"unify_fail.stlc_typing.3.inputs":413,"unify_fail.stlc_typing.4.inputs":146},"gauges":{},"histograms":{"search.depth":{"count":1607,"sum":4360,"max":14,"buckets":[{"lo":0,"hi":0,"count":32},{"lo":1,"hi":1,"count":419},{"lo":2,"hi":3,"count":789},{"lo":4,"hi":7,"count":312},{"lo":8,"hi":15,"count":55}]},"search.term_size":{"count":228,"sum":428,"max":7,"buckets":[{"lo":1,"hi":1,"count":164},{"lo":2,"hi":3,"count":34},{"lo":4,"hi":7,"count":30}]}}}}"#;
 
-const STLC_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.stlc_lookup.1.0.cost":27,"premise.stlc_lookup.1.0.evals":15,"premise.stlc_lookup.1.0.failures":0,"premise.stlc_typing.1.0.cost":218,"premise.stlc_typing.1.0.evals":36,"premise.stlc_typing.1.0.failures":0,"premise.stlc_typing.1.1.cost":240,"premise.stlc_typing.1.1.evals":36,"premise.stlc_typing.1.1.failures":0,"premise.stlc_typing.2.0.cost":34,"premise.stlc_typing.2.0.evals":19,"premise.stlc_typing.2.0.failures":0,"premise.stlc_typing.3.1.cost":429,"premise.stlc_typing.3.1.evals":134,"premise.stlc_typing.3.1.failures":15,"premise.stlc_typing.4.0.cost":833,"premise.stlc_typing.4.0.evals":131,"premise.stlc_typing.4.0.failures":15,"premise.stlc_typing.4.2.cost":833,"premise.stlc_typing.4.2.evals":131,"premise.stlc_typing.4.2.failures":15,"rule.stlc_lookup.0.attempts":171,"rule.stlc_lookup.0.backtracks":15,"rule.stlc_lookup.0.successes":116,"rule.stlc_lookup.1.attempts":71,"rule.stlc_lookup.1.backtracks":0,"rule.stlc_lookup.1.successes":55,"rule.stlc_typing.0.attempts":1111,"rule.stlc_typing.0.backtracks":0,"rule.stlc_typing.0.successes":375,"rule.stlc_typing.1.attempts":817,"rule.stlc_typing.1.backtracks":0,"rule.stlc_typing.1.successes":129,"rule.stlc_typing.2.attempts":719,"rule.stlc_typing.2.backtracks":0,"rule.stlc_typing.2.successes":116,"rule.stlc_typing.3.attempts":758,"rule.stlc_typing.3.backtracks":20,"rule.stlc_typing.3.successes":461,"rule.stlc_typing.4.attempts":461,"rule.stlc_typing.4.backtracks":15,"rule.stlc_typing.4.successes":320,"search.enters.checker":403,"search.enters.enumerator":1204,"search.enters.generator":0,"search.events":10942,"search.index_skipped":1476,"search.memo_hits":0,"search.memo_misses":0,"unify_fail.stlc_lookup.0.inputs":55,"unify_fail.stlc_lookup.1.inputs":16,"unify_fail.stlc_typing.0.inputs":736,"unify_fail.stlc_typing.1.inputs":688,"unify_fail.stlc_typing.2.inputs":603,"unify_fail.stlc_typing.3.inputs":282,"unify_fail.stlc_typing.4.inputs":126},"gauges":{},"histograms":{"search.depth":{"count":1607,"sum":4360,"max":14,"buckets":[{"lo":0,"hi":0,"count":32},{"lo":1,"hi":1,"count":419},{"lo":2,"hi":3,"count":789},{"lo":4,"hi":7,"count":312},{"lo":8,"hi":15,"count":55}]},"search.term_size":{"count":228,"sum":428,"max":7,"buckets":[{"lo":1,"hi":1,"count":164},{"lo":2,"hi":3,"count":34},{"lo":4,"hi":7,"count":30}]}}}}"#;
+const STLC_CHECKS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"premise.stlc_lookup.1.0.cost":27,"premise.stlc_lookup.1.0.evals":15,"premise.stlc_lookup.1.0.failures":0,"premise.stlc_typing.1.0.cost":218,"premise.stlc_typing.1.0.evals":36,"premise.stlc_typing.1.0.failures":0,"premise.stlc_typing.1.1.cost":240,"premise.stlc_typing.1.1.evals":36,"premise.stlc_typing.1.1.failures":0,"premise.stlc_typing.2.0.cost":34,"premise.stlc_typing.2.0.evals":19,"premise.stlc_typing.2.0.failures":0,"premise.stlc_typing.3.1.cost":429,"premise.stlc_typing.3.1.evals":134,"premise.stlc_typing.3.1.failures":15,"premise.stlc_typing.4.0.cost":833,"premise.stlc_typing.4.0.evals":131,"premise.stlc_typing.4.0.failures":15,"premise.stlc_typing.4.2.cost":833,"premise.stlc_typing.4.2.evals":131,"premise.stlc_typing.4.2.failures":15,"rule.stlc_lookup.0.attempts":171,"rule.stlc_lookup.0.backtracks":15,"rule.stlc_lookup.0.successes":116,"rule.stlc_lookup.1.attempts":71,"rule.stlc_lookup.1.backtracks":0,"rule.stlc_lookup.1.successes":55,"rule.stlc_typing.0.attempts":1111,"rule.stlc_typing.0.backtracks":0,"rule.stlc_typing.0.successes":375,"rule.stlc_typing.1.attempts":817,"rule.stlc_typing.1.backtracks":0,"rule.stlc_typing.1.successes":129,"rule.stlc_typing.2.attempts":719,"rule.stlc_typing.2.backtracks":0,"rule.stlc_typing.2.successes":116,"rule.stlc_typing.3.attempts":758,"rule.stlc_typing.3.backtracks":20,"rule.stlc_typing.3.successes":461,"rule.stlc_typing.4.attempts":461,"rule.stlc_typing.4.backtracks":15,"rule.stlc_typing.4.successes":320,"search.enters.checker":403,"search.enters.enumerator":1204,"search.enters.generator":0,"search.events":10942,"search.index_skipped":1476,"unify_fail.stlc_lookup.0.inputs":55,"unify_fail.stlc_lookup.1.inputs":16,"unify_fail.stlc_typing.0.inputs":736,"unify_fail.stlc_typing.1.inputs":688,"unify_fail.stlc_typing.2.inputs":603,"unify_fail.stlc_typing.3.inputs":282,"unify_fail.stlc_typing.4.inputs":126},"gauges":{},"histograms":{"search.depth":{"count":1607,"sum":4360,"max":14,"buckets":[{"lo":0,"hi":0,"count":32},{"lo":1,"hi":1,"count":419},{"lo":2,"hi":3,"count":789},{"lo":4,"hi":7,"count":312},{"lo":8,"hi":15,"count":55}]},"search.term_size":{"count":228,"sum":428,"max":7,"buckets":[{"lo":1,"hi":1,"count":164},{"lo":2,"hi":3,"count":34},{"lo":4,"hi":7,"count":30}]}}}}"#;
 
 const BST_GEN_DRAWS: &str =
     "1 68 69 1 9 96 111 32 1 4 11 81 28 105 5 76 6 20 98 42 5 7 59 61 rng 428892";
 
-const BST_GEN_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.bst.0.attempts":113,"rule.bst.0.backtracks":0,"rule.bst.0.successes":113,"rule.bst.1.attempts":150,"rule.bst.1.backtracks":61,"rule.bst.1.successes":89,"rule.le'.0.attempts":150,"rule.le'.0.backtracks":0,"rule.le'.0.successes":150,"rule.le'.1.attempts":437,"rule.le'.1.backtracks":0,"rule.le'.1.successes":437,"rule.lt'.0.attempts":150,"rule.lt'.0.backtracks":0,"rule.lt'.0.successes":150,"search.enters.checker":150,"search.enters.enumerator":0,"search.enters.generator":939,"search.events":3413,"search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0},"gauges":{},"histograms":{"search.depth":{"count":1089,"sum":5011,"max":12,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":84},{"lo":2,"hi":3,"count":299},{"lo":4,"hi":7,"count":529},{"lo":8,"hi":15,"count":153}]},"search.term_size":{"count":324,"sum":3804,"max":111,"buckets":[{"lo":1,"hi":1,"count":19},{"lo":2,"hi":3,"count":44},{"lo":4,"hi":7,"count":83},{"lo":8,"hi":15,"count":108},{"lo":16,"hi":31,"count":58},{"lo":32,"hi":63,"count":4},{"lo":64,"hi":127,"count":8}]}}}}"#;
+const BST_GEN_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.bst.0.attempts":113,"rule.bst.0.backtracks":0,"rule.bst.0.successes":113,"rule.bst.1.attempts":150,"rule.bst.1.backtracks":61,"rule.bst.1.successes":89,"rule.le'.0.attempts":150,"rule.le'.0.backtracks":0,"rule.le'.0.successes":150,"rule.le'.1.attempts":437,"rule.le'.1.backtracks":0,"rule.le'.1.successes":437,"rule.lt'.0.attempts":150,"rule.lt'.0.backtracks":0,"rule.lt'.0.successes":150,"search.enters.checker":150,"search.enters.enumerator":0,"search.enters.generator":939,"search.events":3413,"search.index_skipped":0},"gauges":{},"histograms":{"search.depth":{"count":1089,"sum":5011,"max":12,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":84},{"lo":2,"hi":3,"count":299},{"lo":4,"hi":7,"count":529},{"lo":8,"hi":15,"count":153}]},"search.term_size":{"count":324,"sum":3804,"max":111,"buckets":[{"lo":1,"hi":1,"count":19},{"lo":2,"hi":3,"count":44},{"lo":4,"hi":7,"count":83},{"lo":8,"hi":15,"count":108},{"lo":16,"hi":31,"count":58},{"lo":32,"hi":63,"count":4},{"lo":64,"hi":127,"count":8}]}}}}"#;
 
 const STLC_GEN_DRAWS: &str =
     "48 39 42 41 26 58 20 30 41 2 63 3 39 35 29 23 65 35 60 63 20 14 31 44 rng 351981";
 
-const STLC_GEN_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.stlc_lookup.0.attempts":616,"rule.stlc_lookup.0.backtracks":531,"rule.stlc_lookup.0.successes":85,"rule.stlc_lookup.1.attempts":632,"rule.stlc_lookup.1.backtracks":604,"rule.stlc_lookup.1.successes":28,"rule.stlc_typing.0.attempts":381,"rule.stlc_typing.0.backtracks":219,"rule.stlc_typing.0.successes":162,"rule.stlc_typing.1.attempts":176,"rule.stlc_typing.1.backtracks":117,"rule.stlc_typing.1.successes":59,"rule.stlc_typing.2.attempts":345,"rule.stlc_typing.2.backtracks":260,"rule.stlc_typing.2.successes":85,"rule.stlc_typing.3.attempts":241,"rule.stlc_typing.3.backtracks":84,"rule.stlc_typing.3.successes":157,"rule.stlc_typing.4.attempts":192,"rule.stlc_typing.4.backtracks":103,"rule.stlc_typing.4.successes":89,"search.enters.checker":0,"search.enters.enumerator":0,"search.enters.generator":1334,"search.events":7858,"search.index_skipped":0,"search.memo_hits":0,"search.memo_misses":0,"unify_fail.stlc_lookup.0.inputs":335,"unify_fail.stlc_lookup.0.step0":196,"unify_fail.stlc_lookup.1.inputs":335,"unify_fail.stlc_typing.0.inputs":219,"unify_fail.stlc_typing.1.inputs":117,"unify_fail.stlc_typing.3.inputs":47},"gauges":{},"histograms":{"search.depth":{"count":1334,"sum":6529,"max":9,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":42},{"lo":2,"hi":3,"count":192},{"lo":4,"hi":7,"count":1012},{"lo":8,"hi":15,"count":64}]},"search.term_size":{"count":109,"sum":899,"max":65,"buckets":[{"lo":0,"hi":0,"count":59},{"lo":1,"hi":1,"count":24},{"lo":2,"hi":3,"count":4},{"lo":8,"hi":15,"count":1},{"lo":16,"hi":31,"count":7},{"lo":32,"hi":63,"count":13},{"lo":64,"hi":127,"count":1}]}}}}"#;
+const STLC_GEN_STATS: &str = r#"{"schema":"indrel.metrics/1","deterministic":{"counters":{"rule.stlc_lookup.0.attempts":616,"rule.stlc_lookup.0.backtracks":531,"rule.stlc_lookup.0.successes":85,"rule.stlc_lookup.1.attempts":632,"rule.stlc_lookup.1.backtracks":604,"rule.stlc_lookup.1.successes":28,"rule.stlc_typing.0.attempts":381,"rule.stlc_typing.0.backtracks":219,"rule.stlc_typing.0.successes":162,"rule.stlc_typing.1.attempts":176,"rule.stlc_typing.1.backtracks":117,"rule.stlc_typing.1.successes":59,"rule.stlc_typing.2.attempts":345,"rule.stlc_typing.2.backtracks":260,"rule.stlc_typing.2.successes":85,"rule.stlc_typing.3.attempts":241,"rule.stlc_typing.3.backtracks":84,"rule.stlc_typing.3.successes":157,"rule.stlc_typing.4.attempts":192,"rule.stlc_typing.4.backtracks":103,"rule.stlc_typing.4.successes":89,"search.enters.checker":0,"search.enters.enumerator":0,"search.enters.generator":1334,"search.events":7858,"search.index_skipped":0,"unify_fail.stlc_lookup.0.inputs":335,"unify_fail.stlc_lookup.0.step0":196,"unify_fail.stlc_lookup.1.inputs":335,"unify_fail.stlc_typing.0.inputs":219,"unify_fail.stlc_typing.1.inputs":117,"unify_fail.stlc_typing.3.inputs":47},"gauges":{},"histograms":{"search.depth":{"count":1334,"sum":6529,"max":9,"buckets":[{"lo":0,"hi":0,"count":24},{"lo":1,"hi":1,"count":42},{"lo":2,"hi":3,"count":192},{"lo":4,"hi":7,"count":1012},{"lo":8,"hi":15,"count":64}]},"search.term_size":{"count":109,"sum":899,"max":65,"buckets":[{"lo":0,"hi":0,"count":59},{"lo":1,"hi":1,"count":24},{"lo":2,"hi":3,"count":4},{"lo":8,"hi":15,"count":1},{"lo":16,"hi":31,"count":7},{"lo":32,"hi":63,"count":13},{"lo":64,"hi":127,"count":1}]}}}}"#;
 
 const STLC_CHECK_LADDER: &str = "ssssssssssTTsFssssssssssssTTssss|ssssssssssTTsFssssssssssssTTssss|TTTTTTssTTTTTFssTFTFTTTTTFTTssTF|TTTTTTTTTTTTTFTTTFTFTTTTTFTTTTTF|TTTTTTTTTTTTTFTTTFTFTTTTTFTTTTTF|TTTTTTTTTTTTTFTTTFTFTTTTTFTTTTTF|TTTTTTTTTTTTTFTTTFTFTTTTTFTTTTTF|";
 

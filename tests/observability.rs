@@ -369,15 +369,13 @@ fn serving_layer_probe_parity_across_threads_and_poison() {
 }
 
 /// Every event kind a probe records: all of them come from the search.
-const SEARCH_EVENTS: [&str; 10] = [
+const SEARCH_EVENTS: [&str; 8] = [
     "enter",
     "rule_attempt",
     "rule_success",
     "unify_fail",
     "backtrack",
     "term_produced",
-    "memo_hit",
-    "memo_miss",
     "index_skip",
     "premise",
 ];
